@@ -110,7 +110,7 @@ def _cmd_constants(args) -> int:
 
 def _solve_once(cfg: RunConfig, p: float):
     grid = build_grid(cfg.domain)
-    kern = build_kernel(grid, kernel_exponent(grid.n, cfg.s, p), cfg.refine)
+    kern = build_kernel(grid, kernel_exponent(grid.n, cfg.s, p))
     f = make_load(grid, cfg)
     scfg = SolveConfig(p=p, s=cfg.s, eps_g=cfg.eps_g, eps_e=cfg.eps_e, maxit=cfg.maxit)
     return grid, solve_p(grid, kern, f, scfg)
@@ -204,7 +204,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_cheeger(args) -> int:
     cfg = read_config(args.config)
     grid = build_grid(cfg.domain)
-    kern = build_kernel(grid, grid.n + cfg.s, cfg.refine)
+    kern = build_kernel(grid, grid.n + cfg.s)
     f = make_load(grid, cfg)
     if args.method == "brute":
         result = brute_force_cheeger(grid, f, kern)
@@ -253,19 +253,20 @@ def _read_field_csv(path, ncells) -> np.ndarray:
 def _cmd_certify(args) -> int:
     cfg = read_config(args.config)
     grid = build_grid(cfg.domain)
-    kern = build_kernel(grid, grid.n + cfg.s, cfg.refine)
+    kern = build_kernel(grid, grid.n + cfg.s)
     f = make_load(grid, cfg)
     u = _read_field_csv(args.field, grid.ncells)
     cert = build_certificate(u, f, kern, eps_feas=args.eps)
     rep = verify_certificate(u, cert, f, kern, eps_feas=args.eps)
     os.makedirs(args.out, exist_ok=True)
     lines = ["i,j,z"]
-    ii, jj = np.nonzero(np.triu(cert.z, k=1) != 0.0)
-    for i, j in zip(ii, jj):
-        lines.append("%d,%d,%s" % (i, j, repr(float(cert.z[i, j]))))
-    for i in range(grid.ncells):
-        if cert.zbar[i] != 0.0:
-            lines.append("%d,-1,%s" % (i, repr(float(cert.zbar[i]))))
+    # one row at a time: lists of all entries at once would double the
+    # formatting's peak memory on a 1024-cell field
+    for i, row in enumerate(np.triu(cert.z, k=1)):
+        (jj,) = np.nonzero(row)
+        lines += ["%d,%d,%r" % (i, j, z) for j, z in zip(jj.tolist(), row[jj].tolist())]
+    (kk,) = np.nonzero(cert.zbar)
+    lines += ["%d,-1,%r" % row for row in zip(kk.tolist(), cert.zbar[kk].tolist())]
     _write(
         os.path.join(args.out, "%s_signfield.csv" % cfg.label),
         "\n".join(lines) + "\n",
@@ -328,13 +329,11 @@ def _probe_energy_limit(args) -> int:
         cfg = read_config(args.config)
         grid = build_grid(cfg.domain)
         s = cfg.s
-        refine = cfg.refine
     else:
         grid = build_grid(DomainSpec(1, "interval", (-1.0, 1.0), 1.0 / 32.0))
         s = args.s
-        refine = 4
     schedule = tuple(args.p) if args.p else DEFAULT_PROBE_SCHEDULE
-    rep = energy_limit_probe(grid, hat_field(grid), s, schedule, refine=refine)
+    rep = energy_limit_probe(grid, hat_field(grid), s, schedule)
     out = {
         "probe": "energy-limit",
         "s": s,

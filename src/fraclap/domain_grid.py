@@ -12,10 +12,7 @@ and every energy in the package reduces to finite sums against (w, t).
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -23,7 +20,8 @@ from itertools import product
 import numpy as np
 from scipy.integrate import quad
 
-KERNEL_CACHE_VERSION = 1
+#: subcells per axis of the near-pair rule behind the pair weights w
+NEAR_SUBCELLS = 4
 
 #: boundary measure of the unit sphere, indexed by dimension
 OMEGA_N = {1: 2.0, 2: 2.0 * math.pi}
@@ -84,15 +82,6 @@ class DomainSpec:
         if self.shape not in ("interval", "box", "ball", "union"):
             raise ValueError("unknown shape %r" % (self.shape,))
 
-    def key(self) -> str:
-        """Canonical string identifying this spec (cache key component)."""
-        return "n=%d;shape=%s;params=%s;h=%s" % (
-            self.n,
-            self.shape,
-            ",".join(repr(float(v)) for v in _flatten(self.params)),
-            repr(float(self.h)),
-        )
-
 
 def _flatten(params):
     out = []
@@ -139,7 +128,6 @@ class KernelSet:
     """
 
     exponent: float
-    refine: int
     n: int
     h: float
     w: np.ndarray  # (N, N) pairwise weights
@@ -363,11 +351,11 @@ def _exact_pair_unit(offset, alpha, n):
 
 
 @lru_cache(maxsize=None)
-def _hybrid_pair_unit(offset, alpha, refine, n):
-    """Near-pair value on unit cells: refine^n subcells per cell, midpoint
+def _hybrid_pair_unit(offset, alpha, subcells, n):
+    """Near-pair value on unit cells: subcells^n subcells per cell, midpoint
     rule per subcell pair, except touching subcell pairs (sup-norm offset 1)
     which use the exact integral. Scaled by the caller for cell side h."""
-    r = int(refine)
+    r = int(subcells)
     d = 1.0 / r
     axes = []
     for ka in offset:
@@ -410,55 +398,30 @@ def _near_offsets(n):
     return table
 
 
+
+
 # ---------------------------------------------------------------------------
 # weight assembly
 # ---------------------------------------------------------------------------
 
 
-def pair_weights(grid: Grid, exponent: float, refine: int = 4) -> KernelSet:
-    """Pairwise weights: exact-corrected subcell midpoint for center distance
-    up to 3h, plain midpoint beyond. Returns a KernelSet with zero tails."""
-    validate_exponent(grid.n, exponent)
-    if refine < 1:
-        raise ValueError("refine must be a positive integer")
-    alpha = float(exponent)
-    h = grid.h
-    lat = grid.lattice.astype(np.int64)
-    d2 = _int_dist2(lat)
-    nn = grid.ncells
-    w = np.zeros((nn, nn))
-    far = d2 > 9
-    if np.any(far):
-        w[far] = h ** (2 * grid.n - alpha) * d2[far].astype(float) ** (-alpha / 2.0)
-    scale = h ** (2 * grid.n - alpha)
-    for dd, off in _near_offsets(grid.n).items():
-        mask = d2 == dd
-        if np.any(mask):
-            w[mask] = scale * _hybrid_pair_unit(off, alpha, int(refine), grid.n)
-    return KernelSet(
-        exponent=alpha,
-        refine=int(refine),
-        n=grid.n,
-        h=h,
-        w=w,
-        t=np.zeros(nn),
-        m=grid.m,
-    )
+def build_kernel(grid: Grid, exponent: float) -> KernelSet:
+    """Pairwise weights w and exterior tails t in one pass.
 
-
-def exterior_weights(grid: Grid, exponent: float, refine: int = 4) -> KernelSet:
-    """Exterior tails t_i via a translation-invariant lattice identity.
-
-    Let kv(k) be the per-offset pair value (exact integral for |k| <= 3,
-    midpoint beyond) and S the sum of kv over every nonzero lattice offset
-    with center distance below R_snap, the grid's r_out snapped to a cell
-    boundary. Then
+    Let kv(k) be the per-offset pair value: the exact integral for center
+    distance |k| <= 3, the midpoint value beyond. With S the sum of kv over
+    every nonzero lattice offset with center distance below R_snap (the
+    grid's r_out snapped to a cell boundary), the tails follow from the
+    translation-invariant lattice identity
 
         t_i = S - sum_j kv(offset_ij) + m_i * omega_n / (sigma * R_snap^sigma)
 
     which equals the complement-shell sum plus the closed-form far field
     without enumerating complement cells per i. Both terms use the same kv
     table, so interior cells with small tails lose nothing to cancellation.
+
+    The pair weights w share the midpoint far values of kv; their near
+    values use the subcell rule of _hybrid_pair_unit at NEAR_SUBCELLS.
     """
     validate_exponent(grid.n, exponent)
     alpha = float(exponent)
@@ -469,10 +432,8 @@ def exterior_weights(grid: Grid, exponent: float, refine: int = 4) -> KernelSet:
     r_snap = (kmax + 0.5) * h
 
     scale = h ** (2 * n - alpha)
-    near = {
-        dd: scale * _exact_pair_unit(off, alpha, n)
-        for dd, off in _near_offsets(n).items()
-    }
+    offsets = _near_offsets(n)
+    near = {dd: scale * _exact_pair_unit(off, alpha, n) for dd, off in offsets.items()}
 
     # universal lattice sum over 0 < |k*h| < R_snap
     if n == 1:
@@ -494,139 +455,31 @@ def exterior_weights(grid: Grid, exponent: float, refine: int = 4) -> KernelSet:
             vals[dvals == float(dd)] = v
         lattice_sum = float(np.sum(vals))
 
-    # per-pair kv for in-domain cells (exact near values, midpoint far)
-    d2 = _int_dist2(grid.lattice.astype(np.int64))
-    kv = np.zeros_like(d2, dtype=float)
+    # w first holds kv for the in-domain pairs; its row sums give the tails
+    d2 = _int_dist2(grid.lattice)
+    w = np.zeros(d2.shape)
     far = d2 > 9
-    kv[far] = scale * d2[far].astype(float) ** (-alpha / 2.0)
-    for dd, v in near.items():
-        kv[d2 == dd] = v
+    w[far] = scale * d2[far].astype(float) ** (-alpha / 2.0)
+    near_idx = {dd: np.flatnonzero(d2 == dd) for dd in offsets}
+    for dd, idx in near_idx.items():
+        w.flat[idx] = near[dd]
 
     tail = grid.cell_measure * OMEGA_N[n] / (sigma * r_snap ** sigma)
-    t = lattice_sum - kv.sum(axis=1) + tail
+    t = lattice_sum - w.sum(axis=1) + tail
     if np.any(t <= 0):
         raise ValueError("exterior weights must be positive; grid too coarse")
-    nn = grid.ncells
-    return KernelSet(
-        exponent=alpha,
-        refine=int(refine),
-        n=n,
-        h=h,
-        w=np.zeros((nn, nn)),
-        t=t,
-        m=grid.m,
-    )
 
-
-def analytic_tail(n: int, sigma: float, radius: float) -> float:
-    """Closed-form far field per unit cell measure:
-    integral of |x - y|^(-n-sigma) over |y - x| > radius."""
-    return OMEGA_N[n] / (sigma * radius ** sigma)
-
-
-def build_kernel(grid: Grid, exponent: float, refine: int = 4) -> KernelSet:
-    """Pairwise and exterior weights combined; what downstream modules use."""
-    pairs = pair_weights(grid, exponent, refine)
-    ext = exterior_weights(grid, exponent, refine)
-    return KernelSet(
-        exponent=pairs.exponent,
-        refine=pairs.refine,
-        n=grid.n,
-        h=grid.h,
-        w=pairs.w,
-        t=ext.t,
-        m=grid.m,
-    )
+    # then the near pairs take the subcell rule
+    for dd, idx in near_idx.items():
+        w.flat[idx] = scale * _hybrid_pair_unit(offsets[dd], alpha, NEAR_SUBCELLS, n)
+    return KernelSet(exponent=alpha, n=n, h=h, w=w, t=t, m=grid.m)
 
 
 def _int_dist2(lat: np.ndarray) -> np.ndarray:
-    diff = lat[:, None, :] - lat[None, :, :]
-    return np.sum(diff * diff, axis=2)
-
-
-# ---------------------------------------------------------------------------
-# kernel cache (versioned JSON)
-# ---------------------------------------------------------------------------
-
-
-def kernel_cache_key(spec: DomainSpec, exponent: float, refine: int) -> str:
-    raw = "%s|alpha=%s|refine=%d|v=%d" % (
-        spec.key(),
-        repr(float(exponent)),
-        refine,
-        KERNEL_CACHE_VERSION,
-    )
-    return hashlib.sha256(raw.encode()).hexdigest()[:24]
-
-
-def save_kernel(path: str, spec: DomainSpec, kernel: KernelSet) -> None:
-    """Serialize a kernel to versioned JSON (weights as lower triangle)."""
-    nn = kernel.m.shape[0]
-    tril = kernel.w[np.tril_indices(nn, k=-1)]
-    doc = {
-        "version": KERNEL_CACHE_VERSION,
-        "spec": spec.key(),
-        "exponent": float(kernel.exponent),
-        "refine": kernel.refine,
-        "n": kernel.n,
-        "h": kernel.h,
-        "m": kernel.m.tolist(),
-        "t": kernel.t.tolist(),
-        "w_tril": tril.tolist(),
-    }
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(doc, fh)
-    os.replace(tmp, path)
-
-
-def load_kernel(path: str, spec: DomainSpec, exponent: float, refine: int):
-    """Load a cached kernel; returns None on any mismatch."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    if (
-        doc.get("version") != KERNEL_CACHE_VERSION
-        or doc.get("spec") != spec.key()
-        or doc.get("exponent") != float(exponent)
-        or doc.get("refine") != refine
-    ):
-        return None
-    m = np.asarray(doc["m"], dtype=float)
-    t = np.asarray(doc["t"], dtype=float)
-    nn = m.shape[0]
-    w = np.zeros((nn, nn))
-    w[np.tril_indices(nn, k=-1)] = np.asarray(doc["w_tril"], dtype=float)
-    w = w + w.T
-    return KernelSet(
-        exponent=float(doc["exponent"]),
-        refine=int(doc["refine"]),
-        n=int(doc["n"]),
-        h=float(doc["h"]),
-        w=w,
-        t=t,
-        m=m,
-    )
-
-
-def cached_kernel(
-    grid: Grid,
-    spec: DomainSpec,
-    exponent: float,
-    refine: int = 4,
-    cache_dir: str | None = None,
-) -> KernelSet:
-    """build_kernel with an optional on-disk JSON cache."""
-    if cache_dir is None:
-        return build_kernel(grid, exponent, refine)
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(
-        cache_dir, kernel_cache_key(spec, exponent, refine) + ".json"
-    )
-    kern = load_kernel(path, spec, exponent, refine)
-    if kern is None:
-        kern = build_kernel(grid, exponent, refine)
-        save_kernel(path, spec, kern)
-    return kern
+    """Squared integer center distances, accumulated one axis at a time."""
+    d2 = np.zeros((lat.shape[0], lat.shape[0]), dtype=np.int64)
+    for col in lat.T.astype(np.int64):
+        diff = np.subtract.outer(col, col)
+        diff *= diff
+        d2 += diff
+    return d2

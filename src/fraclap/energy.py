@@ -80,14 +80,24 @@ def _as_field(u, kernel: KernelSet) -> np.ndarray:
     return vals
 
 
-def seminorm_power(u, kernel: KernelSet, p: float) -> float:
-    """[u]^p = ordered pair sum + 2 * tail sum."""
-    vals = _as_field(u, kernel)
+def _pair_tail(vals: np.ndarray, kernel: KernelSet, p: float):
+    """(ordered pair sum of w |du|^p, tail sum of t |u|^p) of a checked field."""
     if p < 1:
         raise ValueError("integrability p must satisfy p >= 1")
-    du = np.abs(vals[:, None] - vals[None, :])
-    pair = float(np.sum(kernel.w * du ** p))
+    # one N x N buffer, updated in place: the same arithmetic as
+    # sum(w * |du|^p) without a fresh N x N temporary per step
+    du = vals[:, None] - vals[None, :]
+    np.abs(du, out=du)
+    du **= p
+    du *= kernel.w
+    pair = float(np.sum(du))
     tail = float(np.sum(kernel.t * np.abs(vals) ** p))
+    return pair, tail
+
+
+def seminorm_power(u, kernel: KernelSet, p: float) -> float:
+    """[u]^p = ordered pair sum + 2 * tail sum."""
+    pair, tail = _pair_tail(_as_field(u, kernel), kernel, p)
     return pair + 2.0 * tail
 
 
@@ -99,11 +109,7 @@ def seminorm(u, kernel: KernelSet, p: float) -> float:
 def total_energy(u, f: LoadField, kernel: KernelSet, p: float) -> EnergyBreakdown:
     """Functional F(u) = [u]^p/(2p) - sum f u m, fully itemized."""
     vals = _as_field(u, kernel)
-    if p < 1:
-        raise ValueError("integrability p must satisfy p >= 1")
-    du = np.abs(vals[:, None] - vals[None, :])
-    pair = float(np.sum(kernel.w * du ** p))
-    tail = float(np.sum(kernel.t * np.abs(vals) ** p))
+    pair, tail = _pair_tail(vals, kernel, p)
     power = pair + 2.0 * tail
     semi = power ** (1.0 / p)
     kinetic = power / (2.0 * p)

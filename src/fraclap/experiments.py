@@ -69,7 +69,6 @@ class RunConfig:
     eps_g: Optional[float] = None
     eps_e: float = 1e-12
     maxit: int = 50000
-    refine: int = 4
     label: str = "run"
 
     def __post_init__(self):
@@ -126,7 +125,6 @@ _ALL_KEYS = _REQUIRED_KEYS + (
     "eps_g",
     "eps_e",
     "maxit",
-    "refine",
 )
 
 
@@ -177,7 +175,6 @@ def parse_config(text: str) -> RunConfig:
         eps_g=float(seen["eps_g"]) if "eps_g" in seen else None,
         eps_e=float(seen.get("eps_e", "1e-12")),
         maxit=int(seen.get("maxit", "50000")),
-        refine=int(seen.get("refine", "4")),
         label=seen.get("label", "run"),
     )
 
@@ -228,7 +225,7 @@ def run_sweep(cfg: RunConfig) -> SweepTable:
     """Solve along the descending schedule with warm starts."""
     grid = build_grid(cfg.domain)
     n = grid.n
-    kern_1 = build_kernel(grid, n + cfg.s, cfg.refine)
+    kern_1 = build_kernel(grid, n + cfg.s)
     f = make_load(grid, cfg)
 
     records: List[SweepRecord] = []
@@ -240,7 +237,7 @@ def run_sweep(cfg: RunConfig) -> SweepTable:
         scfg = SolveConfig(
             p=p, s=cfg.s, eps_g=cfg.eps_g, eps_e=cfg.eps_e, maxit=cfg.maxit
         )
-        kern_p = build_kernel(grid, kernel_exponent(n, cfg.s, p), cfg.refine)
+        kern_p = build_kernel(grid, kernel_exponent(n, cfg.s, p))
         try:
             sol = solve_p(grid, kern_p, f, scfg, u0=u_prev)
         except SolverError as err:
@@ -405,17 +402,17 @@ class EnergyLimitReport:
 
 
 def energy_limit_probe(
-    grid: Grid, u, s: float, schedule: Sequence[float], refine: int = 4
+    grid: Grid, u, s: float, schedule: Sequence[float]
 ) -> EnergyLimitReport:
     """Convergence of the kinetic energy to its p = 1 value on a fixed field."""
     n = grid.n
     vals = np.asarray(u, dtype=float)
-    kern_1 = build_kernel(grid, n + s, refine)
+    kern_1 = build_kernel(grid, n + s)
     e_1 = 0.5 * seminorm_power(vals, kern_1, 1.0)
     gaps = []
     rel_gaps = []
     for p in sorted(schedule, reverse=True):
-        kern_p = build_kernel(grid, kernel_exponent(n, s, p), refine)
+        kern_p = build_kernel(grid, kernel_exponent(n, s, p))
         e_p = seminorm_power(vals, kern_p, p) / (2.0 * p)
         gap = abs(e_p - e_1)
         gaps.append(gap)

@@ -5,8 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from fraclap.certify import build_certificate
 from fraclap.cli import main
 from fraclap.constants import calibrable_radius, sharp_constants
+from fraclap.domain_grid import build_grid, build_kernel
+from fraclap.experiments import make_load, read_config
 
 SMALL_CFG = """\
 config_version = 1
@@ -82,6 +85,13 @@ def test_bad_config_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text(SMALL_CFG + "mystery = 1\n", encoding="utf-8")
     assert main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 2
+
+
+def test_removed_refine_key_exits_2(tmp_path, capsys):
+    path = tmp_path / "refine.cfg"
+    path.write_text(SMALL_CFG + "refine = 4\n", encoding="utf-8")
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "unknown key 'refine'" in capsys.readouterr().err
 
 
 def test_sweep_writes_csv_json_and_plot(tmp_path, small_cfg, capsys):
@@ -173,6 +183,44 @@ def test_certify_round_trip(tmp_path, small_cfg, capsys):
     sign_lines = (out / "tiny_signfield.csv").read_text(encoding="utf-8").splitlines()
     assert sign_lines[0] == "i,j,z"
     assert len(sign_lines) > 1
+
+
+def test_certify_signfield_rows_match_elementwise_formatting(tmp_path, capsys):
+    # the zero field leaves every z_ij and zbar_i free, so the rows carry
+    # general floats; the reference is the old per-element formatting loop
+    cfg_path = tmp_path / "zero.cfg"
+    cfg_path.write_text(
+        ONECELL_CFG.replace("label = cell", "label = zero")
+        .replace("params = 0 1", "params = 0 16")
+        + "load_scale = 0.3\n",
+        encoding="utf-8",
+    )
+    field = tmp_path / "zero_field.csv"
+    field.write_text(
+        "index,x0,value\n" + "".join("%d,%r,0.0\n" % (i, i + 0.5) for i in range(16)),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    code = main(
+        ["certify", "--config", str(cfg_path), "--field", str(field), "--out", str(out)]
+    )
+    assert code == 0
+
+    cfg = read_config(str(cfg_path))
+    grid = build_grid(cfg.domain)
+    kern = build_kernel(grid, grid.n + cfg.s)
+    cert = build_certificate(np.zeros(grid.ncells), make_load(grid, cfg), kern)
+    lines = ["i,j,z"]
+    ii, jj = np.nonzero(np.triu(cert.z, k=1) != 0.0)
+    for i, j in zip(ii, jj):
+        lines.append("%d,%d,%s" % (i, j, repr(float(cert.z[i, j]))))
+    for i in range(grid.ncells):
+        if cert.zbar[i] != 0.0:
+            lines.append("%d,-1,%s" % (i, repr(float(cert.zbar[i]))))
+    assert np.any(np.abs(cert.z[ii, jj]) < 1.0)
+    assert np.any(cert.zbar != 0.0)
+    expected = ("\n".join(lines) + "\n").encode("utf-8")
+    assert (out / "zero_signfield.csv").read_bytes() == expected
 
 
 def test_probe_faber_krahn_seeded_reproducibility(capsys):

@@ -15,14 +15,11 @@ from fraclap.domain_grid import (
     BALL_VOLUME,
     OMEGA_N,
     DomainSpec,
-    analytic_tail,
     build_grid,
     build_kernel,
-    cached_kernel,
-    exterior_weights,
     kernel_exponent,
     max_admissible_p,
-    pair_weights,
+    _hybrid_pair_unit,
     _k1d_exact,
     _k2d_exact,
 )
@@ -198,7 +195,7 @@ def test_k2d_symmetry():
 
 def test_pair_weights_symmetry_zero_diag():
     grid = build_grid(DomainSpec(1, "interval", (0.0, 1.0), 0.1))
-    kern = pair_weights(grid, 1.5)
+    kern = build_kernel(grid, 1.5)
     assert np.array_equal(kern.w, kern.w.T)
     assert np.all(np.diag(kern.w) == 0.0)
     assert np.all(kern.w[~np.eye(grid.ncells, dtype=bool)] > 0)
@@ -206,27 +203,21 @@ def test_pair_weights_symmetry_zero_diag():
 
 def test_adjacent_weight_accuracy_and_refinement():
     # exact adjacent integral on unit cells is K1_ADJ_15; the hybrid rule
-    # must land within 5% and not get worse as refine doubles
+    # must land within 5%
     grid = build_grid(DomainSpec(1, "interval", (0.0, 2.0), 1.0))
-    errs = []
-    for refine in (2, 4, 8):
-        kern = pair_weights(grid, 1.5, refine=refine)
-        errs.append(abs(kern.w[0, 1] - K1_ADJ_15) / K1_ADJ_15)
-    assert errs[0] <= 0.05
-    assert errs[1] <= 0.05
-    assert errs[2] <= errs[1] + 1e-12
-    assert errs[1] <= errs[0] + 1e-12
+    kern = build_kernel(grid, 1.5)
+    assert abs(kern.w[0, 1] - K1_ADJ_15) / K1_ADJ_15 <= 0.05
 
 
 def test_offset2_weight_accuracy():
     grid = build_grid(DomainSpec(1, "interval", (0.0, 3.0), 1.0))
-    kern = pair_weights(grid, 1.5, refine=4)
+    kern = build_kernel(grid, 1.5)
     assert abs(kern.w[0, 2] - K1_OFF2_15) / K1_OFF2_15 <= 0.02
 
 
 def test_far_weights_are_midpoint():
     grid = build_grid(DomainSpec(1, "interval", (0.0, 8.0), 1.0))
-    kern = pair_weights(grid, 1.5)
+    kern = build_kernel(grid, 1.5)
     # offset 5 is beyond the near range: plain midpoint value 5^(-1.5)
     assert kern.w[0, 5] == pytest.approx(5.0 ** -1.5, rel=1e-14)
 
@@ -236,10 +227,34 @@ def test_pair_weight_scaling():
     alpha = 1.5
     g1 = build_grid(DomainSpec(1, "interval", (0.0, 4.0), 1.0))
     g2 = build_grid(DomainSpec(1, "interval", (0.0, 2.0), 0.5))
-    k1 = pair_weights(g1, alpha)
-    k2 = pair_weights(g2, alpha)
+    k1 = build_kernel(g1, alpha)
+    k2 = build_kernel(g2, alpha)
     ratio = k2.w[0, 1] / k1.w[0, 1]
     assert ratio == pytest.approx(0.5 ** (2 - alpha), rel=1e-12)
+
+
+def test_weights_2d_near_subcell_rule_and_far_midpoint():
+    # near offsets (center distance <= 3 cells) carry the 4-per-axis subcell
+    # rule, everything beyond the plain midpoint value
+    h, alpha = 0.5, 2.5
+    grid = build_grid(DomainSpec(2, "box", (0.0, 0.0, 3.5, 3.0), h))
+    kern = build_kernel(grid, alpha)
+    lat = grid.lattice
+    near_seen = set()
+    for i in range(grid.ncells):
+        for j in range(grid.ncells):
+            if i == j:
+                continue
+            a, b = sorted(abs(int(v)) for v in lat[i] - lat[j])[::-1]
+            d2 = a * a + b * b
+            if d2 <= 9:
+                near_seen.add((a, b))
+                ref = h ** (4 - alpha) * _hybrid_pair_unit((a, b), alpha, 4, 2)
+                assert kern.w[i, j] == ref
+            else:
+                ref = h ** (4 - alpha) * d2 ** (-alpha / 2.0)
+                assert kern.w[i, j] == pytest.approx(ref, rel=1e-14)
+    assert near_seen == {(1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 0)}
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +266,7 @@ def test_single_cell_tail_closed_form():
     # one unit cell: t = 2 / ((alpha - 1)(2 - alpha)) exactly
     grid = build_grid(DomainSpec(1, "interval", (0.0, 1.0), 1.0))
     for alpha, target in ((1.5, T_UNIT_15), (1.8, T_UNIT_18)):
-        kern = exterior_weights(grid, alpha)
+        kern = build_kernel(grid, alpha)
         assert abs(kern.t[0] - target) / target <= 0.02
 
 
@@ -298,33 +313,5 @@ def test_tail_2d_positive_and_symmetric():
     assert np.allclose(t, t[::-1, :], rtol=1e-9)
     assert np.allclose(t, t[:, ::-1], rtol=1e-9)
     assert np.allclose(t, t.T, rtol=1e-9)
-
-
-def test_analytic_tail_value():
-    # integral over |y| > R of |y|^(-1-sigma) in 1-D is 2/(sigma R^sigma)
-    assert analytic_tail(1, 0.5, 4.0) == pytest.approx(2.0 / (0.5 * 2.0))
+    # the far field behind these tails integrates over the unit circle
     assert OMEGA_N[2] == pytest.approx(2.0 * math.pi)
-
-
-# ---------------------------------------------------------------------------
-# cache round-trip
-# ---------------------------------------------------------------------------
-
-
-def test_kernel_cache_roundtrip(tmp_path):
-    spec = DomainSpec(1, "interval", (0.0, 1.0), 0.125)
-    grid = build_grid(spec)
-    fresh = cached_kernel(grid, spec, 1.5, cache_dir=str(tmp_path))
-    reloaded = cached_kernel(grid, spec, 1.5, cache_dir=str(tmp_path))
-    assert np.array_equal(fresh.w, reloaded.w)
-    assert np.array_equal(fresh.t, reloaded.t)
-    assert np.array_equal(fresh.m, reloaded.m)
-    assert fresh.exponent == reloaded.exponent
-
-
-def test_kernel_cache_miss_on_other_exponent(tmp_path):
-    spec = DomainSpec(1, "interval", (0.0, 1.0), 0.25)
-    grid = build_grid(spec)
-    k1 = cached_kernel(grid, spec, 1.5, cache_dir=str(tmp_path))
-    k2 = cached_kernel(grid, spec, 1.65, cache_dir=str(tmp_path))
-    assert not np.array_equal(k1.w, k2.w)
