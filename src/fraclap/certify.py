@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional
+from typing import List, NamedTuple
 
 import numpy as np
 
@@ -237,28 +237,26 @@ class EqualPairMass(NamedTuple):
     exterior_fraction: float
 
 
-def equal_pair_mass(
-    u, kernel: KernelSet, tol_abs: Optional[float] = None
-) -> EqualPairMass:
+def equal_pair_mass(u, kernel: KernelSet) -> EqualPairMass:
     """Pair-measure fraction of near-equal values over the product domain.
 
     Interior pairs carry measure m_i m_j (ordered, i != j); each cell also
     pairs with the exterior, counted as one pseudo-element of measure equal
-    to the domain volume per side. Exterior pairs are near-equal when the
-    cell value itself is within tol_abs of zero (the exterior value).
+    to the domain volume per side. Values are near-equal within
+    1e-9 * max|u|, so exterior pairs are near-equal when the cell value
+    itself is that close to zero (the exterior value).
     """
     vals = np.asarray(u, dtype=float)
-    if tol_abs is None:
-        tol_abs = 1e-9 * float(np.max(np.abs(vals)))
+    tol = 1e-9 * float(np.max(np.abs(vals)))
     m = kernel.m
     total = float(np.sum(m))
     off = ~np.eye(vals.size, dtype=bool)
     mm = np.outer(m, m)
     den_int = float(np.sum(mm[off]))
-    near = (np.abs(vals[:, None] - vals[None, :]) <= tol_abs) & off
+    near = (np.abs(vals[:, None] - vals[None, :]) <= tol) & off
     num_int = float(np.sum(mm[near]))
     den_ext = 2.0 * total * float(np.sum(m))
-    num_ext = 2.0 * total * float(np.sum(m[np.abs(vals) <= tol_abs]))
+    num_ext = 2.0 * total * float(np.sum(m[np.abs(vals) <= tol]))
     interior = num_int / den_int if den_int > 0 else 0.0
     exterior = num_ext / den_ext if den_ext > 0 else 0.0
     return EqualPairMass(

@@ -112,7 +112,7 @@ def _solve_once(cfg: RunConfig, p: float):
     grid = build_grid(cfg.domain)
     kern = build_kernel(grid, kernel_exponent(grid.n, cfg.s, p))
     f = make_load(grid, cfg)
-    scfg = SolveConfig(p=p, s=cfg.s, eps_g=cfg.eps_g, eps_e=cfg.eps_e, maxit=cfg.maxit)
+    scfg = SolveConfig(p=p, s=cfg.s, eps_g=cfg.eps_g, maxit=cfg.maxit)
     return grid, solve_p(grid, kern, f, scfg)
 
 
@@ -423,10 +423,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as err:
         print("configuration error: %s" % err, file=sys.stderr)
         return 2
-    except SolverError as err:
-        print("numerical failure: %s" % err, file=sys.stderr)
-        return 3
-    except QuadratureError as err:
+    except (SolverError, QuadratureError) as err:
         print("numerical failure: %s" % err, file=sys.stderr)
         return 3
 

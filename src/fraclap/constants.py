@@ -131,9 +131,7 @@ def c_constant(n: int, s: float, p: float) -> float:
 
 def sobolev_constant(n: int, s: float, p: float) -> float:
     """S_{n,s,p} = (p/p*) (n/omega_n)^(sp/n) / C_{n,s,p}, p* = np/(n-sp)."""
-    _validate(n, s, p)
-    frac = (n - s * p) / n  # p / p*
-    return frac * (n / OMEGA_N[n]) ** (s * p / n) / c_constant(n, s, p)
+    return sharp_constants(n, s, p).sobolev
 
 
 def ball_perimeter(n: int, s: float, radius: float) -> float:

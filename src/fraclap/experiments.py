@@ -43,6 +43,8 @@ CSV_COLUMNS = (
     "iters",
 )
 _LOAD_KINDS = ("constant", "indicator", "bump")
+_CLASSIFY_MARGIN = 0.1  # h_ref must clear 1 by this much for a norm verdict
+_FABER_KRAHN_TOL_REL = 0.05  # h may sit this far below the bound and pass
 
 
 class SweepRecord(NamedTuple):
@@ -67,7 +69,6 @@ class RunConfig:
     load_params: Tuple[float, ...] = ()
     schedule: Tuple[float, ...] = DEFAULT_SCHEDULE
     eps_g: Optional[float] = None
-    eps_e: float = 1e-12
     maxit: int = 50000
     label: str = "run"
 
@@ -84,7 +85,7 @@ class RunConfig:
         if not self.schedule:
             raise ValueError("configuration error: empty p schedule")
         for p in self.schedule:
-            cfg = SolveConfig(p=p, s=self.s, eps_e=self.eps_e, maxit=self.maxit)
+            cfg = SolveConfig(p=p, s=self.s, maxit=self.maxit)
             cfg.validate_for(self.domain.n)
 
 
@@ -108,7 +109,6 @@ class RegimeVerdict:
     pow_last: float
     pow_prev: float
     h_ref: float
-    margin: float
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +123,6 @@ _ALL_KEYS = _REQUIRED_KEYS + (
     "load_params",
     "schedule",
     "eps_g",
-    "eps_e",
     "maxit",
 )
 
@@ -173,7 +172,6 @@ def parse_config(text: str) -> RunConfig:
         load_params=load_params,
         schedule=schedule,
         eps_g=float(seen["eps_g"]) if "eps_g" in seen else None,
-        eps_e=float(seen.get("eps_e", "1e-12")),
         maxit=int(seen.get("maxit", "50000")),
         label=seen.get("label", "run"),
     )
@@ -234,9 +232,7 @@ def run_sweep(cfg: RunConfig) -> SweepTable:
     failure = None
     u_prev = None
     for p in sorted(cfg.schedule, reverse=True):
-        scfg = SolveConfig(
-            p=p, s=cfg.s, eps_g=cfg.eps_g, eps_e=cfg.eps_e, maxit=cfg.maxit
-        )
+        scfg = SolveConfig(p=p, s=cfg.s, eps_g=cfg.eps_g, maxit=cfg.maxit)
         kern_p = build_kernel(grid, kernel_exponent(n, cfg.s, p))
         try:
             sol = solve_p(grid, kern_p, f, scfg, u0=u_prev)
@@ -285,7 +281,7 @@ def _records_of(table) -> Tuple[SweepRecord, ...]:
     return table.records if isinstance(table, SweepTable) else tuple(table)
 
 
-def classify(table, h_ref: float, margin: float = 0.1) -> RegimeVerdict:
+def classify(table, h_ref: float) -> RegimeVerdict:
     """Trichotomy verdict from the norm trends and the Cheeger reference."""
     records = _records_of(table)
     if len(records) < 3:
@@ -299,9 +295,9 @@ def classify(table, h_ref: float, margin: float = 0.1) -> RegimeVerdict:
     semi_ratio = semi_last / semi_first if semi_first > 0 else 0.0
     if l1_first == 0.0 and l1_last == 0.0:
         cls = "vanishing"  # f gave the null minimizer at every p
-    elif l1_ratio <= 0.1 and h_ref > 1.0 + margin:
+    elif l1_ratio <= 0.1 and h_ref > 1.0 + _CLASSIFY_MARGIN:
         cls = "vanishing"
-    elif semi_ratio >= 10.0 and h_ref < 1.0 - margin:
+    elif semi_ratio >= 10.0 and h_ref < 1.0 - _CLASSIFY_MARGIN:
         cls = "blow-up"
     elif (
         math.isfinite(h_ref)
@@ -319,7 +315,6 @@ def classify(table, h_ref: float, margin: float = 0.1) -> RegimeVerdict:
         pow_last=pow_last,
         pow_prev=pow_prev,
         h_ref=h_ref,
-        margin=margin,
     )
 
 
@@ -372,11 +367,10 @@ class FaberKrahnReport:
     bound: float  # |domain|^(-s/n) / (2 S)
     slack: float  # h / bound - 1
     passed: bool
-    tol_rel: float
 
 
 def faber_krahn_probe(
-    grid: Grid, f: LoadField, kernel: KernelSet, constants, tol_rel: float = 0.05
+    grid: Grid, f: LoadField, kernel: KernelSet, constants
 ) -> FaberKrahnReport:
     """Check the volume-normalized lower bound on the Cheeger constant."""
     result = brute_force_cheeger(grid, f, kernel)
@@ -386,8 +380,7 @@ def faber_krahn_probe(
         h=result.h,
         bound=bound,
         slack=result.h / bound - 1.0,
-        passed=bool(result.h >= bound * (1.0 - tol_rel)),
-        tol_rel=tol_rel,
+        passed=bool(result.h >= bound * (1.0 - _FABER_KRAHN_TOL_REL)),
     )
 
 

@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from fraclap.domain_grid import Grid, KernelSet
-from fraclap.energy import LoadField
+from fraclap.energy import LoadField, coarea_decompose
 
 BRUTE_FORCE_CELL_CAP = 20
 _ENUM_CHUNK = 1 << 16
@@ -26,7 +26,7 @@ class CheegerResult:
     """Outcome of a Cheeger constant search.
 
     h equals perimeter(witness)/weighted_volume(witness) exactly as computed
-    by this module (recomputed on the witness after the scan).
+    by this module's perimeter and weighted_volume.
     """
 
     h: float
@@ -84,23 +84,20 @@ def _require_positive_load(f: LoadField) -> None:
 
 
 def brute_force_cheeger(
-    grid: Grid,
-    f: LoadField,
-    kernel: KernelSet,
-    max_cells: int = BRUTE_FORCE_CELL_CAP,
+    grid: Grid, f: LoadField, kernel: KernelSet
 ) -> CheegerResult:
     """Exact minimum of Per_s(A)/|A|_f over every nonempty cell subset.
 
     Exhaustive enumeration, vectorized in chunks of subset bitmasks. Exact
     ties are broken by the lexicographically smallest index set. Only
-    affordable up to max_cells cells (2^N subsets).
+    affordable up to BRUTE_FORCE_CELL_CAP cells (2^N subsets).
     """
     _require_positive_load(f)
     nn = grid.ncells
-    if nn > max_cells:
+    if nn > BRUTE_FORCE_CELL_CAP:
         raise ValueError(
             "too many cells for exhaustive search (%d > %d): "
-            "use threshold_cheeger" % (nn, max_cells)
+            "use threshold_cheeger" % (nn, BRUTE_FORCE_CELL_CAP)
         )
     fm = f.values * kernel.m
     rowsum = kernel.w.sum(axis=1) + kernel.t
@@ -148,41 +145,34 @@ def _bit_key(bits: int, nn: int) -> tuple:
 def threshold_cheeger(u, f: LoadField, kernel: KernelSet) -> CheegerResult:
     """Best superlevel set of u by the perimeter/volume ratio.
 
-    Candidates are {u >= t} for each distinct positive value t; the result
-    is an upper bound for the exhaustive constant on the same grid.
+    Candidates are the superlevel sets {u >= t} of the coarea
+    decomposition with positive weighted volume; the result is an upper
+    bound for the exhaustive constant on the same grid.
     """
     _require_positive_load(f)
-    vals = np.asarray(u, dtype=float)
-    if np.any(vals < 0):
-        raise ValueError("threshold estimator requires a nonnegative field")
-    levels = np.unique(vals)
-    levels = levels[levels > 0]
-    if levels.size == 0:
+    layers = coarea_decompose(u, f, kernel)
+    if not layers:
         raise ValueError("threshold estimator requires a nonzero field")
-    table = []
-    best = None
-    for t in levels:
-        mask = vals >= t
-        per = perimeter(mask, kernel)
-        vol = weighted_volume(mask, f, kernel)
-        if vol <= 0:
-            continue
-        ratio = per / vol
-        table.append((float(t), per, vol, ratio))
-        if best is None or ratio < best[0]:
-            best = (ratio, mask)
-    if best is None:
+    table = [
+        (layer.level, layer.perimeter, layer.weighted_volume,
+         layer.perimeter / layer.weighted_volume)
+        for layer in layers
+        if layer.weighted_volume > 0
+    ]
+    if not table:
         raise ValueError("weighted volume degenerate: no admissible level set")
-    witness = best[1]
-    h_exact = perimeter(witness, kernel) / weighted_volume(witness, f, kernel)
+    best = min(table, key=lambda row: row[3])
+    witness = np.asarray(u, dtype=float) >= best[0]
     return CheegerResult(
-        h=h_exact, witness=witness, method="threshold", table=table
+        h=best[3], witness=witness, method="threshold", table=table
     )
 
 
 # ---------------------------------------------------------------------------
 # mean-curvature diagnostic
 # ---------------------------------------------------------------------------
+
+_CURVATURE_SUBCELLS = 8  # midpoint subcells per cell side in 2-D
 
 _FACE_DIRS = {
     1: ((1,), (-1,)),
@@ -208,7 +198,6 @@ def mean_curvature(
     index: int,
     s: float,
     delta: float | None = None,
-    refine: int = 8,
 ) -> float:
     """Fractional mean curvature of the mask boundary at one cell's outward
     face midpoint: principal value of the (complement minus set) kernel
@@ -228,7 +217,7 @@ def mean_curvature(
     origin = grid.centers[0] - (grid.lattice[0] + 0.5) * h
     if grid.n == 1:
         return _curvature_1d(grid, arr, cell, d, s, delta, origin[0])
-    return _curvature_2d(grid, cells, cell, d, s, delta, refine, origin)
+    return _curvature_2d(grid, cells, cell, d, s, delta, origin)
 
 
 def _curvature_1d(grid, arr, cell, d, s, delta, origin):
@@ -268,7 +257,7 @@ def _curvature_1d(grid, arr, cell, d, s, delta, origin):
     return 2.0 * delta ** -s / s - 2.0 * mass_e(delta)
 
 
-def _curvature_2d(grid, cells, cell, d, s, delta, refine, origin):
+def _curvature_2d(grid, cells, cell, d, s, delta, origin):
     h = grid.h
     cx = origin + (np.asarray(cell) + 0.5) * h
     x = cx + 0.5 * h * np.asarray(d)
@@ -278,7 +267,7 @@ def _curvature_2d(grid, cells, cell, d, s, delta, refine, origin):
     reach = np.sqrt(np.max(np.sum((centers - x) ** 2, axis=1)))
     L = reach + h  # window radius covering the whole set
 
-    eta = h / refine
+    eta = h / _CURVATURE_SUBCELLS
     half = int(math.ceil(L / eta)) + 1
     rng = (np.arange(-half, half + 1) + 0.5) * eta
     gx, gy = np.meshgrid(x[0] + rng, x[1] + rng, indexing="ij")

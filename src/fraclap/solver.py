@@ -29,12 +29,19 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from fraclap.domain_grid import KernelSet, kernel_exponent
-from fraclap.energy import EnergyBreakdown, LoadField, gradient, total_energy
+from fraclap.energy import (
+    EnergyBreakdown,
+    LoadField,
+    gradient,
+    seminorm_power,
+    total_energy,
+)
 
 _ARMIJO_C1 = 1e-4
 _MAX_HALVINGS = 60
 _STAGNANT_LIMIT = 25
 _SNAP_LADDER = (1e-12, 1e-9, 1e-6)
+_EPS_E = 1e-12  # relative energy decrement below which a step may be stagnant
 
 
 @dataclass(frozen=True)
@@ -44,17 +51,13 @@ class SolveConfig:
     p: float
     s: float
     eps_g: Optional[float] = None  # default 1e-8 * max |f_i m_i|
-    eps_e: float = 1e-12
     maxit: int = 50000
-    init: str = "metric"  # "metric" (p = 2 surrogate solve) or "zeros"
 
     def __post_init__(self):
         if self.p <= 1.0:
             raise ValueError("configuration error: need p > 1")
         if not (0.0 < self.s < 1.0):
             raise ValueError("configuration error: s must lie in (0, 1)")
-        if self.init not in ("metric", "zeros"):
-            raise ValueError("configuration error: unknown init mode")
         if self.maxit < 1:
             raise ValueError("configuration error: maxit must be positive")
 
@@ -127,14 +130,21 @@ def snap_ties(u: np.ndarray, tau: float) -> np.ndarray:
 def _ray_rescale(u, f, kernel, p):
     """Scale u along its ray so the weak identity sum(f u m) = [u]^p / 2
     holds exactly; leaves u unchanged when the scaling is undefined."""
-    from fraclap.energy import seminorm_power
-
     a = seminorm_power(u, kernel, p)
     b = float(np.sum(f.values * u * kernel.m))
     if a <= 0.0 or b <= 0.0:
         return u
     beta = (2.0 * b / a) ** (1.0 / (p - 1.0))
     return beta * u
+
+
+def _keep_lower(u, f_cur, cand, f, kernel, p):
+    """(cand, its energy) if that energy does not exceed f_cur, else
+    (u, f_cur): the guard behind every optional move of the solve."""
+    f_cand = total_energy(cand, f, kernel, p).total
+    if f_cand <= f_cur:
+        return cand, f_cand
+    return u, f_cur
 
 
 def _snap_pass(u, f_cur, f, kernel, p):
@@ -145,10 +155,9 @@ def _snap_pass(u, f_cur, f, kernel, p):
     if umax == 0.0:
         return u, f_cur
     for tau_rel in _SNAP_LADDER:
-        snapped = snap_ties(u, tau_rel * umax)
-        f_snap = total_energy(snapped, f, kernel, p).total
-        if f_snap <= f_cur:
-            u, f_cur = snapped, f_snap
+        u, f_cur = _keep_lower(
+            u, f_cur, snap_ties(u, tau_rel * umax), f, kernel, p
+        )
     return u, f_cur
 
 
@@ -216,16 +225,14 @@ def solve_p(
     eps_g = cfg.eps_g if cfg.eps_g is not None else 1e-8 * scale_f
 
     if u0 is not None:
-        u = _ray_rescale(np.asarray(u0, dtype=float).copy(), f, kernel, p)
-    elif cfg.init == "metric":
-        u = _ray_rescale(_metric_init(f, kernel), f, kernel, p)
+        u = np.asarray(u0, dtype=float).copy()
     else:
-        u = np.zeros(kernel.m.size)
+        u = _metric_init(f, kernel)
+    u = _ray_rescale(u, f, kernel, p)
 
     f_cur = total_energy(u, f, kernel, p).total
     history = [f_cur]
     stagnant = 0
-    status = None
     iters = 0
     prev_gn = math.inf
     rel_dec = math.inf
@@ -239,18 +246,16 @@ def solve_p(
                 grad_norm=gn, iterations=iters,
             )
         if gn <= eps_g:
-            status = "converged"
             break
         # a step is stagnant only when both the energy decrement vanished
         # and the gradient stopped improving; the Newton tail keeps halving
-        # the gradient long after energy decrements fall under eps_e
-        if rel_dec <= cfg.eps_e and gn > 0.5 * prev_gn:
+        # the gradient long after energy decrements fall under _EPS_E
+        if rel_dec <= _EPS_E and gn > 0.5 * prev_gn:
             stagnant += 1
         else:
             stagnant = 0
         prev_gn = gn
         if stagnant >= _STAGNANT_LIMIT:
-            status = "floored"
             break
 
         d, hess = _newton_direction(u, g, kernel, p)
@@ -275,22 +280,18 @@ def solve_p(
                 break
             step *= 0.5
         if not accepted:
-            status = "floored"
             break
 
         rel_dec = (f_cur - f_new) / max(abs(f_cur), 1e-300)
-        u, f_cur = cand, f_new
+        u, f_cur = _snap_pass(cand, f_new, f, kernel, p)
         history.append(f_cur)
-
-        u, f_cur = _snap_pass(u, f_cur, f, kernel, p)
-        history[-1] = f_cur
     else:
-        g = gradient(u, f, kernel, p)
+        gn = kkt_residual(u, f, kernel, p)
         raise SolverError(
             "did not converge within %d iterations (gradient norm %.3e)"
-            % (cfg.maxit, float(np.max(np.abs(g)))),
+            % (cfg.maxit, gn),
             u=u,
-            grad_norm=float(np.max(np.abs(g))),
+            grad_norm=gn,
             iterations=cfg.maxit,
         )
 
@@ -298,15 +299,9 @@ def solve_p(
     # f >= 0), snap residual float scatter, rescale onto the weak-identity
     # ray; each sub-step is kept only if it does not raise the energy
     if f.nonnegative:
-        cand = np.maximum(u, 0.0)
-        fc = total_energy(cand, f, kernel, p).total
-        if fc <= f_cur:
-            u, f_cur = cand, fc
+        u, f_cur = _keep_lower(u, f_cur, np.maximum(u, 0.0), f, kernel, p)
     u, f_cur = _snap_pass(u, f_cur, f, kernel, p)
-    cand = _ray_rescale(u, f, kernel, p)
-    fc = total_energy(cand, f, kernel, p).total
-    if fc <= f_cur:
-        u, f_cur = cand, fc
+    u, f_cur = _keep_lower(u, f_cur, _ray_rescale(u, f, kernel, p), f, kernel, p)
     history.append(f_cur)
     eb = total_energy(u, f, kernel, p)
     gn = kkt_residual(u, f, kernel, p)

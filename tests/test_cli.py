@@ -87,11 +87,14 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 2
 
 
-def test_removed_refine_key_exits_2(tmp_path, capsys):
-    path = tmp_path / "refine.cfg"
-    path.write_text(SMALL_CFG + "refine = 4\n", encoding="utf-8")
+@pytest.mark.parametrize(
+    "key, value", [("refine", "4"), ("eps_e", "1e-12")], ids=["refine", "eps_e"]
+)
+def test_removed_config_key_exits_2(tmp_path, capsys, key, value):
+    path = tmp_path / "removed.cfg"
+    path.write_text(SMALL_CFG + "%s = %s\n" % (key, value), encoding="utf-8")
     assert main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 2
-    assert "unknown key 'refine'" in capsys.readouterr().err
+    assert "unknown key '%s'" % key in capsys.readouterr().err
 
 
 def test_sweep_writes_csv_json_and_plot(tmp_path, small_cfg, capsys):

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from fraclap.domain_grid import DomainSpec, build_grid, build_kernel, kernel_exponent
-from fraclap.energy import LoadField, load_from_array, total_energy
+from fraclap.energy import LoadField, coarea_decompose, load_from_array, total_energy
 from fraclap.geometry import (
+    BRUTE_FORCE_CELL_CAP,
     CheegerResult,
     brute_force_cheeger,
     mean_curvature,
@@ -148,11 +149,14 @@ def test_brute_force_matches_independent_enumeration():
         assert np.array_equal(res.witness, mask_ref)
 
 
-def test_brute_force_cell_cap(interval16):
-    grid, kern = interval16
+def test_brute_force_cell_cap():
+    # the cap check runs before any subset enumeration
+    grid = build_grid(DomainSpec(1, "interval", (0.0, 24.0), 1.0))
+    assert grid.ncells > BRUTE_FORCE_CELL_CAP
+    kern = build_kernel(grid, 1.5)
     f = load_from_array(np.ones(grid.ncells))
     with pytest.raises(ValueError, match="too many cells"):
-        brute_force_cheeger(grid, f, kern, max_cells=8)
+        brute_force_cheeger(grid, f, kern)
 
 
 def test_brute_force_requires_positive_load(cell1):
@@ -185,6 +189,25 @@ def test_threshold_rejects_zero_field(interval16):
     f = load_from_array(np.ones(grid.ncells))
     with pytest.raises(ValueError, match="nonzero"):
         threshold_cheeger(np.zeros(grid.ncells), f, kern)
+
+
+def test_threshold_table_is_admissible_coarea_layers(interval16):
+    # tied values share a layer; the load vanishes on the top plateau, so
+    # the top layer has zero weighted volume and is not a candidate
+    grid, kern = interval16
+    u = np.repeat([0.0, 0.5, 1.0, 1.0, 2.0, 3.0, 3.0, 0.5], 2)
+    f = load_from_array(np.where(u == 3.0, 0.0, 1.0))
+    res = threshold_cheeger(u, f, kern)
+    layers = coarea_decompose(u, f, kern)
+    assert res.table == [
+        (lay.level, lay.perimeter, lay.weighted_volume,
+         lay.perimeter / lay.weighted_volume)
+        for lay in layers
+        if lay.weighted_volume > 0
+    ]
+    assert len(res.table) == len(layers) - 1 == 3
+    assert res.h == min(row[3] for row in res.table)
+    assert res.h == perimeter(res.witness, kern) / weighted_volume(res.witness, f, kern)
 
 
 def test_threshold_dominates_brute_force():
