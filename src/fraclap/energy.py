@@ -134,9 +134,15 @@ def gradient(u, f: LoadField, kernel: KernelSet, p: float) -> np.ndarray:
     if p <= 1:
         raise ValueError("nonsmooth regime: use certify module")
     vals = _as_field(u, kernel)
+    # two N x N buffers, the second updated in place. copysign differs from
+    # sign(du) * |du|^(p-1) only where du = -0.0 (-0.0 instead of +0.0);
+    # the row sums keep their bits, since each row's diagonal adds +0.0
     du = vals[:, None] - vals[None, :]
-    phi_pairs = np.sign(du) * np.abs(du) ** (p - 1.0)
-    pair_term = np.sum(kernel.w * phi_pairs, axis=1)
+    phi = np.abs(du)
+    phi **= p - 1.0
+    np.copysign(phi, du, out=phi)
+    phi *= kernel.w
+    pair_term = np.sum(phi, axis=1)
     tail_term = kernel.t * np.sign(vals) * np.abs(vals) ** (p - 1.0)
     return pair_term + tail_term - f.values * kernel.m
 

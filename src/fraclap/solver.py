@@ -42,6 +42,7 @@ _MAX_HALVINGS = 60
 _STAGNANT_LIMIT = 25
 _SNAP_LADDER = (1e-12, 1e-9, 1e-6)
 _EPS_E = 1e-12  # relative energy decrement below which a step may be stagnant
+_PAIRWISE_BLOCK = 8  # numpy sums at least this many entries pairwise
 
 
 @dataclass(frozen=True)
@@ -117,13 +118,27 @@ def snap_ties(u: np.ndarray, tau: float) -> np.ndarray:
         return u.copy()
     order = np.argsort(u, kind="stable")
     su = u[order]
+    first = np.concatenate(([True], np.diff(su) > tau))
+    starts = np.flatnonzero(first)
+    sizes = np.diff(np.append(starts, su.size))
+    group = np.cumsum(first) - 1
+    means = np.empty(starts.size)
+    # np.mean adds fewer than _PAIRWISE_BLOCK entries left to right from
+    # 0.0, then divides by the count; doing that column by column over all
+    # such groups at once gives the same bits
+    short = (sizes > 1) & (sizes < _PAIRWISE_BLOCK)
+    s0, n0 = starts[short], sizes[short]
+    acc = np.zeros(s0.size)
+    for j in range(int(n0.max(initial=0))):
+        has = n0 > j
+        acc[has] += su[s0[has] + j]
+    means[short] = acc / n0
+    # longer groups are rare; numpy's pairwise order applies to them
+    for g in np.flatnonzero(sizes >= _PAIRWISE_BLOCK):
+        means[g] = np.mean(su[starts[g]:starts[g] + sizes[g]])
+    tied = sizes[group] > 1
     out = u.copy()
-    start = 0
-    for k in range(1, su.size + 1):
-        if k == su.size or su[k] - su[k - 1] > tau:
-            if k - start > 1:
-                out[order[start:k]] = np.mean(su[start:k])
-            start = k
+    out[order[tied]] = means[group[tied]]
     return out
 
 
@@ -175,22 +190,60 @@ def _newton_direction(u, g, kernel, p):
     """SPD variable-metric direction: weights of the second variation with a
     tiny curvature floor inside the metric only."""
     delta = 1e-10 * max(float(np.max(np.abs(u))), 1e-300)
-    du = u[:, None] - u[None, :]
-    om = kernel.w * (du * du + delta * delta) ** ((p - 2.0) / 2.0)
+    # one N x N buffer becomes the pair weights, then the metric, in place;
+    # 0.0 - om (not -om) keeps the bits of diag(diag) - om off the diagonal
+    om = u[:, None] - u[None, :]
+    om *= om
+    om += delta * delta
+    om **= (p - 2.0) / 2.0
+    om *= kernel.w
     omb = kernel.t * (u * u + delta * delta) ** ((p - 2.0) / 2.0)
     diag = om.sum(axis=1) + omb
-    hess = (p - 1.0) * (np.diag(diag) - om)
+    on_diag = np.diag_indices_from(om)
+    diag -= om[on_diag]
+    hess = np.subtract(0.0, om, out=om)
+    hess[on_diag] = diag
+    hess *= p - 1.0
     dvec = np.sqrt(np.diag(hess))
     if not np.all(np.isfinite(dvec)) or np.any(dvec <= 0):
         return None, None
     scale = 1.0 / dvec
-    hs = hess * scale[:, None] * scale[None, :]
+    # Fortran order lets the factorization overwrite hs instead of copying
+    hs = np.multiply(hess, scale[:, None], order="F")
+    hs *= scale[None, :]
     try:
-        factor = cho_factor(hs)
+        factor = cho_factor(hs, overwrite_a=True)
     except LinAlgError:
         return None, hess
     d = -scale * cho_solve(factor, g * scale)
     return d, hess
+
+
+def _armijo_search(u, d, step, gd, f_cur, k, f, kernel, p):
+    """Armijo step step * 0.5**j along d with the fewest halvings j below
+    _MAX_HALVINGS, as (candidate, its energy, j), or None if there is none.
+
+    The search starts at j = k, halves further while the test fails and
+    doubles back while it passes. F is convex along d, so the passing steps
+    form an interval [0, sigma*] and every start k returns the j of a scan
+    from j = 0; starting at the last accepted j saves the 8-12 failing
+    trials that the overshooting Newton step of a p-homogeneous energy
+    costs a full scan.
+    """
+    found = None
+    j = k
+    while 0 <= j < _MAX_HALVINGS:
+        t = step * 0.5 ** j
+        cand = u + t * d
+        f_new = total_energy(cand, f, kernel, p).total
+        if f_new <= f_cur + _ARMIJO_C1 * t * gd:
+            found = (cand, f_new, j)
+            j -= 1
+        elif found is not None:
+            break
+        else:
+            j += 1
+    return found
 
 
 def solve_p(
@@ -236,6 +289,7 @@ def solve_p(
     iters = 0
     prev_gn = math.inf
     rel_dec = math.inf
+    halvings = 0  # the last accepted step's, where the next search starts
 
     for iters in range(1, cfg.maxit + 1):
         g = gradient(u, f, kernel, p)
@@ -260,27 +314,24 @@ def solve_p(
 
         d, hess = _newton_direction(u, g, kernel, p)
         gd = float(g @ d) if d is not None else 0.0
+        step = 1.0
         if d is None or not math.isfinite(gd) or gd >= 0.0:
             d = -g
             gd = -float(g @ g)
             if hess is not None:
                 curv = float(g @ (hess @ g))
-                step = -gd / curv if curv > 0 else 1.0
-            else:
-                step = 1.0
-        else:
-            step = 1.0
+                if curv > 0:
+                    step = -gd / curv
+            halvings = 0
 
-        accepted = False
-        for _ in range(_MAX_HALVINGS):
-            cand = u + step * d
-            f_new = total_energy(cand, f, kernel, p).total
-            if f_new <= f_cur + _ARMIJO_C1 * step * gd:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
+        found = _armijo_search(u, d, step, gd, f_cur, halvings, f, kernel, p)
+        if found is None:
             break
+        cand, f_new, halvings = found
+        # a tie at the rounding floor is where float energies stop being
+        # convex along d: the next search scans from the full step again
+        if f_new >= f_cur:
+            halvings = 0
 
         rel_dec = (f_cur - f_new) / max(abs(f_cur), 1e-300)
         u, f_cur = _snap_pass(cand, f_new, f, kernel, p)

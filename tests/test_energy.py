@@ -161,6 +161,25 @@ def test_gradient_matches_finite_differences(interval16, p):
         assert g[i] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
+def test_gradient_matches_sign_times_power_bitwise(interval16):
+    # the reference formula of the docstring, with -0.0 and tied entries
+    grid, kern = interval16
+    f = ones_load(grid)
+    rng = np.random.default_rng(23)
+    for p in (1.2, 1.05):
+        for _ in range(50):
+            u = rng.normal(size=grid.ncells)
+            u[rng.random(grid.ncells) < 0.2] = 0.0
+            u[rng.random(grid.ncells) < 0.2] = -0.0
+            u[rng.random(grid.ncells) < 0.2] = u[0]
+            du = u[:, None] - u[None, :]
+            pair = np.sum(kern.w * (np.sign(du) * np.abs(du) ** (p - 1.0)), axis=1)
+            tail = kern.t * np.sign(u) * np.abs(u) ** (p - 1.0)
+            want = pair + tail - f.values * kern.m
+            got = gradient(u, f, kern, p)
+            assert got.view(np.int64).tobytes() == want.view(np.int64).tobytes()
+
+
 def test_one_cell_stationarity(cell1):
     # u* = (f m / t)^(1/(p-1)) zeroes the gradient
     grid, kern = cell1

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from fraclap.domain_grid import DomainSpec, build_grid, build_kernel, kernel_exponent
-from fraclap.energy import LoadField, load_from_array
+from fraclap import solver
+from fraclap.energy import LoadField, gradient, load_from_array, total_energy
 from fraclap.solver import (
     SolveConfig,
     SolverError,
@@ -214,6 +215,52 @@ def test_maxit_error_carries_iterate(interval16):
     assert exc.value.iterations == 2
 
 
+def test_armijo_search_start_does_not_change_the_step(interval16):
+    # F is convex along d, so searches started below, at and above the
+    # accepted halving count all return the full scan's step
+    grid, kern = interval16
+    p = 1.2
+    f = load_from_array(np.ones(grid.ncells))
+    u = solver._ray_rescale(solver._metric_init(f, kern), f, kern, p)
+    f_cur = total_energy(u, f, kern, p).total
+    g = gradient(u, f, kern, p)
+    d, _ = solver._newton_direction(u, g, kern, p)
+    gd = float(g @ d)
+    args = (u, d, 1.0, gd, f_cur)
+    cand, f_new, k = solver._armijo_search(*args, 0, f, kern, p)
+    assert k >= 1 and f_new < f_cur
+    for start in (k, k + 3):
+        c2, f2, k2 = solver._armijo_search(*args, start, f, kern, p)
+        assert k2 == k
+        assert f2 == f_new
+        assert c2.tobytes() == cand.tobytes()
+
+
+def test_warm_search_matches_full_scan(interval16, monkeypatch):
+    grid, kern = interval16
+    f = load_from_array(np.ones(grid.ncells))
+    cfg = SolveConfig(p=1.2, s=0.5)
+    starts = []
+    search = solver._armijo_search
+
+    def record(u, d, step, gd, f_cur, k, *rest):
+        starts.append(k)
+        return search(u, d, step, gd, f_cur, k, *rest)
+
+    monkeypatch.setattr(solver, "_armijo_search", record)
+    warm = solve_p(grid, kern, f, cfg)
+    assert any(starts)
+
+    def cold(u, d, step, gd, f_cur, k, *rest):
+        return search(u, d, step, gd, f_cur, 0, *rest)
+
+    monkeypatch.setattr(solver, "_armijo_search", cold)
+    full = solve_p(grid, kern, f, cfg)
+    assert warm.u.tobytes() == full.u.tobytes()
+    assert warm.energy_history == full.energy_history
+    assert warm.iterations == full.iterations
+
+
 # ---------------------------------------------------------------------------
 # tie snapping
 # ---------------------------------------------------------------------------
@@ -239,3 +286,39 @@ def test_snap_ties_deterministic():
     a = snap_ties(u, 1e-12)
     b = snap_ties(u.copy(), 1e-12)
     assert np.array_equal(a, b)
+
+
+def _snap_ties_by_loop(u, tau):
+    """The per-element group loop snap_ties replaced: the byte reference."""
+    if u.size == 0 or tau <= 0:
+        return u.copy()
+    order = np.argsort(u, kind="stable")
+    su = u[order]
+    out = u.copy()
+    start = 0
+    for k in range(1, su.size + 1):
+        if k == su.size or su[k] - su[k - 1] > tau:
+            if k - start > 1:
+                out[order[start:k]] = np.mean(su[start:k])
+            start = k
+    return out
+
+
+def test_snap_ties_matches_elementwise_loop():
+    rng = np.random.default_rng(17)
+    sizes = set()
+    for _ in range(3000):
+        n = int(rng.integers(1, 48))
+        centres = rng.normal(size=int(rng.integers(1, 8)))
+        u = centres[rng.integers(0, centres.size, size=n)]
+        u = u + rng.normal(size=n) * 10.0 ** rng.integers(-16, -9)
+        u[rng.random(n) < 0.1] = 0.0
+        u[rng.random(n) < 0.05] = -0.0
+        tau = 10.0 ** float(rng.integers(-14, -7))
+        got = snap_ties(u, tau)
+        want = _snap_ties_by_loop(u, tau)
+        assert got.view(np.int64).tobytes() == want.view(np.int64).tobytes()
+        su = np.sort(u)
+        cuts = np.flatnonzero(np.diff(su) > tau) + 1
+        sizes.update(np.diff(np.concatenate(([0], cuts, [n]))).tolist())
+    assert set(range(2, 8)) <= sizes and max(sizes) >= 8
