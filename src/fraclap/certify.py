@@ -10,26 +10,27 @@ u_i != 0) satisfying the per-cell balance
 
 The exterior side of the continuum sign field enters the discrete balance
 only through its kernel-weighted cell average, so one bounded scalar per
-cell loses nothing. Free entries (exact ties and zero cells) are found by
-box-constrained least squares on the balance residual, by projected
-gradient with the exact Lipschitz step; the squared residual is then
-non-increasing over iterations by construction.
+cell loses nothing. Deciding whether such signs exist is a linear
+feasibility problem in the free entries (exact ties and zero cells), solved
+as one linear program: minimize the largest balance residual over the box.
+A zero optimum is a certificate; a positive one is the least residual any
+sign field achieves, up to the LP solver's tolerances.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
+from scipy import sparse
+from scipy.optimize import linprog
 
 from fraclap.domain_grid import KernelSet
-from fraclap.energy import LoadField
+from fraclap.energy import LoadField, _as_field
 
 DEFAULT_EPS_FEAS = 1e-8
-_PG_MAXIT = 20000
-_PG_FLAT_LIMIT = 100
 
 
 @dataclass(frozen=True)
@@ -42,8 +43,7 @@ class SignField:
     max_residual: float
     scale: float  # residual normalization max(max |f m|, max t)
     feasible: bool
-    iterations: int
-    residual_history: List[float]
+    iterations: int  # LP iterations, 0 when no LP ran
 
 
 @dataclass(frozen=True)
@@ -56,17 +56,25 @@ class VerifyReport:
     scale: float
 
 
+def _pair_signs(vals):
+    """sign(u_i - u_j) as an (N, N) array, with one N x N allocation."""
+    z = np.subtract.outer(vals, vals)
+    return np.sign(z, out=z)
+
+
+def _scale(fm, kernel):
+    """Residual normalization max(max |f m|, max t), or 1 when both vanish."""
+    scale = max(float(np.max(np.abs(fm))), float(np.max(kernel.t)))
+    return scale if scale != 0.0 else 1.0
+
+
 def _fixed_parts(u, kernel):
     """Sign-determined entries and the index lists of the free ones."""
-    vals = np.asarray(u, dtype=float)
-    nn = vals.size
-    du = vals[:, None] - vals[None, :]
-    z = np.sign(du)
-    zbar = np.sign(vals)
-    tie = (du == 0.0) & ~np.eye(nn, dtype=bool)
-    iu, ju = np.where(np.triu(tie, k=1))
-    free_cells = np.where(vals == 0.0)[0]
-    return vals, z, zbar, iu, ju, free_cells
+    vals = _as_field(u, kernel)
+    z = _pair_signs(vals)
+    iu, ju = np.nonzero(z == 0.0)
+    upper = iu < ju  # ties i < j, in row-major order
+    return z, np.sign(vals), iu[upper], ju[upper], np.flatnonzero(vals == 0.0)
 
 
 def build_certificate(
@@ -75,56 +83,47 @@ def build_certificate(
     kernel: KernelSet,
     eps_feas: float = DEFAULT_EPS_FEAS,
 ) -> SignField:
-    """Best-effort certificate for u; feasibility is reported, not raised."""
-    vals, z, zbar, pi, pj, ci = _fixed_parts(u, kernel)
+    """Certificate for u, or the least max residual when none exists.
+
+    Feasibility is reported, not raised.
+    """
+    if not (math.isfinite(eps_feas) and eps_feas > 0.0):
+        raise ValueError("feasibility tolerance must be finite and positive")
+    z, zbar, pi, pj, ci = _fixed_parts(u, kernel)
     fm = f.values * kernel.m
-    scale = max(float(np.max(np.abs(fm))), float(np.max(kernel.t)))
-    if scale == 0.0:
-        scale = 1.0
+    scale = _scale(fm, kernel)
 
     base = np.sum(kernel.w * z, axis=1) + kernel.t * zbar - fm
     wf = kernel.w[pi, pj]
     tc = kernel.t[ci]
-    xp = np.zeros(pi.size)
-    xc = np.zeros(ci.size)
-
-    def residual(xp_v, xc_v):
-        r = base.copy()
-        np.add.at(r, pi, wf * xp_v)
-        np.add.at(r, pj, -wf * xp_v)
-        r[ci] += tc * xc_v
-        return r
-
-    history = []
+    npair, nfree = pi.size, pi.size + ci.size
+    # A maps the free entries to their share of every cell's balance
+    cols = np.r_[np.arange(npair), np.arange(nfree)]  # pair k enters rows i and j
+    a = sparse.csr_matrix(
+        (np.r_[wf, -wf, tc], (np.r_[pi, pj, ci], cols)), shape=(base.size, nfree)
+    )
+    x = np.zeros(nfree)
     iters = 0
-    nfree = pi.size + ci.size
-    if nfree > 0:
-        step = 0.5 / _lipschitz(pi, pj, ci, wf, tc, base.size)
-        g_prev = math.inf
-        flat = 0
-        for iters in range(1, _PG_MAXIT + 1):
-            r = residual(xp, xc)
-            g = float(r @ r)
-            history.append(math.sqrt(g))
-            if math.sqrt(g) <= 0.125 * eps_feas * scale:
-                break
-            if g >= g_prev * (1.0 - 1e-14):
-                flat += 1
-                if flat >= _PG_FLAT_LIMIT:
-                    break
-            else:
-                flat = 0
-            g_prev = g
-            gp = 2.0 * wf * (r[pi] - r[pj])
-            gc = 2.0 * tc * r[ci]
-            xp = np.clip(xp - step * gp, -1.0, 1.0)
-            xc = np.clip(xc - step * gc, -1.0, 1.0)
+    if nfree > 0 and np.max(np.abs(base)) > eps_feas * scale:
+        # min tau over |x| <= 1, tau >= 0 subject to -tau <= base + A x <= tau
+        tau = sparse.csr_matrix(np.ones((base.size, 1)))
+        bounds = np.tile([-1.0, 1.0], (nfree + 1, 1))
+        bounds[-1] = (0.0, np.inf)
+        res = linprog(
+            np.r_[np.zeros(nfree), 1.0],
+            A_ub=sparse.bmat([[a, -tau], [-a, -tau]], format="csc"),
+            b_ub=np.r_[-base, base],
+            bounds=bounds,
+            method="highs",
+        )
+        iters = int(res.nit)
+        if res.x is not None:
+            x = np.clip(res.x[:nfree], -1.0, 1.0)
 
-    r = residual(xp, xc)
-    history.append(float(np.sqrt(r @ r)))
-    z[pi, pj] = xp
-    z[pj, pi] = -xp
-    zbar[ci] = xc
+    r = base + a @ x
+    z[pi, pj] = x[:npair]
+    z[pj, pi] = -x[:npair]
+    zbar[ci] = x[npair:]
     max_r = float(np.max(np.abs(r))) if r.size else 0.0
     return SignField(
         z=z,
@@ -134,31 +133,7 @@ def build_certificate(
         scale=scale,
         feasible=bool(max_r <= eps_feas * scale),
         iterations=iters,
-        residual_history=history,
     )
-
-
-def _lipschitz(pi, pj, ci, wf, tc, ncells):
-    """2 * lambda_max(A^T A) of the free-variable map, by power iteration."""
-    xp = np.ones(pi.size)
-    xc = np.ones(ci.size)
-    lam = 1.0
-    for _ in range(60):
-        v = np.zeros(ncells)
-        np.add.at(v, pi, wf * xp)
-        np.add.at(v, pj, -wf * xp)
-        v[ci] += tc * xc
-        yp = wf * (v[pi] - v[pj])
-        yc = tc * v[ci]
-        norm = math.sqrt(float(yp @ yp) + float(yc @ yc))
-        if norm == 0.0:
-            return 1.0
-        lam = norm / max(
-            math.sqrt(float(xp @ xp) + float(xc @ xc)), 1e-300
-        )
-        xp = yp / norm
-        xc = yc / norm
-    return 2.0 * lam
 
 
 def verify_certificate(
@@ -169,19 +144,19 @@ def verify_certificate(
     eps_feas: float = DEFAULT_EPS_FEAS,
 ) -> VerifyReport:
     """Check box, antisymmetry, sign consistency, and the balance."""
-    vals = np.asarray(u, dtype=float)
+    vals = _as_field(u, kernel)
     z, zbar = cert.z, cert.zbar
-    box = max(float(np.max(np.abs(z))), float(np.max(np.abs(zbar)))) - 1.0
+    box = max(float(z.max()), -float(z.min()), float(np.max(np.abs(zbar)))) - 1.0
     box = max(box, 0.0)
-    antisym = float(np.max(np.abs(z + z.T)))
+    work = np.add(z, z.T)
+    antisym = float(np.max(np.abs(work, out=work)))
 
-    du = vals[:, None] - vals[None, :]
-    determined = du != 0.0
-    sign_gap = 0.0
-    if np.any(determined):
-        sign_gap = float(
-            np.max(np.abs(z[determined] - np.sign(du[determined])))
-        )
+    # |z_ij - sign(u_i - u_j)| where that sign is determined, 0 at ties
+    signs = _pair_signs(vals)
+    np.subtract(z, signs, out=work)
+    np.abs(work, out=work)
+    work[signs == 0.0] = 0.0
+    sign_gap = float(np.max(work))
     nz = vals != 0.0
     if np.any(nz):
         sign_gap = max(
@@ -189,9 +164,7 @@ def verify_certificate(
         )
 
     fm = f.values * kernel.m
-    scale = max(float(np.max(np.abs(fm))), float(np.max(kernel.t)))
-    if scale == 0.0:
-        scale = 1.0
+    scale = _scale(fm, kernel)
     r = np.sum(kernel.w * z, axis=1) + kernel.t * zbar - fm
     balance = float(np.max(np.abs(r))) / scale
 

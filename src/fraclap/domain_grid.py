@@ -77,8 +77,8 @@ class DomainSpec:
     def __post_init__(self):
         if self.n not in (1, 2):
             raise ValueError("dimension must be 1 or 2, got %r" % (self.n,))
-        if self.h <= 0:
-            raise ValueError("resolution h must be positive")
+        if not (self.h > 0 and math.isfinite(self.h)):
+            raise ValueError("resolution h must be positive and finite")
         if self.shape not in ("interval", "box", "ball", "union"):
             raise ValueError("unknown shape %r" % (self.shape,))
 
@@ -145,9 +145,9 @@ def build_grid(spec: DomainSpec) -> Grid:
     if spec.shape == "interval":
         if spec.n != 1:
             raise ValueError("interval shape requires n=1")
-        a, b = map(float, spec.params)
-        lat = _box_lattice((a,), (b,), h)
-        anchor = (a,)
+        lo, hi = _box_corners(1, spec.params)
+        lat = _box_lattice(lo, hi, h)
+        anchor = lo
     elif spec.shape == "box":
         lo, hi = _box_corners(spec.n, spec.params)
         lat = _box_lattice(lo, hi, h)
@@ -156,6 +156,8 @@ def build_grid(spec: DomainSpec) -> Grid:
         *c, radius = map(float, spec.params)
         if len(c) != spec.n:
             raise ValueError("ball params must be (center..., R)")
+        if not all(map(math.isfinite, (*c, radius))):
+            raise ValueError("ball center and radius must be finite")
         if radius <= 0:
             raise ValueError("degenerate domain: ball radius must be positive")
         lo = tuple(ci - radius for ci in c)
@@ -217,6 +219,8 @@ def _box_corners(n, params):
     vals = list(map(float, _flatten(params)))
     if len(vals) != 2 * n:
         raise ValueError("box params must list %d corner coordinates" % (2 * n))
+    if not all(map(math.isfinite, vals)):
+        raise ValueError("box corner coordinates must be finite")
     lo = tuple(vals[:n])
     hi = tuple(vals[n:])
     if any(hi[k] <= lo[k] for k in range(n)):

@@ -85,7 +85,7 @@ class RunConfig:
         if not self.schedule:
             raise ValueError("configuration error: empty p schedule")
         for p in self.schedule:
-            cfg = SolveConfig(p=p, s=self.s, maxit=self.maxit)
+            cfg = SolveConfig(p=p, s=self.s, eps_g=self.eps_g, maxit=self.maxit)
             cfg.validate_for(self.domain.n)
 
 

@@ -61,6 +61,9 @@ class SolveConfig:
             raise ValueError("configuration error: s must lie in (0, 1)")
         if self.maxit < 1:
             raise ValueError("configuration error: maxit must be positive")
+        eps_g = self.eps_g
+        if eps_g is not None and not (eps_g > 0 and math.isfinite(eps_g)):
+            raise ValueError("configuration error: eps_g must be positive and finite")
 
     def validate_for(self, n: int) -> None:
         s_p = n + self.s - n / self.p

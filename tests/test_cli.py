@@ -97,6 +97,28 @@ def test_removed_config_key_exits_2(tmp_path, capsys, key, value):
     assert "unknown key '%s'" % key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("params = -1 1", "params = 1 0"),
+        ("params = -1 1", "params = 0 inf"),
+        ("h = 0.25", "h = nan"),
+        ("h = 0.25", "h = inf"),
+        ("schedule", "eps_g = nan\nschedule"),
+        ("schedule", "eps_g = 0\nschedule"),
+    ],
+    ids=["reversed", "inf-corner", "nan-h", "inf-h", "nan-eps_g", "zero-eps_g"],
+)
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_bad_config_exits_2_before_output(tmp_path, capsys, command, old, new):
+    path = tmp_path / "bad.cfg"
+    path.write_text(SMALL_CFG.replace(old, new), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_sweep_writes_csv_json_and_plot(tmp_path, small_cfg, capsys):
     out = tmp_path / "runs"
     code = main(
@@ -224,6 +246,25 @@ def test_certify_signfield_rows_match_elementwise_formatting(tmp_path, capsys):
     assert np.any(cert.zbar != 0.0)
     expected = ("\n".join(lines) + "\n").encode("utf-8")
     assert (out / "zero_signfield.csv").read_bytes() == expected
+
+
+@pytest.mark.parametrize(
+    "value, eps", [("inf", "1e-8"), ("0.0", "0"), ("0.0", "nan")],
+    ids=["inf-field", "zero-eps", "nan-eps"],
+)
+def test_certify_bad_input_exits_2_before_output(tmp_path, small_cfg, capsys,
+                                                  value, eps):
+    field = tmp_path / "field.csv"
+    field.write_text(
+        "index,x0,value\n0,-0.875,%s\n" % value
+        + "".join("%d,0.0,0.0\n" % i for i in range(1, 8)),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    code = main(["certify", "--config", str(small_cfg), "--field", str(field),
+                 "--eps", eps, "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
 
 
 def test_probe_faber_krahn_seeded_reproducibility(capsys):

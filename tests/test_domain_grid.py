@@ -139,6 +139,29 @@ def test_degenerate_domain_rejected():
         build_grid(DomainSpec(1, "box", (0.0, 0.0), 0.1))
     with pytest.raises(ValueError, match="degenerate domain"):
         build_grid(DomainSpec(2, "ball", (0.0, 0.0, -1.0), 0.1))
+    with pytest.raises(ValueError, match="degenerate domain"):
+        build_grid(DomainSpec(1, "interval", (1.0, 0.0), 0.1))
+
+
+@pytest.mark.parametrize(
+    "shape, params",
+    [
+        ("interval", (0.0, math.inf)),
+        ("box", (-math.inf, 1.0)),
+        ("ball", (math.nan, 1.0)),
+        ("ball", (0.0, math.inf)),
+        ("union", ((0.0, 1.0), (2.0, math.inf))),
+    ],
+)
+def test_nonfinite_coordinates_rejected(shape, params):
+    with pytest.raises(ValueError, match="must be finite"):
+        build_grid(DomainSpec(1, shape, params, 0.5))
+
+
+@pytest.mark.parametrize("h", [0.0, math.nan, math.inf])
+def test_bad_resolution_rejected(h):
+    with pytest.raises(ValueError, match="resolution h must be positive and finite"):
+        DomainSpec(1, "interval", (0.0, 1.0), h)
 
 
 def test_r_out_covers_domain():

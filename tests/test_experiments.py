@@ -102,6 +102,11 @@ def test_parse_config_rejects_duplicate_key():
         parse_config(CONFIG_TEXT + "label = again\n")
 
 
+def test_parse_config_rejects_bad_eps_g():
+    with pytest.raises(ValueError, match="eps_g must be positive and finite"):
+        parse_config(CONFIG_TEXT + "eps_g = nan\n")
+
+
 def test_parse_config_rejects_malformed_line():
     with pytest.raises(ValueError, match="expected 'key = value'"):
         parse_config("config_version = 1\njust some words\n")

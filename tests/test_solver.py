@@ -41,6 +41,12 @@ def test_config_rejects_bad_p():
         SolveConfig(p=0.9, s=0.5)
 
 
+@pytest.mark.parametrize("eps_g", [0.0, -1e-9, float("nan"), float("inf")])
+def test_config_rejects_bad_eps_g(eps_g):
+    with pytest.raises(ValueError, match="eps_g must be positive and finite"):
+        SolveConfig(p=1.3, s=0.5, eps_g=eps_g)
+
+
 def test_config_rejects_inadmissible_window():
     cfg = SolveConfig(p=4.0 / 3.0, s=0.5)  # s_p * p = 1 exactly
     with pytest.raises(ValueError, match="configuration error"):
