@@ -3,11 +3,16 @@
 Submodules:
   domain_grid   grids on bounded domains and singular-kernel weights
   constants     sharp Sobolev-type constants and ball geometry closed forms
-  energy        discrete energies, gradients, coarea and embedding checks
+  energy        discrete energies, gradients, embedding checks
   solver        variational solver for the p > 1 problem
-  geometry      nonlocal perimeters, Cheeger constants, mean curvature
+  geometry      nonlocal perimeters, coarea decomposition, Cheeger
+                constants, mean curvature
   certify       sign-field certificates for the p = 1 limit problem
   experiments   parameter sweeps, regime classification, probes, file I/O
+  cli           the fraclap console command
+
+Each submodule imports only submodules listed above it, and only at module
+level.
 """
 
 from fraclap.certify import (
@@ -42,8 +47,6 @@ from fraclap.domain_grid import (
 from fraclap.energy import (
     EnergyBreakdown,
     LoadField,
-    coarea_decompose,
-    coarea_identity_gap,
     gradient,
     load_from_array,
     seminorm,
@@ -66,6 +69,8 @@ from fraclap.experiments import (
 from fraclap.geometry import (
     CheegerResult,
     brute_force_cheeger,
+    coarea_decompose,
+    coarea_identity_gap,
     mean_curvature,
     perimeter,
     threshold_cheeger,

@@ -68,6 +68,11 @@ def _scale(fm, kernel):
     return scale if scale != 0.0 else 1.0
 
 
+def _balance(z, zbar, fm, kernel):
+    """Per-cell residual sum_j w_ij z_ij + t_i zbar_i - f_i m_i."""
+    return np.sum(kernel.w * z, axis=1) + kernel.t * zbar - fm
+
+
 def _fixed_parts(u, kernel):
     """Sign-determined entries and the index lists of the free ones."""
     vals = _as_field(u, kernel)
@@ -93,7 +98,7 @@ def build_certificate(
     fm = f.values * kernel.m
     scale = _scale(fm, kernel)
 
-    base = np.sum(kernel.w * z, axis=1) + kernel.t * zbar - fm
+    base = _balance(z, zbar, fm, kernel)
     wf = kernel.w[pi, pj]
     tc = kernel.t[ci]
     npair, nfree = pi.size, pi.size + ci.size
@@ -165,7 +170,7 @@ def verify_certificate(
 
     fm = f.values * kernel.m
     scale = _scale(fm, kernel)
-    r = np.sum(kernel.w * z, axis=1) + kernel.t * zbar - fm
+    r = _balance(z, zbar, fm, kernel)
     balance = float(np.max(np.abs(r))) / scale
 
     passed = (

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -24,11 +25,11 @@ from fraclap.constants import (
     sharp_constants,
 )
 from fraclap.domain_grid import DomainSpec, build_grid, build_kernel, kernel_exponent
+from fraclap.energy import load_from_array
 from fraclap.experiments import (
     RunConfig,
     cheeger_characterization,
     classify,
-    csv_text,
     energy_limit_probe,
     faber_krahn_probe,
     gnuplot_script,
@@ -37,10 +38,11 @@ from fraclap.experiments import (
     read_config,
     run_sweep,
     run_sweeps,
+    write_csv,
     write_json,
 )
 from fraclap.geometry import brute_force_cheeger, threshold_cheeger
-from fraclap.solver import SolveConfig, SolverError, solve_p
+from fraclap.solver import SolverError, solve_p
 
 DEFAULT_PROBE_SCHEDULE = (1.3, 1.2, 1.1, 1.05, 1.02, 1.01)
 
@@ -73,17 +75,15 @@ def _reference_cheeger(cfg: RunConfig):
     bound for the weighted constant.
     """
     spec = cfg.domain
-    consts = sharp_constants(spec.n, cfg.s, 1.0)
     if cfg.load == "constant" and spec.shape in ("interval", "ball"):
         if spec.shape == "interval":
             radius = 0.5 * (spec.params[1] - spec.params[0])
         else:
             radius = float(spec.params[-1])
         return ball_cheeger(spec.n, cfg.s, radius) / cfg.load_scale, "closed-form"
-    grid = build_grid(spec)
-    volume = grid.ncells * grid.cell_measure
+    sobolev = sharp_constants(spec.n, cfg.s, 1.0).sobolev
     peak = cfg.load_scale if cfg.load_scale > 0 else 1.0
-    bound = volume ** (-cfg.s / spec.n) / (2.0 * consts.sobolev)
+    bound = build_grid(spec).measure ** (-cfg.s / spec.n) / (2.0 * sobolev)
     return bound / peak, "volume-bound"
 
 
@@ -109,18 +109,18 @@ def _cmd_constants(args) -> int:
 
 
 def _solve_once(cfg: RunConfig, p: float):
+    scfg = cfg.solve_config(p)
+    # an override p is checked here, before build_kernel rejects its exponent
+    scfg.validate_for(cfg.domain.n)
     grid = build_grid(cfg.domain)
     kern = build_kernel(grid, kernel_exponent(grid.n, cfg.s, p))
     f = make_load(grid, cfg)
-    scfg = SolveConfig(p=p, s=cfg.s, eps_g=cfg.eps_g, maxit=cfg.maxit)
     return grid, solve_p(grid, kern, f, scfg)
 
 
 def _cmd_solve(args) -> int:
     cfg = read_config(args.config)
     p = args.p if args.p is not None else max(cfg.schedule)
-    if args.p is not None:
-        SolveConfig(p=p, s=cfg.s).validate_for(cfg.domain.n)
     grid, sol = _solve_once(cfg, p)
     os.makedirs(args.out, exist_ok=True)
     report = {
@@ -154,13 +154,12 @@ def _cmd_sweep(args) -> int:
     configs = [read_config(path) for path in args.config]
     labels = [cfg.label for cfg in configs]
     if len(set(labels)) != len(labels):
-        raise ValueError("configuration error: duplicate labels %s" % labels)
+        raise ValueError("duplicate labels %s" % labels)
     os.makedirs(args.out, exist_ok=True)
     tables = run_sweeps(configs, threads=args.threads)
     failed = False
     for cfg, table in zip(configs, tables):
-        csv_path = os.path.join(args.out, "%s.csv" % cfg.label)
-        _write(csv_path, csv_text(table.records))
+        write_csv(table.records, os.path.join(args.out, "%s.csv" % cfg.label))
         report = {
             "label": cfg.label,
             "aborted": table.aborted,
@@ -233,20 +232,36 @@ def _cmd_cheeger(args) -> int:
 
 
 def _read_field_csv(path, ncells) -> np.ndarray:
-    values = np.full(ncells, np.nan)
+    """Cell values of a field CSV that names every cell once, finitely."""
+    values = np.zeros(ncells)
+    seen = np.zeros(ncells, dtype=bool)
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
-        try:
-            vcol = header.index("value")
-        except ValueError:
-            raise ValueError("configuration error: field CSV lacks a value column")
-        for line in fh:
+        if "value" not in header:
+            raise ValueError("field CSV lacks a value column")
+        vcol = header.index("value")
+        for lineno, line in enumerate(fh, start=2):
             parts = line.strip().split(",")
-            if not parts or parts == [""]:
+            if parts == [""]:
                 continue
-            values[int(parts[0])] = float(parts[vcol])
-    if np.any(np.isnan(values)):
-        raise ValueError("configuration error: field CSV does not cover the grid")
+            where = "field CSV line %d" % lineno
+            try:
+                i, value = int(parts[0]), float(parts[vcol])
+            except (IndexError, ValueError):
+                raise ValueError("%s: no integer index and value" % where) from None
+            if not 0 <= i < ncells:
+                raise ValueError("%s: index %d outside 0..%d" % (where, i, ncells - 1))
+            if seen[i]:
+                raise ValueError("%s: index %d repeated" % (where, i))
+            if not math.isfinite(value):
+                raise ValueError("%s: value %r is not finite" % (where, value))
+            values[i] = value
+            seen[i] = True
+    if not np.all(seen):
+        raise ValueError(
+            "field CSV does not cover the grid: %d of %d cells missing"
+            % (ncells - np.count_nonzero(seen), ncells)
+        )
     return values
 
 
@@ -297,8 +312,6 @@ def _cmd_probe(args) -> int:
 def _probe_faber_krahn(args) -> int:
     s = args.s
     consts = sharp_constants(1, s, 1.0)
-    from fraclap.energy import load_from_array
-
     reports = []
     # closed-form anchor: the unit interval is the 1-D ball
     grid = build_grid(DomainSpec(1, "interval", (0.0, 1.0), 1.0))

@@ -1,5 +1,5 @@
 """Discrete energies on cell fields: seminorms, functionals, gradients,
-coarea decomposition, and the p -> 1 embedding factor.
+and the p -> 1 embedding factor.
 
 Factor-of-two convention, fixed once for the whole package: the p-th
 seminorm power is
@@ -18,7 +18,6 @@ depend on thread counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple
 
 import numpy as np
 
@@ -145,55 +144,6 @@ def gradient(u, f: LoadField, kernel: KernelSet, p: float) -> np.ndarray:
     pair_term = np.sum(phi, axis=1)
     tail_term = kernel.t * np.sign(vals) * np.abs(vals) ** (p - 1.0)
     return pair_term + tail_term - f.values * kernel.m
-
-
-class LevelSet(NamedTuple):
-    level: float
-    perimeter: float
-    weighted_volume: float
-
-
-def coarea_decompose(u, f: LoadField, kernel: KernelSet) -> List[LevelSet]:
-    """Layer-cake decomposition of a nonnegative field at kernel order p = 1.
-
-    Returns one entry per distinct positive value t of u, with the weighted
-    perimeter and weighted volume of the superlevel set {u >= t}. Summing
-    (t_l - t_{l-1}) * perimeter_l over levels reproduces half the p = 1
-    seminorm power, and the same gaps against the weighted volumes reproduce
-    the load term; both identities are exact up to rounding.
-    """
-    from fraclap import geometry  # deferred: geometry imports this module
-
-    vals = _as_field(u, kernel)
-    if np.any(vals < 0):
-        raise ValueError("coarea decomposition requires a nonnegative field")
-    levels = np.unique(vals)
-    levels = levels[levels > 0]
-    out = []
-    for t in levels:
-        mask = vals >= t
-        per = geometry.perimeter(mask, kernel)
-        vol = geometry.weighted_volume(mask, f, kernel)
-        out.append(LevelSet(level=float(t), perimeter=per, weighted_volume=vol))
-    return out
-
-
-def coarea_identity_gap(u, f: LoadField, kernel: KernelSet) -> float:
-    """Max relative defect of the two coarea identities (0 for exact)."""
-    decomp = coarea_decompose(u, f, kernel)
-    prev = 0.0
-    per_sum = 0.0
-    vol_sum = 0.0
-    for entry in decomp:
-        gap = entry.level - prev
-        per_sum += gap * entry.perimeter
-        vol_sum += gap * entry.weighted_volume
-        prev = entry.level
-    semi_half = 0.5 * seminorm_power(u, kernel, 1.0)
-    load = float(np.sum(f.values * np.asarray(u, dtype=float) * kernel.m))
-    scale_a = max(abs(semi_half), 1.0)
-    scale_b = max(abs(load), 1.0)
-    return max(abs(per_sum - semi_half) / scale_a, abs(vol_sum - load) / scale_b)
 
 
 def hoelder_embedding_factor(kernel_1: KernelSet, kernel_p: KernelSet, p: float) -> float:

@@ -26,22 +26,12 @@ from fraclap.domain_grid import (
     build_kernel,
     kernel_exponent,
 )
-from fraclap.energy import LoadField, seminorm_power, total_energy
+from fraclap.energy import LoadField, load_from_array, seminorm_power
 from fraclap.geometry import brute_force_cheeger
 from fraclap.solver import SolveConfig, SolverError, solve_p
 
 CONFIG_VERSION = 1
 DEFAULT_SCHEDULE = (1.3, 1.2, 1.1, 1.05, 1.02)
-CSV_COLUMNS = (
-    "p",
-    "s_p",
-    "l1",
-    "seminorm_p",
-    "seminorm_p_pow",
-    "seminorm_s1",
-    "energy",
-    "iters",
-)
 _LOAD_KINDS = ("constant", "indicator", "bump")
 _CLASSIFY_MARGIN = 0.1  # h_ref must clear 1 by this much for a norm verdict
 _FABER_KRAHN_TOL_REL = 0.05  # h may sit this far below the bound and pass
@@ -56,6 +46,9 @@ class SweepRecord(NamedTuple):
     seminorm_s1: float
     energy: float
     iters: int
+
+
+CSV_COLUMNS = SweepRecord._fields
 
 
 @dataclass(frozen=True)
@@ -74,19 +67,19 @@ class RunConfig:
 
     def __post_init__(self):
         if self.load not in _LOAD_KINDS:
-            raise ValueError(
-                "configuration error: load must be one of %s" % (_LOAD_KINDS,)
-            )
+            raise ValueError("load must be one of %s" % (_LOAD_KINDS,))
         if self.load == "indicator" and len(self.load_params) != 2 * self.domain.n:
             raise ValueError(
-                "configuration error: indicator load needs %d corner "
-                "coordinates" % (2 * self.domain.n)
+                "indicator load needs %d corner coordinates" % (2 * self.domain.n)
             )
         if not self.schedule:
-            raise ValueError("configuration error: empty p schedule")
+            raise ValueError("empty p schedule")
         for p in self.schedule:
-            cfg = SolveConfig(p=p, s=self.s, eps_g=self.eps_g, maxit=self.maxit)
-            cfg.validate_for(self.domain.n)
+            self.solve_config(p).validate_for(self.domain.n)
+
+    def solve_config(self, p: float) -> SolveConfig:
+        """Solver settings of this run at exponent p."""
+        return SolveConfig(p=p, s=self.s, eps_g=self.eps_g, maxit=self.maxit)
 
 
 @dataclass(frozen=True)
@@ -135,24 +128,19 @@ def parse_config(text: str) -> RunConfig:
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(
-                "configuration error: line %d: expected 'key = value'" % lineno
-            )
+            raise ValueError("line %d: expected 'key = value'" % lineno)
         key, _, value = line.partition("=")
         key = key.strip()
         if key not in _ALL_KEYS:
-            raise ValueError("configuration error: unknown key '%s'" % key)
+            raise ValueError("unknown key '%s'" % key)
         if key in seen:
-            raise ValueError("configuration error: duplicate key '%s'" % key)
+            raise ValueError("duplicate key '%s'" % key)
         seen[key] = value.strip()
     for key in _REQUIRED_KEYS:
         if key not in seen:
-            raise ValueError("configuration error: missing key '%s'" % key)
+            raise ValueError("missing key '%s'" % key)
     if int(seen["config_version"]) != CONFIG_VERSION:
-        raise ValueError(
-            "configuration error: unsupported config_version %s"
-            % seen["config_version"]
-        )
+        raise ValueError("unsupported config_version %s" % seen["config_version"])
 
     n = int(seen["n"])
     shape = seen["shape"]
@@ -202,8 +190,7 @@ def make_load(grid: Grid, cfg: RunConfig) -> LoadField:
         r2 = np.sum((grid.centers - centroid) ** 2, axis=1)
         rmax2 = float(np.max(r2)) + 0.25 * grid.h ** 2
         values = c * np.exp(-4.0 * r2 / rmax2)
-    nonneg = bool(np.all(values >= 0.0) and np.any(values > 0.0))
-    return LoadField(values=values, nonnegative=nonneg)
+    return load_from_array(values)
 
 
 def hat_field(grid: Grid) -> np.ndarray:
@@ -232,7 +219,7 @@ def run_sweep(cfg: RunConfig) -> SweepTable:
     failure = None
     u_prev = None
     for p in sorted(cfg.schedule, reverse=True):
-        scfg = SolveConfig(p=p, s=cfg.s, eps_g=cfg.eps_g, maxit=cfg.maxit)
+        scfg = cfg.solve_config(p)
         kern_p = build_kernel(grid, kernel_exponent(n, cfg.s, p))
         try:
             sol = solve_p(grid, kern_p, f, scfg, u0=u_prev)
@@ -431,21 +418,7 @@ def energy_limit_probe(
 def csv_text(records: Sequence[SweepRecord]) -> str:
     """Byte-stable CSV: shortest round-trip float formatting, LF endings."""
     lines = [",".join(CSV_COLUMNS)]
-    for rec in records:
-        lines.append(
-            ",".join(
-                [
-                    repr(rec.p),
-                    repr(rec.s_p),
-                    repr(rec.l1),
-                    repr(rec.seminorm_p),
-                    repr(rec.seminorm_p_pow),
-                    repr(rec.seminorm_s1),
-                    repr(rec.energy),
-                    str(rec.iters),
-                ]
-            )
-        )
+    lines += [",".join(map(repr, rec)) for rec in records]
     return "\n".join(lines) + "\n"
 
 

@@ -56,27 +56,21 @@ class SolveConfig:
 
     def __post_init__(self):
         if self.p <= 1.0:
-            raise ValueError("configuration error: need p > 1")
+            raise ValueError("need p > 1")
         if not (0.0 < self.s < 1.0):
-            raise ValueError("configuration error: s must lie in (0, 1)")
+            raise ValueError("s must lie in (0, 1)")
         if self.maxit < 1:
-            raise ValueError("configuration error: maxit must be positive")
+            raise ValueError("maxit must be positive")
         eps_g = self.eps_g
         if eps_g is not None and not (eps_g > 0 and math.isfinite(eps_g)):
-            raise ValueError("configuration error: eps_g must be positive and finite")
+            raise ValueError("eps_g must be positive and finite")
 
     def validate_for(self, n: int) -> None:
         s_p = n + self.s - n / self.p
         if not (self.s < s_p < 1.0):
-            raise ValueError(
-                "configuration error: differentiability order s_p=%g "
-                "outside (s, 1)" % s_p
-            )
+            raise ValueError("differentiability order s_p=%g outside (s, 1)" % s_p)
         if s_p * self.p >= 1.0:
-            raise ValueError(
-                "configuration error: s_p * p = %g must stay below 1"
-                % (s_p * self.p)
-            )
+            raise ValueError("s_p * p = %g must stay below 1" % (s_p * self.p))
 
 
 @dataclass(frozen=True)
@@ -264,8 +258,7 @@ def solve_p(
     want = kernel_exponent(kernel.n, cfg.s, cfg.p)
     if abs(kernel.exponent - want) > 1e-12 * want:
         raise ValueError(
-            "configuration error: kernel exponent %g does not match "
-            "(n+s)p = %g" % (kernel.exponent, want)
+            "kernel exponent %g does not match (n+s)p = %g" % (kernel.exponent, want)
         )
     p = cfg.p
     fm = f.values * kernel.m

@@ -28,7 +28,6 @@ from fraclap.constants import (
 )
 from fraclap.domain_grid import BALL_VOLUME, DomainSpec, build_grid, build_kernel
 from fraclap.energy import (
-    coarea_identity_gap,
     gradient,
     hoelder_embedding_factor,
     load_from_array,
@@ -42,7 +41,12 @@ from fraclap.experiments import (
     energy_limit_probe,
     hat_field,
 )
-from fraclap.geometry import brute_force_cheeger, perimeter, threshold_cheeger
+from fraclap.geometry import (
+    brute_force_cheeger,
+    coarea_identity_gap,
+    perimeter,
+    threshold_cheeger,
+)
 
 
 def _report(num, ok, detail):

@@ -267,6 +267,54 @@ def test_certify_bad_input_exits_2_before_output(tmp_path, small_cfg, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "last_row, message",
+    [
+        ("99,0.875,0.5", "line 9: index 99 outside 0..7"),
+        ("-1,0.875,0.5", "line 9: index -1 outside 0..7"),
+        ("6,0.875,0.5", "line 9: index 6 repeated"),
+        ("7", "line 9: no integer index and value"),
+        ("7,0.875,nan", "line 9: value nan is not finite"),
+    ],
+    ids=["past-end", "negative", "duplicate", "short-row", "nan-value"],
+)
+def test_certify_bad_field_row_exits_2_before_output(tmp_path, small_cfg, capsys,
+                                                     last_row, message):
+    field = tmp_path / "field.csv"
+    field.write_text(
+        "index,x0,value\n"
+        + "".join("%d,%r,0.5\n" % (i, -0.875 + 0.25 * i) for i in range(7))
+        + last_row + "\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    code = main(["certify", "--config", str(small_cfg), "--field", str(field),
+                 "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--config", "SMALL", "--p", "1.5"],
+         "s_p * p = 1.25 must stay below 1"),
+        (["solve", "--config", "EXTRA"], "unknown key 'mystery'"),
+        (["sweep", "--config", "SMALL", "--config", "SMALL"], "duplicate labels"),
+    ],
+    ids=["inadmissible-p", "unknown-key", "duplicate-label"],
+)
+def test_error_label_printed_once(tmp_path, small_cfg, capsys, argv, message):
+    extra = tmp_path / "extra.cfg"
+    extra.write_text(SMALL_CFG + "mystery = 1\n", encoding="utf-8")
+    paths = {"SMALL": str(small_cfg), "EXTRA": str(extra)}
+    assert main([paths.get(a, a) for a in argv] + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("configuration error: ") == 1
+    assert "configuration error: " + message in err
+
+
 def test_probe_faber_krahn_seeded_reproducibility(capsys):
     assert main(["probe", "faber-krahn", "--seed", "5", "--trials", "2"]) == 0
     first = capsys.readouterr().out

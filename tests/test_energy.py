@@ -9,8 +9,6 @@ from fraclap.domain_grid import DomainSpec, build_grid, build_kernel, kernel_exp
 from fraclap.energy import (
     EnergyBreakdown,
     LoadField,
-    coarea_decompose,
-    coarea_identity_gap,
     gradient,
     hoelder_embedding_factor,
     load_from_array,
@@ -18,7 +16,7 @@ from fraclap.energy import (
     seminorm_power,
     total_energy,
 )
-from fraclap.geometry import set_functional
+from fraclap.geometry import coarea_decompose, coarea_identity_gap, set_functional
 
 
 @pytest.fixture(scope="module")

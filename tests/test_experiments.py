@@ -124,7 +124,7 @@ def test_runconfig_rejects_indicator_without_region():
 
 def test_runconfig_rejects_inadmissible_schedule():
     # s_p * p crosses 1 at p = 4/3 for s = 0.5
-    with pytest.raises(ValueError, match="configuration error"):
+    with pytest.raises(ValueError, match=r"s_p \* p = 1.25 must stay below 1"):
         small_config(schedule=(1.5, 1.2))
 
 

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from fraclap.domain_grid import DomainSpec, build_grid, build_kernel, kernel_exponent
-from fraclap.energy import LoadField, coarea_decompose, load_from_array, total_energy
+from fraclap.energy import LoadField, load_from_array, total_energy
 from fraclap.geometry import (
     BRUTE_FORCE_CELL_CAP,
     CheegerResult,
     brute_force_cheeger,
+    coarea_decompose,
     mean_curvature,
     perimeter,
     set_functional,

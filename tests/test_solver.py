@@ -35,9 +35,9 @@ def interval16():
 
 
 def test_config_rejects_bad_p():
-    with pytest.raises(ValueError, match="configuration error"):
+    with pytest.raises(ValueError, match="need p > 1"):
         SolveConfig(p=1.0, s=0.5)
-    with pytest.raises(ValueError, match="configuration error"):
+    with pytest.raises(ValueError, match="need p > 1"):
         SolveConfig(p=0.9, s=0.5)
 
 
@@ -49,7 +49,7 @@ def test_config_rejects_bad_eps_g(eps_g):
 
 def test_config_rejects_inadmissible_window():
     cfg = SolveConfig(p=4.0 / 3.0, s=0.5)  # s_p * p = 1 exactly
-    with pytest.raises(ValueError, match="configuration error"):
+    with pytest.raises(ValueError, match=r"s_p \* p = 1 must stay below 1"):
         cfg.validate_for(1)
     SolveConfig(p=1.3, s=0.5).validate_for(1)  # inside the window
 
@@ -265,6 +265,48 @@ def test_warm_search_matches_full_scan(interval16, monkeypatch):
     assert warm.u.tobytes() == full.u.tobytes()
     assert warm.energy_history == full.energy_history
     assert warm.iterations == full.iterations
+
+
+def _refuse_factor(*args, **kwargs):
+    raise solver.LinAlgError("forced")
+
+
+@pytest.mark.parametrize(
+    "attr, patch",
+    [
+        ("_newton_direction", lambda u, g, kernel, p: (None, None)),
+        ("cho_factor", _refuse_factor),
+    ],
+    ids=["unit-step", "curvature-step"],
+)
+def test_steepest_fallback_descends(interval16, monkeypatch, attr, patch):
+    # without a usable metric every step is a steepest one: the unit step
+    # when no Hessian exists, the curvature step when only its factorization
+    # fails; either descends but stays far from eps_g within 40 iterations
+    grid, kern = interval16
+    p = 1.2
+    f = load_from_array(np.ones(grid.ncells))
+    monkeypatch.setattr(solver, attr, patch)
+    start = solver._ray_rescale(solver._metric_init(f, kern), f, kern, p)
+    with pytest.raises(SolverError) as exc:
+        solve_p(grid, kern, f, SolveConfig(p=p, s=0.5, maxit=40))
+    assert exc.value.iterations == 40
+    assert np.all(np.isfinite(exc.value.u))
+    e_start = total_energy(start, f, kern, p).total
+    assert total_energy(exc.value.u, f, kern, p).total < e_start
+
+
+def test_no_armijo_step_stops_with_honest_status(interval16, monkeypatch):
+    grid, kern = interval16
+    p = 1.2
+    f = load_from_array(np.ones(grid.ncells))
+    monkeypatch.setattr(solver, "_armijo_search", lambda *args: None)
+    sol = solve_p(grid, kern, f, SolveConfig(p=p, s=0.5))
+    assert sol.iterations == 1
+    assert sol.status == "floored"
+    assert sol.grad_norm == kkt_residual(sol.u, f, kern, p)
+    hist = sol.energy_history
+    assert all(b <= a for a, b in zip(hist, hist[1:]))
 
 
 # ---------------------------------------------------------------------------
