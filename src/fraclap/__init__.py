@@ -6,7 +6,7 @@ Submodules:
   energy        discrete energies, gradients, embedding checks
   solver        variational solver for the p > 1 problem
   geometry      nonlocal perimeters, coarea decomposition, Cheeger
-                constants, mean curvature
+                constants
   certify       sign-field certificates for the p = 1 limit problem
   experiments   parameter sweeps, regime classification, probes, file I/O
   cli           the fraclap console command
@@ -42,7 +42,6 @@ from fraclap.domain_grid import (
     build_grid,
     build_kernel,
     kernel_exponent,
-    max_admissible_p,
 )
 from fraclap.energy import (
     EnergyBreakdown,
@@ -71,7 +70,6 @@ from fraclap.geometry import (
     brute_force_cheeger,
     coarea_decompose,
     coarea_identity_gap,
-    mean_curvature,
     perimeter,
     threshold_cheeger,
     weighted_volume,
@@ -122,8 +120,6 @@ __all__ = [
     "kernel_exponent",
     "kkt_residual",
     "load_from_array",
-    "max_admissible_p",
-    "mean_curvature",
     "parse_config",
     "perimeter",
     "plateau_measure",

@@ -203,7 +203,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_cheeger(args) -> int:
     cfg = read_config(args.config)
     grid = build_grid(cfg.domain)
-    kern = build_kernel(grid, grid.n + cfg.s)
+    kern = build_kernel(grid, kernel_exponent(grid.n, cfg.s, 1.0))
     f = make_load(grid, cfg)
     if args.method == "brute":
         result = brute_force_cheeger(grid, f, kern)
@@ -268,7 +268,7 @@ def _read_field_csv(path, ncells) -> np.ndarray:
 def _cmd_certify(args) -> int:
     cfg = read_config(args.config)
     grid = build_grid(cfg.domain)
-    kern = build_kernel(grid, grid.n + cfg.s)
+    kern = build_kernel(grid, kernel_exponent(grid.n, cfg.s, 1.0))
     f = make_load(grid, cfg)
     u = _read_field_csv(args.field, grid.ncells)
     cert = build_certificate(u, f, kern, eps_feas=args.eps)
@@ -315,7 +315,7 @@ def _probe_faber_krahn(args) -> int:
     reports = []
     # closed-form anchor: the unit interval is the 1-D ball
     grid = build_grid(DomainSpec(1, "interval", (0.0, 1.0), 1.0))
-    kern = build_kernel(grid, 1.0 + s)
+    kern = build_kernel(grid, kernel_exponent(1, s, 1.0))
     rep = faber_krahn_probe(grid, load_from_array(np.ones(1)), kern, consts)
     reports.append({"domain": "unit-interval", "h": rep.h, "bound": rep.bound,
                     "slack": rep.slack, "passed": rep.passed})
@@ -324,7 +324,7 @@ def _probe_faber_krahn(args) -> int:
         cells = rng.choice(30, size=10, replace=False)
         boxes = tuple((float(k), float(k + 1.0)) for k in sorted(cells))
         grid = build_grid(DomainSpec(1, "union", boxes, 1.0))
-        kern = build_kernel(grid, 1.0 + s)
+        kern = build_kernel(grid, kernel_exponent(1, s, 1.0))
         rep = faber_krahn_probe(grid, load_from_array(np.ones(grid.ncells)), kern, consts)
         reports.append({"domain": "union-%d" % trial, "h": rep.h, "bound": rep.bound,
                         "slack": rep.slack, "passed": rep.passed})

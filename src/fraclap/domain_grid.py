@@ -39,14 +39,6 @@ def kernel_exponent(n: int, s: float, p: float) -> float:
     return (n + s) * p
 
 
-def max_admissible_p(n: int, s: float) -> float:
-    """Upper bound on p so that the kernel exponent stays below n + 1.
-
-    Equivalent to s_p * p < 1 with s_p = n + s - n/p.
-    """
-    return (n + 1.0) / (n + s)
-
-
 def validate_exponent(n: int, alpha: float) -> None:
     if not (n < alpha < n + 1):
         raise ValueError(
@@ -63,7 +55,8 @@ class DomainSpec:
       * "interval": params = (a, b), n = 1
       * "box":      params = (a1, b1) for n = 1 or (ax, ay, bx, by) for n = 2
       * "ball":     params = (c, R) for n = 1 or (cx, cy, R) for n = 2
-      * "union":    params = tuple of box param tuples (axis-aligned boxes)
+      * "union":    params = box params one after another, 2n coordinates
+                    per box (nested box tuples flatten to the same list)
 
     The domain is snapped to the cell lattice: box widths round to integer
     multiples of h, ball shapes keep the cells whose centers lie inside.
@@ -168,9 +161,17 @@ def build_grid(spec: DomainSpec) -> Grid:
         lat = lat[inside]
         anchor = lo
     elif spec.shape == "union":
-        boxes = [_box_corners(spec.n, bp) for bp in spec.params]
-        if not boxes:
-            raise ValueError("degenerate domain: empty union")
+        vals = _flatten(spec.params)
+        step = 2 * spec.n
+        if not vals or len(vals) % step:
+            raise ValueError(
+                "union params must list %d corner coordinates per box, got %d"
+                % (step, len(vals))
+            )
+        boxes = [
+            _box_corners(spec.n, vals[k:k + step])
+            for k in range(0, len(vals), step)
+        ]
         anchor = tuple(min(b[0][k] for b in boxes) for k in range(spec.n))
         seen = set()
         rows = []

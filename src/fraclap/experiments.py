@@ -62,7 +62,7 @@ class RunConfig:
     load_params: Tuple[float, ...] = ()
     schedule: Tuple[float, ...] = DEFAULT_SCHEDULE
     eps_g: Optional[float] = None
-    maxit: int = 50000
+    maxit: int = SolveConfig.maxit
     label: str = "run"
 
     def __post_init__(self):
@@ -109,15 +109,24 @@ class RegimeVerdict:
 # ---------------------------------------------------------------------------
 
 _REQUIRED_KEYS = ("config_version", "n", "shape", "params", "h", "s")
-_ALL_KEYS = _REQUIRED_KEYS + (
-    "label",
-    "load",
-    "load_scale",
-    "load_params",
-    "schedule",
-    "eps_g",
-    "maxit",
-)
+
+
+def _floats(value: str) -> Tuple[float, ...]:
+    return tuple(float(v) for v in value.split())
+
+
+# optional keys are RunConfig fields: each present key passes through its
+# converter, an absent one keeps RunConfig's default
+_OPTIONAL_KEYS = {
+    "label": str,
+    "load": str,
+    "load_scale": float,
+    "load_params": _floats,
+    "schedule": _floats,
+    "eps_g": float,
+    "maxit": int,
+}
+_ALL_KEYS = _REQUIRED_KEYS + tuple(_OPTIONAL_KEYS)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -142,27 +151,16 @@ def parse_config(text: str) -> RunConfig:
     if int(seen["config_version"]) != CONFIG_VERSION:
         raise ValueError("unsupported config_version %s" % seen["config_version"])
 
-    n = int(seen["n"])
-    shape = seen["shape"]
-    params = tuple(float(v) for v in seen["params"].split())
-    spec = DomainSpec(n, shape, params, float(seen["h"]))
-    schedule = DEFAULT_SCHEDULE
-    if "schedule" in seen:
-        schedule = tuple(float(v) for v in seen["schedule"].split())
-    load_params = ()
-    if "load_params" in seen and seen["load_params"]:
-        load_params = tuple(float(v) for v in seen["load_params"].split())
-    return RunConfig(
-        domain=spec,
-        s=float(seen["s"]),
-        load=seen.get("load", "constant"),
-        load_scale=float(seen.get("load_scale", "1.0")),
-        load_params=load_params,
-        schedule=schedule,
-        eps_g=float(seen["eps_g"]) if "eps_g" in seen else None,
-        maxit=int(seen.get("maxit", "50000")),
-        label=seen.get("label", "run"),
+    spec = DomainSpec(
+        int(seen["n"]), seen["shape"], _floats(seen["params"]), float(seen["h"])
     )
+    s = float(seen["s"])
+    options = {
+        key: convert(seen[key])
+        for key, convert in _OPTIONAL_KEYS.items()
+        if key in seen
+    }
+    return RunConfig(domain=spec, s=s, **options)
 
 
 def read_config(path) -> RunConfig:
@@ -210,7 +208,7 @@ def run_sweep(cfg: RunConfig) -> SweepTable:
     """Solve along the descending schedule with warm starts."""
     grid = build_grid(cfg.domain)
     n = grid.n
-    kern_1 = build_kernel(grid, n + cfg.s)
+    kern_1 = build_kernel(grid, kernel_exponent(n, cfg.s, 1.0))
     f = make_load(grid, cfg)
 
     records: List[SweepRecord] = []
@@ -387,7 +385,7 @@ def energy_limit_probe(
     """Convergence of the kinetic energy to its p = 1 value on a fixed field."""
     n = grid.n
     vals = np.asarray(u, dtype=float)
-    kern_1 = build_kernel(grid, n + s)
+    kern_1 = build_kernel(grid, kernel_exponent(n, s, 1.0))
     e_1 = 0.5 * seminorm_power(vals, kern_1, 1.0)
     gaps = []
     rel_gaps = []

@@ -1,6 +1,5 @@
 """Set-level geometry: weighted perimeters, the coarea decomposition, the
-set functional, Cheeger constant estimators, and a mean-curvature
-diagnostic.
+set functional, and Cheeger constant estimators.
 
 Masks are boolean cell arrays (subsets of the domain as unions of cells).
 Perimeter shares the kernel weights with the energy module, which makes
@@ -134,9 +133,9 @@ def brute_force_cheeger(
 ) -> CheegerResult:
     """Exact minimum of Per_s(A)/|A|_f over every nonempty cell subset.
 
-    Exhaustive enumeration, vectorized in chunks of subset bitmasks. Exact
-    ties are broken by the lexicographically smallest index set. Only
-    affordable up to BRUTE_FORCE_CELL_CAP cells (2^N subsets).
+    Exhaustive enumeration, vectorized in chunks of subset bitmasks (cell i
+    is bit i). Exact ties go to the smallest bitmask. Only affordable up to
+    BRUTE_FORCE_CELL_CAP cells (2^N subsets).
     """
     _require_positive_load(f)
     nn = grid.ncells
@@ -148,8 +147,7 @@ def brute_force_cheeger(
     fm = f.values * kernel.m
     rowsum = kernel.w.sum(axis=1) + kernel.t
     best_h = math.inf
-    best_key = None
-    best_bits = 0
+    best_bits = None
     total = 1 << nn
     for k0 in range(1, total, _ENUM_CHUNK):
         k1 = min(k0 + _ENUM_CHUNK, total)
@@ -163,29 +161,19 @@ def brute_force_cheeger(
         if not np.any(valid):
             continue
         h = np.where(valid, per / np.where(valid, vol, 1.0), math.inf)
+        # argmin and the strict comparison both keep the first, smallest
+        # bitmask among exact ties
         idx = int(np.argmin(h))
         if h[idx] < best_h:
             best_h = float(h[idx])
             best_bits = int(ks[idx])
-            best_key = _bit_key(best_bits, nn)
-        elif h[idx] == best_h:
-            # scan the chunk's exact ties for the lexicographic winner
-            for j in np.where(h == best_h)[0]:
-                key = _bit_key(int(ks[j]), nn)
-                if key < best_key:
-                    best_key = key
-                    best_bits = int(ks[j])
-    if best_key is None:
+    if best_bits is None:
         raise ValueError("weighted volume degenerate: no admissible subset")
     witness = np.array(
         [(best_bits >> i) & 1 for i in range(nn)], dtype=bool
     )
     h_exact = perimeter(witness, kernel) / weighted_volume(witness, f, kernel)
     return CheegerResult(h=h_exact, witness=witness, method="brute-force")
-
-
-def _bit_key(bits: int, nn: int) -> tuple:
-    return tuple(i for i in range(nn) if (bits >> i) & 1)
 
 
 def threshold_cheeger(u, f: LoadField, kernel: KernelSet) -> CheegerResult:
@@ -212,127 +200,3 @@ def threshold_cheeger(u, f: LoadField, kernel: KernelSet) -> CheegerResult:
     return CheegerResult(
         h=best[3], witness=witness, method="threshold", table=table
     )
-
-
-# ---------------------------------------------------------------------------
-# mean-curvature diagnostic
-# ---------------------------------------------------------------------------
-
-_CURVATURE_SUBCELLS = 8  # midpoint subcells per cell side in 2-D
-
-_FACE_DIRS = {
-    1: ((1,), (-1,)),
-    2: ((1, 0), (-1, 0), (0, 1), (0, -1)),
-}
-
-
-def _outward_face(grid: Grid, arr: np.ndarray, index: int):
-    cells = {tuple(row) for row in grid.lattice[arr]}
-    cell = tuple(grid.lattice[index])
-    if cell not in cells:
-        raise ValueError("cell is not a boundary cell of the mask")
-    for d in _FACE_DIRS[grid.n]:
-        nb = tuple(c + dd for c, dd in zip(cell, d))
-        if nb not in cells:
-            return cell, d, cells
-    raise ValueError("cell is not a boundary cell of the mask")
-
-
-def mean_curvature(
-    grid: Grid,
-    mask,
-    index: int,
-    s: float,
-    delta: float | None = None,
-) -> float:
-    """Fractional mean curvature of the mask boundary at one cell's outward
-    face midpoint: principal value of the (complement minus set) kernel
-    integral with symmetric ball exclusion.
-
-    1-D evaluates exact interval antiderivatives, and the value is
-    independent of the exclusion radius once it is below the distance to the
-    nearest other endpoint. 2-D uses a subcell midpoint sum inside a window,
-    the closed-form tail outside, and Richardson extrapolation in the
-    exclusion radius (exponent 1 - s). Diagnostic accuracy only.
-    """
-    if not (0.0 < s < 1.0):
-        raise ValueError("order s must lie in (0, 1)")
-    arr = np.asarray(mask, dtype=bool)
-    cell, d, cells = _outward_face(grid, arr, index)
-    h = grid.h
-    origin = grid.centers[0] - (grid.lattice[0] + 0.5) * h
-    if grid.n == 1:
-        return _curvature_1d(grid, arr, cell, d, s, delta, origin[0])
-    return _curvature_2d(grid, cells, cell, d, s, delta, origin)
-
-
-def _curvature_1d(grid, arr, cell, d, s, delta, origin):
-    # merge cells into maximal intervals
-    idx = np.sort(grid.lattice[arr][:, 0])
-    intervals = []
-    start = prev = idx[0]
-    for k in idx[1:]:
-        if k == prev + 1:
-            prev = k
-        else:
-            intervals.append((start, prev))
-            start = prev = k
-    intervals.append((start, prev))
-    ivals = [(origin + a * grid.h, origin + (b + 1) * grid.h) for a, b in intervals]
-    x = origin + (cell[0] + (1 if d[0] > 0 else 0)) * grid.h
-
-    endpoints = [e for ab in ivals for e in ab]
-    dists = [abs(e - x) for e in endpoints if abs(e - x) > 1e-14]
-    d_near = min(dists) if dists else grid.h
-    if delta is None:
-        delta = 0.5 * min(d_near, grid.h)
-    if delta >= d_near:
-        raise ValueError("exclusion radius must stay below the nearest endpoint")
-
-    def mass_e(dl):
-        total = 0.0
-        for a, b in ivals:
-            lo, hi = max(a, x + dl), b
-            if hi > lo:
-                total += ((lo - x) ** -s - (hi - x) ** -s) / s
-            lo, hi = a, min(b, x - dl)
-            if hi > lo:
-                total += ((x - hi) ** -s - (x - lo) ** -s) / s
-        return total
-
-    return 2.0 * delta ** -s / s - 2.0 * mass_e(delta)
-
-
-def _curvature_2d(grid, cells, cell, d, s, delta, origin):
-    h = grid.h
-    cx = origin + (np.asarray(cell) + 0.5) * h
-    x = cx + 0.5 * h * np.asarray(d)
-
-    pts = np.array(sorted(cells), dtype=float)
-    centers = origin + (pts + 0.5) * h
-    reach = np.sqrt(np.max(np.sum((centers - x) ** 2, axis=1)))
-    L = reach + h  # window radius covering the whole set
-
-    eta = h / _CURVATURE_SUBCELLS
-    half = int(math.ceil(L / eta)) + 1
-    rng = (np.arange(-half, half + 1) + 0.5) * eta
-    gx, gy = np.meshgrid(x[0] + rng, x[1] + rng, indexing="ij")
-    rr = np.sqrt((gx - x[0]) ** 2 + (gy - x[1]) ** 2)
-    ix = np.floor((gx - origin[0]) / h).astype(np.int64)
-    iy = np.floor((gy - origin[1]) / h).astype(np.int64)
-    keys = np.stack([ix.ravel(), iy.ravel()], axis=1)
-    in_e = np.array([tuple(k) in cells for k in keys]).reshape(rr.shape)
-    sign = np.where(in_e, -1.0, 1.0)
-    kernel_vals = rr ** (-2.0 - s)
-
-    def window_sum(dl):
-        sel = (rr > dl) & (rr <= L)
-        return float(np.sum(sign[sel] * kernel_vals[sel])) * eta * eta
-
-    tail = 2.0 * math.pi / (s * L ** s)
-    if delta is None:
-        delta = h / 2.0
-    h1 = window_sum(delta) + tail
-    h2 = window_sum(delta / 2.0) + tail
-    gamma = 1.0 - s
-    return (2.0 ** gamma * h2 - h1) / (2.0 ** gamma - 1.0)

@@ -66,11 +66,16 @@ class SolveConfig:
             raise ValueError("eps_g must be positive and finite")
 
     def validate_for(self, n: int) -> None:
-        s_p = n + self.s - n / self.p
-        if not (self.s < s_p < 1.0):
-            raise ValueError("differentiability order s_p=%g outside (s, 1)" % s_p)
-        if s_p * self.p >= 1.0:
-            raise ValueError("s_p * p = %g must stay below 1" % (s_p * self.p))
+        """Reject (n, s, p) exactly when build_kernel rejects its exponent.
+
+        s_p * p = alpha - n with alpha the kernel exponent. alpha - n is
+        exact in float64 for alpha <= 2n, and larger alpha fails both
+        checks, so this is build_kernel's alpha < n + 1. The window
+        s < s_p < 1 follows from it for p > 1.
+        """
+        sp_p = kernel_exponent(n, self.s, self.p) - n
+        if sp_p >= 1.0:
+            raise ValueError("s_p * p = %g must stay below 1" % sp_p)
 
 
 @dataclass(frozen=True)

@@ -70,6 +70,20 @@ def test_solve_writes_solution_and_field(tmp_path, small_cfg, capsys):
     assert len(lines) == 9  # header plus 8 cells
 
 
+def test_solve_union_config(tmp_path, capsys):
+    path = tmp_path / "union.cfg"
+    path.write_text(
+        SMALL_CFG.replace("shape = interval\nparams = -1 1",
+                          "shape = union\nparams = 0 4 6 10")
+        .replace("h = 0.25", "h = 0.5"),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+    lines = (out / "tiny_field.csv").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 17  # header plus 8 cells per box
+
+
 def test_solve_rejects_inadmissible_override(tmp_path, small_cfg, capsys):
     code = main(
         ["solve", "--config", str(small_cfg), "--out", str(tmp_path), "--p", "1.5"]
@@ -106,8 +120,10 @@ def test_removed_config_key_exits_2(tmp_path, capsys, key, value):
         ("h = 0.25", "h = inf"),
         ("schedule", "eps_g = nan\nschedule"),
         ("schedule", "eps_g = 0\nschedule"),
+        ("shape = interval\nparams = -1 1", "shape = union\nparams = 0 4 6"),
     ],
-    ids=["reversed", "inf-corner", "nan-h", "inf-h", "nan-eps_g", "zero-eps_g"],
+    ids=["reversed", "inf-corner", "nan-h", "inf-h", "nan-eps_g", "zero-eps_g",
+         "union-part-box"],
 )
 @pytest.mark.parametrize("command", ["solve", "sweep"])
 def test_bad_config_exits_2_before_output(tmp_path, capsys, command, old, new):
@@ -117,6 +133,21 @@ def test_bad_config_exits_2_before_output(tmp_path, capsys, command, old, new):
     assert main([command, "--config", str(path), "--out", str(out)]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_sweep_window_edge_exits_2_before_output(tmp_path, capsys):
+    # at n = 2, s = 1/2 the kernel exponent (n + s) * p reaches n + 1 at p = 1.2
+    path = tmp_path / "edge.cfg"
+    path.write_text(
+        SMALL_CFG.replace("n = 1\nshape = interval\nparams = -1 1",
+                          "n = 2\nshape = box\nparams = 0 0 1 1")
+        .replace("schedule = 1.3 1.2 1.1", "schedule = 1.2 1.1"),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+    assert "s_p * p = 1 must stay below 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_writes_csv_json_and_plot(tmp_path, small_cfg, capsys):

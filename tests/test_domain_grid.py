@@ -18,7 +18,6 @@ from fraclap.domain_grid import (
     build_grid,
     build_kernel,
     kernel_exponent,
-    max_admissible_p,
     _hybrid_pair_unit,
     _k1d_exact,
     _k2d_exact,
@@ -76,11 +75,6 @@ def test_kernel_exponent_identity():
                 assert math.isclose(
                     n + s_p * p, kernel_exponent(n, s, p), rel_tol=1e-14
                 )
-
-
-def test_max_admissible_p():
-    assert math.isclose(max_admissible_p(1, 0.5), 4.0 / 3.0)
-    assert kernel_exponent(1, 0.5, max_admissible_p(1, 0.5)) == pytest.approx(2.0)
 
 
 def test_exponent_rejection():

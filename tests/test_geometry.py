@@ -1,4 +1,4 @@
-"""Geometry checks: perimeter oracles, Cheeger estimators, mean curvature."""
+"""Geometry checks: perimeter oracles and Cheeger estimators."""
 
 import itertools
 import math
@@ -6,14 +6,19 @@ import math
 import numpy as np
 import pytest
 
-from fraclap.domain_grid import DomainSpec, build_grid, build_kernel, kernel_exponent
+from fraclap.domain_grid import (
+    DomainSpec,
+    KernelSet,
+    build_grid,
+    build_kernel,
+    kernel_exponent,
+)
 from fraclap.energy import LoadField, load_from_array, total_energy
 from fraclap.geometry import (
     BRUTE_FORCE_CELL_CAP,
     CheegerResult,
     brute_force_cheeger,
     coarea_decompose,
-    mean_curvature,
     perimeter,
     set_functional,
     threshold_cheeger,
@@ -160,6 +165,21 @@ def test_brute_force_cell_cap():
         brute_force_cheeger(grid, f, kern)
 
 
+@pytest.mark.parametrize("ncells", [3, 17])
+def test_brute_force_exact_tie_takes_smallest_bitmask(ncells):
+    # only the end cells interact: every set holding both ends or neither
+    # has h = 1, and {1} is the smallest such bitmask; at 17 cells the full
+    # set sits in the second enumeration chunk
+    grid = build_grid(DomainSpec(1, "interval", (0.0, float(ncells)), 1.0))
+    w = np.zeros((ncells, ncells))
+    w[0, -1] = w[-1, 0] = 10.0
+    ones = np.ones(ncells)
+    kern = KernelSet(exponent=1.5, n=1, h=1.0, w=w, t=ones, m=ones)
+    res = brute_force_cheeger(grid, load_from_array(ones), kern)
+    assert res.h == 1.0
+    assert np.flatnonzero(res.witness).tolist() == [1]
+
+
 def test_brute_force_requires_positive_load(cell1):
     grid, kern = cell1
     f = LoadField(values=np.zeros(1), nonnegative=False)
@@ -240,69 +260,3 @@ def test_threshold_on_solved_field_near_interval_h():
 def test_cheeger_result_positive():
     with pytest.raises(ValueError):
         CheegerResult(h=-1.0, witness=np.ones(2, dtype=bool), method="brute-force")
-
-
-# ---------------------------------------------------------------------------
-# mean curvature
-# ---------------------------------------------------------------------------
-
-
-def test_curvature_interval_closed_form():
-    grid = build_grid(DomainSpec(1, "interval", (-1.0, 1.0), 0.125))
-    mask = np.ones(grid.ncells, dtype=bool)
-    val = mean_curvature(grid, mask, grid.ncells - 1, 0.5)
-    target = 2.0 ** 1.5  # (2/s) (2R)^(-s) at R = 1, s = 1/2
-    assert val == pytest.approx(target, rel=0.02)
-    assert val == pytest.approx(target, rel=1e-10)  # 1-D route is exact
-
-
-def test_curvature_scaling():
-    vals = {}
-    for radius in (1.0, 2.0):
-        grid = build_grid(
-            DomainSpec(1, "interval", (-radius, radius), radius / 8)
-        )
-        mask = np.ones(grid.ncells, dtype=bool)
-        vals[radius] = mean_curvature(grid, mask, grid.ncells - 1, 0.5)
-    assert vals[2.0] / vals[1.0] == pytest.approx(2.0 ** -0.5, rel=0.02)
-
-
-def test_curvature_reflection_symmetry():
-    grid = build_grid(DomainSpec(1, "interval", (0.0, 1.0), 0.125))
-    mask = np.ones(grid.ncells, dtype=bool)
-    left = mean_curvature(grid, mask, 0, 0.5)
-    right = mean_curvature(grid, mask, grid.ncells - 1, 0.5)
-    assert left == pytest.approx(right, rel=1e-10)
-
-
-def test_curvature_delta_independence():
-    grid = build_grid(DomainSpec(1, "interval", (-1.0, 1.0), 0.125))
-    mask = np.ones(grid.ncells, dtype=bool)
-    a = mean_curvature(grid, mask, grid.ncells - 1, 0.5, delta=0.01)
-    b = mean_curvature(grid, mask, grid.ncells - 1, 0.5, delta=0.005)
-    assert a == pytest.approx(b, rel=1e-12)
-
-
-def test_curvature_at_calibrable_radius():
-    # the interval of radius 32 ( = calibrable radius at s = 1/2 ) shows the
-    # factor-two normalization question: this module's convention gives 1/2
-    grid = build_grid(DomainSpec(1, "interval", (-32.0, 32.0), 4.0))
-    mask = np.ones(grid.ncells, dtype=bool)
-    val = mean_curvature(grid, mask, grid.ncells - 1, 0.5)
-    assert val == pytest.approx(0.5, rel=1e-10)
-
-
-def test_curvature_rejects_interior_cell():
-    grid = build_grid(DomainSpec(1, "interval", (-1.0, 1.0), 0.125))
-    mask = np.ones(grid.ncells, dtype=bool)
-    with pytest.raises(ValueError, match="boundary"):
-        mean_curvature(grid, mask, grid.ncells // 2, 0.5)
-
-
-def test_curvature_2d_smoke():
-    grid = build_grid(DomainSpec(2, "ball", (0.0, 0.0, 1.0), 0.25))
-    mask = np.ones(grid.ncells, dtype=bool)
-    # pick the cell with the largest x coordinate: a boundary cell
-    idx = int(np.argmax(grid.centers[:, 0]))
-    val = mean_curvature(grid, mask, idx, 0.5)
-    assert math.isfinite(val) and val > 0

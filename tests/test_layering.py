@@ -1,5 +1,6 @@
 """Import layering: fraclap's modules import each other one way only, and
-only at module level, so every dependency is visible at the top of a file."""
+only at module level, so every dependency is visible at the top of a file.
+Every exported name has a caller outside its own unit tests."""
 
 import ast
 from pathlib import Path
@@ -77,3 +78,34 @@ def test_module_imports_form_no_cycle():
         if state[module] == 0:
             cycle = cycle_from(module, [module])
             assert cycle is None, " -> ".join(cycle)
+
+
+
+def _identifiers(path):
+    """Every name, attribute and imported name a source file uses; the names
+    its own def and class statements bind are not among them."""
+    tree = ast.parse(Path(path).read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+    return names
+
+
+def test_public_names_have_callers():
+    """Each exported name is used inside the package, beyond the package's
+    re-export of it, or by an acceptance gate; a name that only its own unit
+    tests call is dead code."""
+    used = _identifiers(Path(__file__).parent / "test_acceptance.py")
+    for module in MODULES:
+        if module != "__init__":
+            used |= _identifiers(PACKAGE / (module + ".py"))
+    unused = [
+        name for name in fraclap.__all__
+        if name != "__version__" and name not in used
+    ]
+    assert unused == []

@@ -54,6 +54,26 @@ def test_config_rejects_inadmissible_window():
     SolveConfig(p=1.3, s=0.5).validate_for(1)  # inside the window
 
 
+@pytest.mark.parametrize("s", [k / 20 for k in range(1, 20)])
+@pytest.mark.parametrize("n", [1, 2])
+def test_window_matches_build_kernel_at_boundary(n, s):
+    # p around the edge (n + 1) / (n + s), where s_p * p meets 1
+    grid = build_grid(DomainSpec(n, "box", (0.0,) * n + (1.0,) * n, 1.0))
+    for delta in (0.0, 1e-16, -1e-16, 2.2e-16, -2.2e-16):
+        p = (n + 1) / (n + s) * (1.0 + delta)
+        try:
+            SolveConfig(p=p, s=s).validate_for(n)
+            config_ok = True
+        except ValueError:
+            config_ok = False
+        try:
+            build_kernel(grid, kernel_exponent(n, s, p))
+            kernel_ok = True
+        except ValueError:
+            kernel_ok = False
+        assert config_ok == kernel_ok, (n, s, p)
+
+
 def test_solve_rejects_kernel_mismatch(interval16):
     grid, kern = interval16
     f = load_from_array(np.ones(grid.ncells))
