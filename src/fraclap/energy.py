@@ -23,6 +23,8 @@ import numpy as np
 
 from fraclap.domain_grid import KernelSet
 
+_MIRROR_ROWS = 64  # row-block height of the mirrored pair fills
+
 
 @dataclass(frozen=True)
 class LoadField:
@@ -79,16 +81,51 @@ def _as_field(u, kernel: KernelSet) -> np.ndarray:
     return vals
 
 
+def _mirrored_pairs(vals: np.ndarray, w: np.ndarray, entry, odd=False):
+    """The N x N array of entry(vals_i - vals_j) * w_ij for a bitwise
+    symmetric w, computed on the upper block-triangle only.
+
+    entry maps a block of differences in place and is even, or odd when
+    odd is set. Row block [r0, r1) is filled against columns [r0, N) and
+    copied, transposed, into rows [r1, N) of columns [r0, r1), negated
+    for an odd entry. vals_j - vals_i is exactly -(vals_i - vals_j), so
+    every entry keeps the bits of the full fill, except that an odd entry
+    at an exact tie gives -0.0 below the diagonal where the full fill
+    gives +0.0. No reduction sees that: a sum holding the +0.0 diagonal
+    is never -0.0, and its other bits do not depend on signs of zeros.
+    """
+    n = vals.size
+    out = np.empty((n, n))
+    for r0 in range(0, n, _MIRROR_ROWS):
+        r1 = min(r0 + _MIRROR_ROWS, n)
+        blk = out[r0:r1, r0:]
+        np.subtract(vals[r0:r1, None], vals[None, r0:], out=blk)
+        entry(blk)
+        blk *= w[r0:r1, r0:]
+        upper = blk[:, r1 - r0:].T
+        if odd:
+            np.negative(upper, out=out[r1:, r0:r1])
+        else:
+            out[r1:, r0:r1] = upper
+    return out
+
+
 def _pair_tail(vals: np.ndarray, kernel: KernelSet, p: float):
     """(ordered pair sum of w |du|^p, tail sum of t |u|^p) of a checked field."""
     if p < 1:
         raise ValueError("integrability p must satisfy p >= 1")
-    # one N x N buffer, updated in place: the same arithmetic as
-    # sum(w * |du|^p) without a fresh N x N temporary per step
-    du = vals[:, None] - vals[None, :]
-    np.abs(du, out=du)
-    du **= p
-    du *= kernel.w
+    if p == 1.0:
+        # no power to save by mirroring; x ** 1.0 == x, so the power step
+        # is dropped with the bits kept
+        du = vals[:, None] - vals[None, :]
+        np.abs(du, out=du)
+        du *= kernel.w
+    else:
+        def entry(blk):
+            np.abs(blk, out=blk)
+            blk **= p
+
+        du = _mirrored_pairs(vals, kernel.w, entry)
     pair = float(np.sum(du))
     tail = float(np.sum(kernel.t * np.abs(vals) ** p))
     return pair, tail
@@ -133,14 +170,16 @@ def gradient(u, f: LoadField, kernel: KernelSet, p: float) -> np.ndarray:
     if p <= 1:
         raise ValueError("nonsmooth regime: use certify module")
     vals = _as_field(u, kernel)
-    # two N x N buffers, the second updated in place. copysign differs from
-    # sign(du) * |du|^(p-1) only where du = -0.0 (-0.0 instead of +0.0);
-    # the row sums keep their bits, since each row's diagonal adds +0.0
-    du = vals[:, None] - vals[None, :]
-    phi = np.abs(du)
-    phi **= p - 1.0
-    np.copysign(phi, du, out=phi)
-    phi *= kernel.w
+
+    # copysign differs from sign(du) * |du|^(p-1) only where du = -0.0
+    # (-0.0 instead of +0.0); like the mirror's -0.0 at ties, no row sum
+    # sees it, since each row's diagonal adds +0.0
+    def entry(blk):
+        phi = np.abs(blk)
+        phi **= p - 1.0
+        np.copysign(phi, blk, out=blk)
+
+    phi = _mirrored_pairs(vals, kernel.w, entry, odd=True)
     pair_term = np.sum(phi, axis=1)
     tail_term = kernel.t * np.sign(vals) * np.abs(vals) ** (p - 1.0)
     return pair_term + tail_term - f.values * kernel.m

@@ -1,9 +1,10 @@
-"""Set-level geometry: weighted perimeters, the coarea decomposition, the
-set functional, and Cheeger constant estimators.
+"""Set-level geometry: weighted perimeters and volumes, the coarea
+decomposition, and Cheeger constant estimators.
 
 Masks are boolean cell arrays (subsets of the domain as unions of cells).
 Perimeter shares the kernel weights with the energy module, which makes
-P(E) = F_1(chi_E) an exact identity rather than an approximation.
+the set functional Per_s(E) - |E|_f equal to F_1(chi_E), the p = 1
+functional at the indicator, exactly rather than approximately.
 """
 
 from __future__ import annotations
@@ -66,11 +67,6 @@ def weighted_volume(mask, f: LoadField, kernel: KernelSet) -> float:
     """|E|_f = sum over E of f_i m_i (same reduction as the energy load)."""
     arr = _as_mask(mask, kernel)
     return float(np.sum(f.values * arr.astype(float) * kernel.m))
-
-
-def set_functional(mask, f: LoadField, kernel: KernelSet) -> float:
-    """P(E) = Per_s(E) - |E|_f; coincides with the p = 1 functional at chi_E."""
-    return perimeter(mask, kernel) - weighted_volume(mask, f, kernel)
 
 
 class LevelSet(NamedTuple):

@@ -32,6 +32,7 @@ from fraclap.domain_grid import KernelSet, kernel_exponent
 from fraclap.energy import (
     EnergyBreakdown,
     LoadField,
+    _mirrored_pairs,
     gradient,
     seminorm_power,
     total_energy,
@@ -157,7 +158,10 @@ def _ray_rescale(u, f, kernel, p):
 
 def _keep_lower(u, f_cur, cand, f, kernel, p):
     """(cand, its energy) if that energy does not exceed f_cur, else
-    (u, f_cur): the guard behind every optional move of the solve."""
+    (u, f_cur): the guard behind every optional move of the solve. f_cur
+    is u's energy, so a candidate with u's bits costs no evaluation."""
+    if np.array_equal(cand.view(np.int64), u.view(np.int64)):
+        return u, f_cur
     f_cand = total_energy(cand, f, kernel, p).total
     if f_cand <= f_cur:
         return cand, f_cand
@@ -192,13 +196,15 @@ def _newton_direction(u, g, kernel, p):
     """SPD variable-metric direction: weights of the second variation with a
     tiny curvature floor inside the metric only."""
     delta = 1e-10 * max(float(np.max(np.abs(u))), 1e-300)
+
+    def entry(blk):
+        blk *= blk
+        blk += delta * delta
+        blk **= (p - 2.0) / 2.0
+
     # one N x N buffer becomes the pair weights, then the metric, in place;
     # 0.0 - om (not -om) keeps the bits of diag(diag) - om off the diagonal
-    om = u[:, None] - u[None, :]
-    om *= om
-    om += delta * delta
-    om **= (p - 2.0) / 2.0
-    om *= kernel.w
+    om = _mirrored_pairs(u, kernel.w, entry)
     omb = kernel.t * (u * u + delta * delta) ** ((p - 2.0) / 2.0)
     diag = om.sum(axis=1) + omb
     on_diag = np.diag_indices_from(om)
@@ -210,9 +216,14 @@ def _newton_direction(u, g, kernel, p):
     if not np.all(np.isfinite(dvec)) or np.any(dvec <= 0):
         return None, None
     scale = 1.0 / dvec
-    # Fortran order lets the factorization overwrite hs instead of copying
-    hs = np.multiply(hess, scale[:, None], order="F")
-    hs *= scale[None, :]
+    # hess is bitwise symmetric, so the transpose of
+    # (hess * scale[None, :]) * scale[:, None] holds the bits of
+    # (hess * scale[:, None]) * scale[None, :] in Fortran order: the
+    # factorization overwrites it without a copy, and neither product
+    # writes memory with a stride
+    hs = np.multiply(hess, scale[None, :])
+    hs *= scale[:, None]
+    hs = hs.T
     try:
         factor = cho_factor(hs, overwrite_a=True)
     except LinAlgError:
@@ -226,11 +237,12 @@ def _armijo_search(u, d, step, gd, f_cur, k, f, kernel, p):
     _MAX_HALVINGS, as (candidate, its energy, j), or None if there is none.
 
     The search starts at j = k, halves further while the test fails and
-    doubles back while it passes. F is convex along d, so the passing steps
-    form an interval [0, sigma*] and every start k returns the j of a scan
-    from j = 0; starting at the last accepted j saves the 8-12 failing
-    trials that the overshooting Newton step of a p-homogeneous energy
-    costs a full scan.
+    doubles back while it passes; a scan that halved stops at its first
+    pass, since one halving fewer has already failed. F is convex along d,
+    so the passing steps form an interval [0, sigma*] and every start k
+    returns the j of a scan from j = 0; starting at the last accepted j
+    saves the 8-12 failing trials that the overshooting Newton step of a
+    p-homogeneous energy costs a full scan.
     """
     found = None
     j = k
@@ -240,6 +252,8 @@ def _armijo_search(u, d, step, gd, f_cur, k, f, kernel, p):
         f_new = total_energy(cand, f, kernel, p).total
         if f_new <= f_cur + _ARMIJO_C1 * t * gd:
             found = (cand, f_new, j)
+            if j > k:
+                break
             j -= 1
         elif found is not None:
             break

@@ -1,12 +1,14 @@
-"""Session fixtures: the three 256-cell reference sweeps.
+"""Session fixtures: the three 256-cell reference sweeps, and the small
+grids that exercise the mirrored pair fills.
 
-These are the expensive shared instances (a few seconds each); everything
-that needs a full warm-started schedule reads them from here so the suite
-solves each family exactly once.
+The sweeps are the expensive shared instances (a few seconds each);
+everything that needs a full warm-started schedule reads them from here so
+the suite solves each family exactly once.
 """
 
 import time
 
+import numpy as np
 import pytest
 
 from fraclap.domain_grid import DomainSpec, build_grid, build_kernel
@@ -44,3 +46,33 @@ def crit32():
 def blow64():
     """Supercritical interval: half-width 64, Cheeger constant below 1."""
     return SweepCase(64.0, 0.5, "blow64")
+
+
+# cell counts around the pair fills' 64-row blocks: one cell, one partial
+# block, one full block, a full block and a single row, and three blocks
+# with a partial last one; the 2-D grids are boxes of these many unit cells
+MIRROR_BOXES = {1: (1, 1), 63: (7, 9), 64: (8, 8), 65: (5, 13), 130: (10, 13)}
+
+
+@pytest.fixture(
+    scope="session",
+    params=[(n, cells) for n in (1, 2) for cells in MIRROR_BOXES],
+    ids=lambda nc: "%dd-%d" % nc,
+)
+def mirror_case(request):
+    """(kernel, fields) on a 1-D or 2-D grid of the given cell count. The
+    fields mix signs, +0.0, -0.0 and exact ties; the last is constant."""
+    n, cells = request.param
+    upper = (float(cells),) if n == 1 else tuple(map(float, MIRROR_BOXES[cells]))
+    grid = build_grid(DomainSpec(n, "box", (0.0,) * n + upper, 1.0))
+    kern = build_kernel(grid, n + 0.6)
+    rng = np.random.default_rng(cells)
+    fields = []
+    for _ in range(3):
+        u = rng.normal(size=cells)
+        u[rng.random(cells) < 0.2] = 0.0
+        u[rng.random(cells) < 0.2] = -0.0
+        u[rng.random(cells) < 0.2] = u[0]
+        fields.append(u)
+    fields.append(np.full(cells, 0.75))
+    return kern, fields

@@ -9,6 +9,7 @@ from fraclap.domain_grid import DomainSpec, build_grid, build_kernel, kernel_exp
 from fraclap.energy import (
     EnergyBreakdown,
     LoadField,
+    _pair_tail,
     gradient,
     hoelder_embedding_factor,
     load_from_array,
@@ -16,7 +17,12 @@ from fraclap.energy import (
     seminorm_power,
     total_energy,
 )
-from fraclap.geometry import coarea_decompose, coarea_identity_gap, set_functional
+from fraclap.geometry import (
+    coarea_decompose,
+    coarea_identity_gap,
+    perimeter,
+    weighted_volume,
+)
 
 
 @pytest.fixture(scope="module")
@@ -101,13 +107,14 @@ def test_breakdown_fields(interval16):
     assert eb.load == pytest.approx(float(np.sum(u * kern.m)), rel=1e-12)
 
 
-def test_indicator_energy_matches_set_functional(interval16):
+def test_indicator_energy_matches_perimeter_minus_volume(interval16):
     grid, kern = interval16
     f = ones_load(grid)
     mask = np.zeros(grid.ncells, dtype=bool)
     mask[4:9] = True
     eb = total_energy(mask.astype(float), f, kern, 1.0)
-    assert eb.total == set_functional(mask, f, kern)  # bitwise identical route
+    # bitwise identical route
+    assert eb.total == perimeter(mask, kern) - weighted_volume(mask, f, kern)
 
 
 def test_p1_positive_homogeneity(interval16):
@@ -309,3 +316,55 @@ def test_field_length_mismatch(interval16):
     _, kern = interval16
     with pytest.raises(ValueError, match="length"):
         seminorm(np.ones(3), kern, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# mirrored pair fills
+# ---------------------------------------------------------------------------
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _pair_tail_full(vals, kernel, p):
+    """The pair array filled over the whole N x N square: the byte
+    reference of _pair_tail."""
+    du = vals[:, None] - vals[None, :]
+    np.abs(du, out=du)
+    du **= p
+    du *= kernel.w
+    pair = float(np.sum(du))
+    tail = float(np.sum(kernel.t * np.abs(vals) ** p))
+    return pair, tail
+
+
+def _gradient_full(vals, f, kernel, p):
+    """The phi_p array filled over the whole N x N square: the byte
+    reference of gradient."""
+    du = vals[:, None] - vals[None, :]
+    phi = np.abs(du)
+    phi **= p - 1.0
+    np.copysign(phi, du, out=phi)
+    phi *= kernel.w
+    pair_term = np.sum(phi, axis=1)
+    tail_term = kernel.t * np.sign(vals) * np.abs(vals) ** (p - 1.0)
+    return pair_term + tail_term - f.values * kernel.m
+
+
+def test_pair_tail_keeps_full_fill_bits(mirror_case):
+    kern, fields = mirror_case
+    for u in fields:
+        for p in (1.0, 1.02, 1.1, 2.0):
+            got = _pair_tail(u, kern, p)
+            assert _same_bits(got, _pair_tail_full(u, kern, p)), p
+
+
+def test_gradient_keeps_full_fill_bits(mirror_case):
+    kern, fields = mirror_case
+    f = load_from_array(np.linspace(-1.0, 2.0, kern.m.size))
+    for u in fields:
+        for p in (1.02, 1.1, 2.0):
+            got = gradient(u, f, kern, p)
+            assert _same_bits(got, _gradient_full(u, f, kern, p)), p

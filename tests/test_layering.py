@@ -96,16 +96,31 @@ def _identifiers(path):
     return names
 
 
+def _public_defs(module):
+    """Names of the public functions and classes a module defines at its
+    top level."""
+    tree = ast.parse((PACKAGE / (module + ".py")).read_text(encoding="utf-8"))
+    return [
+        node.name for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    ]
+
+
 def test_public_names_have_callers():
-    """Each exported name is used inside the package, beyond the package's
+    """Each exported name, and each public top-level function and class of
+    every module, is used inside the package, beyond the package's
     re-export of it, or by an acceptance gate; a name that only its own unit
     tests call is dead code."""
     used = _identifiers(Path(__file__).parent / "test_acceptance.py")
     for module in MODULES:
         if module != "__init__":
             used |= _identifiers(PACKAGE / (module + ".py"))
-    unused = [
-        name for name in fraclap.__all__
-        if name != "__version__" and name not in used
+    names = [name for name in fraclap.__all__ if name != "__version__"]
+    names += [
+        "%s.%s" % (module, name)
+        for module in MODULES
+        for name in _public_defs(module)
     ]
+    unused = [name for name in names if name.rpartition(".")[2] not in used]
     assert unused == []

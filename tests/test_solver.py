@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from fraclap.domain_grid import DomainSpec, build_grid, build_kernel, kernel_exponent
 from fraclap import solver
@@ -285,6 +286,156 @@ def test_warm_search_matches_full_scan(interval16, monkeypatch):
     assert warm.u.tobytes() == full.u.tobytes()
     assert warm.energy_history == full.energy_history
     assert warm.iterations == full.iterations
+
+
+def _count_energy(monkeypatch):
+    """Record a copy of every field solver.total_energy evaluates."""
+    seen = []
+    energy_of = solver.total_energy
+
+    def counted(u, *rest):
+        seen.append(np.array(u, dtype=float))
+        return energy_of(u, *rest)
+
+    monkeypatch.setattr(solver, "total_energy", counted)
+    return seen
+
+
+def _first_newton_step(grid, kern, p):
+    f = load_from_array(np.ones(grid.ncells))
+    u = solver._ray_rescale(solver._metric_init(f, kern), f, kern, p)
+    f_cur = total_energy(u, f, kern, p).total
+    g = gradient(u, f, kern, p)
+    d, _ = solver._newton_direction(u, g, kern, p)
+    return f, (u, d, 1.0, float(g @ d), f_cur)
+
+
+def test_keep_lower_skips_unchanged_candidate(interval16, monkeypatch):
+    grid, kern = interval16
+    p = 1.2
+    f, (u, _, _, _, f_cur) = _first_newton_step(grid, kern, p)
+    seen = _count_energy(monkeypatch)
+    kept, f_kept = solver._keep_lower(u, f_cur, u.copy(), f, kern, p)
+    assert seen == []
+    assert f_kept == f_cur and kept.tobytes() == u.tobytes()
+    # one changed bit is a different field, and is evaluated
+    cand = u.copy()
+    cand[3] = np.nextafter(cand[3], np.inf)
+    solver._keep_lower(u, f_cur, cand, f, kern, p)
+    assert len(seen) == 1
+
+
+def test_upward_armijo_scan_evaluates_no_step_twice(interval16, monkeypatch):
+    grid, kern = interval16
+    p = 1.2
+    f, args = _first_newton_step(grid, kern, p)
+    seen = _count_energy(monkeypatch)
+    cand, f_new, k = solver._armijo_search(*args, 0, f, kern, p)
+    assert k >= 1
+    # j = 0, ..., k once each: the scan stops at its first pass
+    assert len({c.tobytes() for c in seen}) == len(seen) == k + 1
+    c2, f2, k2 = solver._armijo_search(*args, k, f, kern, p)
+    assert (c2.tobytes(), f2, k2) == (cand.tobytes(), f_new, k)
+
+
+def _keep_lower_always(u, f_cur, cand, f, kernel, p):
+    """_keep_lower that evaluates every candidate, unchanged ones too."""
+    f_cand = solver.total_energy(cand, f, kernel, p).total
+    if f_cand <= f_cur:
+        return cand, f_cand
+    return u, f_cur
+
+
+def _armijo_search_rescan(u, d, step, gd, f_cur, k, f, kernel, p):
+    """_armijo_search that, after halving to a pass, also retries the
+    step below it, which is known to fail."""
+    found = None
+    j = k
+    while 0 <= j < solver._MAX_HALVINGS:
+        t = step * 0.5 ** j
+        cand = u + t * d
+        f_new = solver.total_energy(cand, f, kernel, p).total
+        if f_new <= f_cur + solver._ARMIJO_C1 * t * gd:
+            found = (cand, f_new, j)
+            j -= 1
+        elif found is not None:
+            break
+        else:
+            j += 1
+    return found
+
+
+def test_skipped_evaluations_keep_the_solve(interval16, monkeypatch):
+    grid, kern = interval16
+    f = load_from_array(np.ones(grid.ncells))
+    cfg = SolveConfig(p=1.2, s=0.5)
+    seen = _count_energy(monkeypatch)
+    lean = solve_p(grid, kern, f, cfg)
+    lean_calls = len(seen)
+    monkeypatch.setattr(solver, "_keep_lower", _keep_lower_always)
+    monkeypatch.setattr(solver, "_armijo_search", _armijo_search_rescan)
+    del seen[:]
+    full = solve_p(grid, kern, f, cfg)
+    assert lean_calls < len(seen)
+    assert lean.u.tobytes() == full.u.tobytes()
+    assert lean.energy_history == full.energy_history
+    assert lean.iterations == full.iterations
+
+
+# ---------------------------------------------------------------------------
+# mirrored metric
+# ---------------------------------------------------------------------------
+
+
+def _newton_direction_full(u, g, kernel, p):
+    """The metric filled over the whole N x N square and scaled into a
+    Fortran-ordered copy: the byte reference of _newton_direction."""
+    delta = 1e-10 * max(float(np.max(np.abs(u))), 1e-300)
+    om = u[:, None] - u[None, :]
+    om *= om
+    om += delta * delta
+    om **= (p - 2.0) / 2.0
+    om *= kernel.w
+    omb = kernel.t * (u * u + delta * delta) ** ((p - 2.0) / 2.0)
+    diag = om.sum(axis=1) + omb
+    on_diag = np.diag_indices_from(om)
+    diag -= om[on_diag]
+    hess = np.subtract(0.0, om, out=om)
+    hess[on_diag] = diag
+    hess *= p - 1.0
+    dvec = np.sqrt(np.diag(hess))
+    if not np.all(np.isfinite(dvec)) or np.any(dvec <= 0):
+        return None, None
+    scale = 1.0 / dvec
+    hs = np.multiply(hess, scale[:, None], order="F")
+    hs *= scale[None, :]
+    try:
+        factor = cho_factor(hs, overwrite_a=True)
+    except LinAlgError:
+        return None, hess
+    d = -scale * cho_solve(factor, g * scale)
+    return d, hess
+
+
+def _same_bits(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_newton_direction_keeps_full_fill_bits(mirror_case):
+    kern, fields = mirror_case
+    f = load_from_array(np.linspace(-1.0, 2.0, kern.m.size))
+    for u in fields:
+        for p in (1.02, 1.1, 2.0):
+            g = gradient(u, f, kern, p)
+            # a zero field has no metric: 0.0 ** ((p - 2) / 2) is inf, and
+            # inf meets the zero diagonal of w
+            with np.errstate(divide="ignore", invalid="ignore"):
+                d, hess = solver._newton_direction(u, g, kern, p)
+                want_d, want_hess = _newton_direction_full(u, g, kern, p)
+            assert _same_bits(hess, want_hess), p
+            assert _same_bits(d, want_d), p
 
 
 def _refuse_factor(*args, **kwargs):
