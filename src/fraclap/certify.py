@@ -56,9 +56,9 @@ class VerifyReport:
     scale: float
 
 
-def _pair_signs(vals):
-    """sign(u_i - u_j) as an (N, N) array, with one N x N allocation."""
-    z = np.subtract.outer(vals, vals)
+def _pair_signs(vals, out=None):
+    """sign(u_i - u_j) as an (N, N) array, in out or one new allocation."""
+    z = np.subtract.outer(vals, vals, out=out)
     return np.sign(z, out=z)
 
 
@@ -68,9 +68,10 @@ def _scale(fm, kernel):
     return scale if scale != 0.0 else 1.0
 
 
-def _balance(z, zbar, fm, kernel):
-    """Per-cell residual sum_j w_ij z_ij + t_i zbar_i - f_i m_i."""
-    return np.sum(kernel.w * z, axis=1) + kernel.t * zbar - fm
+def _balance(z, zbar, fm, kernel, out=None):
+    """Per-cell residual sum_j w_ij z_ij + t_i zbar_i - f_i m_i; the
+    products w_ij z_ij go to out when it is given."""
+    return np.sum(np.multiply(kernel.w, z, out=out), axis=1) + kernel.t * zbar - fm
 
 
 def _fixed_parts(u, kernel):
@@ -153,14 +154,17 @@ def verify_certificate(
     z, zbar = cert.z, cert.zbar
     box = max(float(z.max()), -float(z.min()), float(np.max(np.abs(zbar)))) - 1.0
     box = max(box, 0.0)
-    work = np.add(z, z.T)
+    # one C-ordered N x N buffer serves every pairwise check in turn, so the
+    # balance's row sums add w_ij z_ij in the order np.sum(w * z, 1) does
+    work = np.add(z, z.T, out=np.empty(z.shape))
     antisym = float(np.max(np.abs(work, out=work)))
 
     # |z_ij - sign(u_i - u_j)| where that sign is determined, 0 at ties
-    signs = _pair_signs(vals)
-    np.subtract(z, signs, out=work)
+    _pair_signs(vals, out=work)
+    ties = work == 0.0
+    np.subtract(z, work, out=work)
     np.abs(work, out=work)
-    work[signs == 0.0] = 0.0
+    work[ties] = 0.0
     sign_gap = float(np.max(work))
     nz = vals != 0.0
     if np.any(nz):
@@ -170,7 +174,7 @@ def verify_certificate(
 
     fm = f.values * kernel.m
     scale = _scale(fm, kernel)
-    r = _balance(z, zbar, fm, kernel)
+    r = _balance(z, zbar, fm, kernel, out=work)
     balance = float(np.max(np.abs(r))) / scale
 
     passed = (

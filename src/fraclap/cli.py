@@ -274,18 +274,20 @@ def _cmd_certify(args) -> int:
     cert = build_certificate(u, f, kern, eps_feas=args.eps)
     rep = verify_certificate(u, cert, f, kern, eps_feas=args.eps)
     os.makedirs(args.out, exist_ok=True)
-    lines = ["i,j,z"]
-    # one row at a time: lists of all entries at once would double the
-    # formatting's peak memory on a 1024-cell field
-    for i, row in enumerate(np.triu(cert.z, k=1)):
-        (jj,) = np.nonzero(row)
-        lines += ["%d,%d,%r" % (i, j, z) for j, z in zip(jj.tolist(), row[jj].tolist())]
-    (kk,) = np.nonzero(cert.zbar)
-    lines += ["%d,-1,%r" % row for row in zip(kk.tolist(), cert.zbar[kk].tolist())]
-    _write(
-        os.path.join(args.out, "%s_signfield.csv" % cfg.label),
-        "\n".join(lines) + "\n",
-    )
+    path = os.path.join(args.out, "%s_signfield.csv" % cfg.label)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("i,j,z\n")
+        # each row's upper entries go straight to the file: all the lines of
+        # a 1024-cell field at once would hold tens of MB of strings
+        for i, row in enumerate(cert.z):
+            upper = row[i + 1:]
+            (jj,) = np.nonzero(upper)
+            fh.writelines(
+                "%d,%d,%r\n" % (i, i + 1 + j, z)
+                for j, z in zip(jj.tolist(), upper[jj].tolist())
+            )
+        (kk,) = np.nonzero(cert.zbar)
+        fh.writelines("%d,-1,%r\n" % row for row in zip(kk.tolist(), cert.zbar[kk].tolist()))
     report = {
         "label": cfg.label,
         "feasible": cert.feasible,

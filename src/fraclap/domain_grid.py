@@ -13,6 +13,7 @@ and every energy in the package reduces to finite sums against (w, t).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -22,6 +23,16 @@ from scipy.integrate import quad
 
 #: subcells per axis of the near-pair rule behind the pair weights w
 NEAR_SUBCELLS = 4
+
+#: row-block height of the kernel assembly: one block of int64 distances
+#: and its temporaries is all the scratch beside w
+_KERNEL_ROWS = 128
+
+#: dense working set of a command, in N x N float64 arrays: the peak-RSS
+#: rise over the imported interpreter on the 32 x 32 box (N = 1024) was
+#: 4.8 N^2 * 8 bytes for solve, 4.1 for certify, 5.8 for a one-p sweep and
+#: 6.8 for the threshold cheeger search, which holds three kernels
+_DENSE_ARRAYS = 7
 
 #: boundary measure of the unit sphere, indexed by dimension
 OMEGA_N = {1: 2.0, 2: 2.0 * math.pi}
@@ -410,8 +421,23 @@ def _near_offsets(n):
 # ---------------------------------------------------------------------------
 
 
+def _check_dense_fits(ncells: int) -> None:
+    """Reject a grid whose dense working set exceeds physical memory."""
+    need = _DENSE_ARRAYS * ncells * ncells * 8
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError):  # no sysconf on this platform
+        return
+    if need > have:
+        raise ValueError(
+            "%d cells need about %.3g GB of dense pair arrays (%d x N^2 x 8 "
+            "bytes), more than the %.3g GB of physical memory"
+            % (ncells, need / 1e9, _DENSE_ARRAYS, have / 1e9)
+        )
+
+
 def build_kernel(grid: Grid, exponent: float) -> KernelSet:
-    """Pairwise weights w and exterior tails t in one pass.
+    """Pairwise weights w and exterior tails t in one pass over row blocks.
 
     Let kv(k) be the per-offset pair value: the exact integral for center
     distance |k| <= 3, the midpoint value beyond. With S the sum of kv over
@@ -429,6 +455,7 @@ def build_kernel(grid: Grid, exponent: float) -> KernelSet:
     values use the subcell rule of _hybrid_pair_unit at NEAR_SUBCELLS.
     """
     validate_exponent(grid.n, exponent)
+    _check_dense_fits(grid.ncells)
     alpha = float(exponent)
     h = grid.h
     n = grid.n
@@ -460,31 +487,35 @@ def build_kernel(grid: Grid, exponent: float) -> KernelSet:
             vals[dvals == float(dd)] = v
         lattice_sum = float(np.sum(vals))
 
-    # w first holds kv for the in-domain pairs; its row sums give the tails
-    d2 = _int_dist2(grid.lattice)
-    w = np.zeros(d2.shape)
-    far = d2 > 9
-    w[far] = scale * d2[far].astype(float) ** (-alpha / 2.0)
-    near_idx = {dd: np.flatnonzero(d2 == dd) for dd in offsets}
-    for dd, idx in near_idx.items():
-        w.flat[idx] = near[dd]
+    # row blocks of w first hold kv for the in-domain pairs, whose row sums
+    # give the tails; then their near pairs take the subcell rule
+    hybrid = {
+        dd: scale * _hybrid_pair_unit(off, alpha, NEAR_SUBCELLS, n)
+        for dd, off in offsets.items()
+    }
+    ncells = grid.ncells
+    cols = grid.lattice.T.astype(np.int64)
+    w = np.zeros((ncells, ncells))
+    kv_sums = np.empty(ncells)
+    for r0 in range(0, ncells, _KERNEL_ROWS):
+        r1 = min(r0 + _KERNEL_ROWS, ncells)
+        d2 = np.zeros((r1 - r0, ncells), dtype=np.int64)
+        for col in cols:
+            diff = np.subtract.outer(col[r0:r1], col)
+            diff *= diff
+            d2 += diff
+        blk = w[r0:r1]
+        far = d2 > 9
+        blk[far] = scale * d2[far].astype(float) ** (-alpha / 2.0)
+        near_idx = {dd: np.flatnonzero(d2 == dd) for dd in offsets}
+        for dd, idx in near_idx.items():
+            blk.flat[idx] = near[dd]
+        kv_sums[r0:r1] = blk.sum(axis=1)
+        for dd, idx in near_idx.items():
+            blk.flat[idx] = hybrid[dd]
 
     tail = grid.cell_measure * OMEGA_N[n] / (sigma * r_snap ** sigma)
-    t = lattice_sum - w.sum(axis=1) + tail
+    t = lattice_sum - kv_sums + tail
     if np.any(t <= 0):
         raise ValueError("exterior weights must be positive; grid too coarse")
-
-    # then the near pairs take the subcell rule
-    for dd, idx in near_idx.items():
-        w.flat[idx] = scale * _hybrid_pair_unit(offsets[dd], alpha, NEAR_SUBCELLS, n)
     return KernelSet(exponent=alpha, n=n, h=h, w=w, t=t, m=grid.m)
-
-
-def _int_dist2(lat: np.ndarray) -> np.ndarray:
-    """Squared integer center distances, accumulated one axis at a time."""
-    d2 = np.zeros((lat.shape[0], lat.shape[0]), dtype=np.int64)
-    for col in lat.T.astype(np.int64):
-        diff = np.subtract.outer(col, col)
-        diff *= diff
-        d2 += diff
-    return d2

@@ -184,6 +184,56 @@ def test_verify_flags_box_violation(interval16):
     assert abs(rep.box_violation - 0.5) < 1e-15
 
 
+def _verify_fields_reference(u, cert, f, kern):
+    """Every VerifyReport value computed with fresh N x N temporaries."""
+    vals = np.asarray(u, dtype=float)
+    z, zbar = cert.z, cert.zbar
+    box = max(max(float(z.max()), -float(z.min()), float(np.max(np.abs(zbar)))) - 1.0, 0.0)
+    antisym = float(np.max(np.abs(z + z.T)))
+    signs = np.sign(np.subtract.outer(vals, vals))
+    gap = np.abs(z - signs)
+    gap[signs == 0.0] = 0.0
+    sign_gap = float(np.max(gap))
+    nz = vals != 0.0
+    if np.any(nz):
+        sign_gap = max(sign_gap, float(np.max(np.abs(zbar[nz] - np.sign(vals[nz])))))
+    fm = f.values * kern.m
+    scale = max(float(np.max(np.abs(fm))), float(np.max(kern.t)))
+    scale = scale if scale != 0.0 else 1.0
+    r = np.sum(kern.w * z, axis=1) + kern.t * zbar - fm
+    return [box, antisym, sign_gap, float(np.max(np.abs(r))) / scale, scale]
+
+
+@pytest.mark.parametrize("n, upper", [(1, (200.0,)), (2, (12.0, 11.0))], ids=["1d", "2d"])
+def test_verify_work_buffer_keeps_report_bits(n, upper):
+    grid = build_grid(DomainSpec(n, "box", (0.0,) * n + upper, 1.0))
+    kern = build_kernel(grid, n + 0.5)
+    rng = np.random.default_rng(5)
+    u = rng.normal(size=grid.ncells).round(1)  # rounding forces ties
+    u[rng.random(grid.ncells) < 0.2] = 0.0
+    f = load_from_array(rng.uniform(0.5, 1.5, size=grid.ncells))
+    cert = build_certificate(u, f, kern)
+    # a tampered copy makes every violation nonzero
+    z = cert.z + rng.normal(scale=0.1, size=cert.z.shape)
+    tampered = cert.__class__(
+        z=z,
+        zbar=cert.zbar * 1.01,
+        residual=cert.residual,
+        max_residual=cert.max_residual,
+        scale=cert.scale,
+        feasible=cert.feasible,
+        iterations=cert.iterations,
+    )
+    assert np.any(u == 0.0) and np.unique(u).size < u.size
+    for sf in (cert, tampered):
+        rep = verify_certificate(u, sf, f, kern)
+        got = [rep.box_violation, rep.antisymmetry_violation, rep.sign_violation,
+               rep.balance_violation, rep.scale]
+        want = _verify_fields_reference(u, sf, f, kern)
+        assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+    assert min(got[:4]) > 0.0
+
+
 # ---------------------------------------------------------------------------
 # flatness measures
 # ---------------------------------------------------------------------------

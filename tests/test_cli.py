@@ -279,6 +279,22 @@ def test_certify_signfield_rows_match_elementwise_formatting(tmp_path, capsys):
     assert (out / "zero_signfield.csv").read_bytes() == expected
 
 
+def test_sweep_beyond_physical_memory_exits_2(tmp_path, capsys):
+    # 2^21 cells need tens of TB of pair arrays; the check runs before any
+    # N x N allocation, so this costs only the grid
+    cfg_path = tmp_path / "huge.cfg"
+    cfg_path.write_text(
+        ONECELL_CFG.replace("label = cell", "label = huge")
+        .replace("params = 0 1", "params = 0 %d" % 2 ** 21),
+        encoding="utf-8",
+    )
+    code = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "2097152 cells need about" in err
+    assert "physical memory" in err
+
+
 @pytest.mark.parametrize(
     "value, eps", [("inf", "1e-8"), ("0.0", "0"), ("0.0", "nan")],
     ids=["inf-field", "zero-eps", "nan-eps"],

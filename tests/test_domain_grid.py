@@ -6,6 +6,7 @@ t^(2-alpha) / ((1-alpha)(2-alpha)).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,14 +14,17 @@ from scipy.integrate import quad
 
 from fraclap.domain_grid import (
     BALL_VOLUME,
+    NEAR_SUBCELLS,
     OMEGA_N,
     DomainSpec,
     build_grid,
     build_kernel,
     kernel_exponent,
+    _exact_pair_unit,
     _hybrid_pair_unit,
     _k1d_exact,
     _k2d_exact,
+    _near_offsets,
 )
 
 # unit-cell pair integrals at alpha = 1.5, from the antiderivative:
@@ -272,6 +276,83 @@ def test_weights_2d_near_subcell_rule_and_far_midpoint():
                 ref = h ** (4 - alpha) * d2 ** (-alpha / 2.0)
                 assert kern.w[i, j] == pytest.approx(ref, rel=1e-14)
     assert near_seen == {(1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 0)}
+
+
+def _full_fill_kernel(grid, alpha):
+    """(w, t) through full N x N temporaries: the assembly before row blocks."""
+    h, n = grid.h, grid.n
+    sigma = alpha - n
+    kmax = int(math.floor(grid.r_out / h))
+    r_snap = (kmax + 0.5) * h
+    scale = h ** (2 * n - alpha)
+    offsets = _near_offsets(n)
+    near = {dd: scale * _exact_pair_unit(off, alpha, n) for dd, off in offsets.items()}
+    if n == 1:
+        ks = np.arange(1, kmax + 1, dtype=float)
+        vals = scale * ks ** (-alpha)
+        for dd, v in near.items():
+            idx = int(math.isqrt(dd)) - 1
+            if idx < vals.shape[0]:
+                vals[idx] = v
+        lattice_sum = 2.0 * float(np.sum(vals))
+    else:
+        rng = np.arange(-kmax, kmax + 1, dtype=np.int64)
+        o1, o2 = np.meshgrid(rng, rng, indexing="ij")
+        dd2 = o1 * o1 + o2 * o2
+        keep = (dd2 > 0) & (dd2 <= kmax * kmax + kmax)
+        dvals = dd2[keep].astype(float)
+        vals = scale * dvals ** (-alpha / 2.0)
+        for dd, v in near.items():
+            vals[dvals == float(dd)] = v
+        lattice_sum = float(np.sum(vals))
+
+    d2 = np.zeros((grid.ncells, grid.ncells), dtype=np.int64)
+    for col in grid.lattice.T.astype(np.int64):
+        diff = np.subtract.outer(col, col)
+        diff *= diff
+        d2 += diff
+    w = np.zeros(d2.shape)
+    far = d2 > 9
+    w[far] = scale * d2[far].astype(float) ** (-alpha / 2.0)
+    near_idx = {dd: np.flatnonzero(d2 == dd) for dd in offsets}
+    for dd, idx in near_idx.items():
+        w.flat[idx] = near[dd]
+    tail = grid.cell_measure * OMEGA_N[n] / (sigma * r_snap ** sigma)
+    t = lattice_sum - w.sum(axis=1) + tail
+    for dd, idx in near_idx.items():
+        w.flat[idx] = scale * _hybrid_pair_unit(offsets[dd], alpha, NEAR_SUBCELLS, n)
+    return w, t
+
+
+# 1-D cell counts around the 128-row assembly blocks, and 2-D boxes of one
+# partial, two and three blocks
+@pytest.mark.parametrize(
+    "n, upper, alphas",
+    [(1, (c,), (1.5, 1.8)) for c in (1, 127, 128, 129, 300)]
+    + [(2, box, (2.5, 2.75)) for box in ((7, 5), (12, 12), (17, 17))],
+    ids=["1d-1", "1d-127", "1d-128", "1d-129", "1d-300", "2d-7x5", "2d-12x12",
+         "2d-17x17"],
+)
+def test_blockwise_kernel_keeps_full_fill_bits(n, upper, alphas):
+    grid = build_grid(DomainSpec(n, "box", (0.0,) * n + tuple(map(float, upper)), 1.0))
+    for alpha in alphas:
+        kern = build_kernel(grid, alpha)
+        w, t = _full_fill_kernel(grid, alpha)
+        assert np.array_equal(kern.w.view(np.int64), w.view(np.int64))
+        assert np.array_equal(kern.t.view(np.int64), t.view(np.int64))
+
+
+def test_kernel_assembly_peaks_below_two_pair_arrays():
+    # w is the only N x N array; one row block of scratch rides beside it
+    grid = build_grid(DomainSpec(2, "box", (0.0, 0.0, 40.0, 40.0), 1.0))
+    build_kernel(grid, 2.5)  # fills the per-offset caches outside the trace
+    tracemalloc.start()
+    try:
+        kern = build_kernel(grid, 2.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * kern.w.nbytes
 
 
 # ---------------------------------------------------------------------------
