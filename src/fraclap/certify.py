@@ -27,10 +27,15 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from fraclap.domain_grid import KernelSet
+from fraclap.domain_grid import KernelSet, _physical_memory
 from fraclap.energy import LoadField, _as_field
 
 DEFAULT_EPS_FEAS = 1e-8
+
+#: peak memory of the LP per free entry: build_certificate on the zero field
+#: rose 1.35 KB per free entry on the 12 x 12 box and 1.23 KB on the 16 x 16
+#: box, in peak RSS over the kernel already built
+_LP_BYTES_PER_FREE = 1400
 
 
 @dataclass(frozen=True)
@@ -74,13 +79,30 @@ def _balance(z, zbar, fm, kernel, out=None):
     return np.sum(np.multiply(kernel.w, z, out=out), axis=1) + kernel.t * zbar - fm
 
 
-def _fixed_parts(u, kernel):
+def _check_lp_fits(vals) -> None:
+    """Reject a field whose certificate LP would exceed physical memory.
+
+    The free entries are the tied pairs, g(g - 1)/2 for each group of g
+    equal values, plus the zero cells; they are counted from the sorted
+    field, before any N x N tie array exists.
+    """
+    _, groups = np.unique(vals, return_counts=True)
+    nfree = int(np.sum(groups * (groups - 1) // 2) + np.count_nonzero(vals == 0.0))
+    need = nfree * _LP_BYTES_PER_FREE
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise ValueError(
+            "the certificate LP has %d free entries and needs about %.3g GB "
+            "(%d bytes each), more than the %.3g GB of physical memory"
+            % (nfree, need / 1e9, _LP_BYTES_PER_FREE, have / 1e9)
+        )
+
+
+def _fixed_parts(vals):
     """Sign-determined entries and the index lists of the free ones."""
-    vals = _as_field(u, kernel)
     z = _pair_signs(vals)
-    iu, ju = np.nonzero(z == 0.0)
-    upper = iu < ju  # ties i < j, in row-major order
-    return z, np.sign(vals), iu[upper], ju[upper], np.flatnonzero(vals == 0.0)
+    pi, pj = np.nonzero(np.triu(z == 0.0, 1))  # ties i < j, in row-major order
+    return z, np.sign(vals), pi, pj, np.flatnonzero(vals == 0.0)
 
 
 def build_certificate(
@@ -95,7 +117,9 @@ def build_certificate(
     """
     if not (math.isfinite(eps_feas) and eps_feas > 0.0):
         raise ValueError("feasibility tolerance must be finite and positive")
-    z, zbar, pi, pj, ci = _fixed_parts(u, kernel)
+    vals = _as_field(u, kernel)
+    _check_lp_fits(vals)
+    z, zbar, pi, pj, ci = _fixed_parts(vals)
     fm = f.values * kernel.m
     scale = _scale(fm, kernel)
 

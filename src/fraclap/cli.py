@@ -36,7 +36,6 @@ from fraclap.experiments import (
     hat_field,
     make_load,
     read_config,
-    run_sweep,
     run_sweeps,
     write_csv,
     write_json,
@@ -108,20 +107,21 @@ def _cmd_constants(args) -> int:
     return 0
 
 
-def _solve_once(cfg: RunConfig, p: float):
-    scfg = cfg.solve_config(p)
-    # an override p is checked here, before build_kernel rejects its exponent
-    scfg.validate_for(cfg.domain.n)
+def _instance(cfg: RunConfig, p: float):
+    """Grid, kernel at the exponent of p, and load of one run config."""
     grid = build_grid(cfg.domain)
     kern = build_kernel(grid, kernel_exponent(grid.n, cfg.s, p))
-    f = make_load(grid, cfg)
-    return grid, solve_p(grid, kern, f, scfg)
+    return grid, kern, make_load(grid, cfg)
 
 
 def _cmd_solve(args) -> int:
     cfg = read_config(args.config)
     p = args.p if args.p is not None else max(cfg.schedule)
-    grid, sol = _solve_once(cfg, p)
+    scfg = cfg.solve_config(p)
+    # an override p is checked here, before build_kernel rejects its exponent
+    scfg.validate_for(cfg.domain.n)
+    grid, kern, f = _instance(cfg, p)
+    sol = solve_p(grid, kern, f, scfg)
     os.makedirs(args.out, exist_ok=True)
     report = {
         "label": cfg.label,
@@ -202,18 +202,12 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_cheeger(args) -> int:
     cfg = read_config(args.config)
-    grid = build_grid(cfg.domain)
-    kern = build_kernel(grid, kernel_exponent(grid.n, cfg.s, 1.0))
-    f = make_load(grid, cfg)
-    if args.method == "brute":
+    grid, kern, f = _instance(cfg, 1.0)
+    if args.field is None:
         result = brute_force_cheeger(grid, f, kern)
     else:
-        table = run_sweep(cfg)
-        if table.final_u is None:
-            raise SolverError(
-                "sweep aborted before any solve completed: %s" % table.failure
-            )
-        result = threshold_cheeger(table.final_u, f, kern)
+        u = _read_field_csv(args.field, grid.ncells)
+        result = threshold_cheeger(u, f, kern)
     os.makedirs(args.out, exist_ok=True)
     report = {
         "label": cfg.label,
@@ -267,9 +261,7 @@ def _read_field_csv(path, ncells) -> np.ndarray:
 
 def _cmd_certify(args) -> int:
     cfg = read_config(args.config)
-    grid = build_grid(cfg.domain)
-    kern = build_kernel(grid, kernel_exponent(grid.n, cfg.s, 1.0))
-    f = make_load(grid, cfg)
+    grid, kern, f = _instance(cfg, 1.0)
     u = _read_field_csv(args.field, grid.ncells)
     cert = build_certificate(u, f, kern, eps_feas=args.eps)
     rep = verify_certificate(u, cert, f, kern, eps_feas=args.eps)
@@ -405,7 +397,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ch = sub.add_parser("cheeger", help="estimate the weighted Cheeger constant")
     p_ch.add_argument("--config", required=True)
-    p_ch.add_argument("--method", choices=("brute", "threshold"), default="threshold")
+    p_ch.add_argument(
+        "--field", default=None,
+        help="field CSV whose superlevel sets are searched (default: "
+        "exhaustive search over every cell subset)",
+    )
     p_ch.add_argument("--out", default=".")
     p_ch.set_defaults(func=_cmd_cheeger)
 

@@ -31,8 +31,8 @@ _KERNEL_ROWS = 128
 #: dense working set of a command, in N x N float64 arrays: the peak-RSS
 #: rise over the imported interpreter on the 32 x 32 box (N = 1024) was
 #: 4.8 N^2 * 8 bytes for solve, 4.1 for certify, 5.8 for a one-p sweep and
-#: 6.8 for the threshold cheeger search, which holds three kernels
-_DENSE_ARRAYS = 7
+#: 2.2 for cheeger --field
+_DENSE_ARRAYS = 6
 
 #: boundary measure of the unit sphere, indexed by dimension
 OMEGA_N = {1: 2.0, 2: 2.0 * math.pi}
@@ -421,14 +421,19 @@ def _near_offsets(n):
 # ---------------------------------------------------------------------------
 
 
+def _physical_memory():
+    """Bytes of physical memory, or None where sysconf cannot tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError):  # no sysconf on this platform
+        return None
+
+
 def _check_dense_fits(ncells: int) -> None:
     """Reject a grid whose dense working set exceeds physical memory."""
     need = _DENSE_ARRAYS * ncells * ncells * 8
-    try:
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError):  # no sysconf on this platform
-        return
-    if need > have:
+    have = _physical_memory()
+    if have is not None and need > have:
         raise ValueError(
             "%d cells need about %.3g GB of dense pair arrays (%d x N^2 x 8 "
             "bytes), more than the %.3g GB of physical memory"

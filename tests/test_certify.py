@@ -1,9 +1,13 @@
 """Certificate construction and verification for the nonsmooth problem."""
 
+import os
+
 import numpy as np
 import pytest
 
 from fraclap.certify import (
+    _LP_BYTES_PER_FREE,
+    _fixed_parts,
     build_certificate,
     equal_pair_mass,
     plateau_measure,
@@ -232,6 +236,25 @@ def test_verify_work_buffer_keeps_report_bits(n, upper):
         want = _verify_fields_reference(u, sf, f, kern)
         assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
     assert min(got[:4]) > 0.0
+
+
+def test_lp_guard_counts_the_free_entries(interval16, monkeypatch):
+    # equal values in groups of 3, 2 and 4 (the 4 zero cells) beside 7
+    # distinct ones: 3 + 1 + 6 tied pairs and 4 zero cells
+    grid, kern = interval16
+    u = np.array([0.5, 0.5, 0.5, 0.2, 0.2, 0.0, 0.0, 0.0, 0.0]
+                 + [1.0 + k for k in range(7)])
+    z, _, pi, pj, ci = _fixed_parts(u)
+    assert pi.size + ci.size == 14
+    assert np.all(pi < pj) and np.all(z[pi, pj] == 0.0)
+    # physical memory one byte short of the LP's estimate, then exactly it
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 14 * _LP_BYTES_PER_FREE - 1}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    f = load_from_array(np.ones(grid.ncells))
+    with pytest.raises(ValueError, match="LP has 14 free entries"):
+        build_certificate(u, f, kern)
+    pages["SC_PHYS_PAGES"] += 1
+    build_certificate(u, f, kern)
 
 
 # ---------------------------------------------------------------------------

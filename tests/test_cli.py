@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, file outputs, reproducibility."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from fraclap.cli import main
 from fraclap.constants import calibrable_radius, sharp_constants
 from fraclap.domain_grid import build_grid, build_kernel
 from fraclap.experiments import make_load, read_config
+from fraclap.geometry import threshold_cheeger
 
 SMALL_CFG = """\
 config_version = 1
@@ -190,9 +192,7 @@ def test_sweep_starved_solver_exits_3(tmp_path, capsys):
 
 def test_cheeger_brute(tmp_path, small_cfg, capsys):
     out = tmp_path / "ch"
-    code = main(
-        ["cheeger", "--config", str(small_cfg), "--method", "brute", "--out", str(out)]
-    )
+    code = main(["cheeger", "--config", str(small_cfg), "--out", str(out)])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["method"] == "brute-force"
@@ -204,22 +204,103 @@ def test_cheeger_brute(tmp_path, small_cfg, capsys):
 def test_cheeger_brute_too_large_exits_2(tmp_path, capsys):
     path = tmp_path / "big.cfg"
     path.write_text(SMALL_CFG.replace("h = 0.25", "h = 0.0625"), encoding="utf-8")
-    code = main(
-        ["cheeger", "--config", str(path), "--method", "brute", "--out", str(tmp_path)]
-    )
+    code = main(["cheeger", "--config", str(path), "--out", str(tmp_path)])
     assert code == 2
+
+
+def _field_values(path):
+    """The value column of a field CSV, in index order."""
+    rows = path.read_text(encoding="utf-8").splitlines()[1:]
+    return np.array([float(row.split(",")[-1]) for row in rows])
 
 
 def test_cheeger_threshold(tmp_path, small_cfg, capsys):
     out = tmp_path / "ch"
+    assert main(["solve", "--config", str(small_cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    field = out / "tiny_field.csv"
     code = main(
-        ["cheeger", "--config", str(small_cfg), "--method", "threshold",
+        ["cheeger", "--config", str(small_cfg), "--field", str(field),
          "--out", str(out)]
     )
     assert code == 0
     report = json.loads(capsys.readouterr().out)
+
+    cfg = read_config(str(small_cfg))
+    grid = build_grid(cfg.domain)
+    kern_1 = build_kernel(grid, grid.n + cfg.s)
+    u = _field_values(field)
+    expected = threshold_cheeger(u, make_load(grid, cfg), kern_1)
     assert report["method"] == "threshold"
-    assert report["h"] >= 4.0 * np.sqrt(2.0) * 0.95  # upper-bound estimator
+    assert repr(report["h"]) == repr(expected.h)
+    assert report["witness_cells"] == int(np.sum(expected.witness))
+    witness = _field_values(out / "tiny_witness.csv")
+    assert np.array_equal(witness, expected.witness.astype(float))
+
+
+@pytest.mark.parametrize(
+    "last_row, message",
+    [
+        ("", "1 of 8 cells missing"),
+        ("7,0.875,nan", "value nan is not finite"),
+        ("7,0.875,-0.5", "requires a nonnegative field"),
+    ],
+    ids=["missing-cell", "nan-value", "negative-value"],
+)
+def test_cheeger_bad_field_exits_2_before_output(tmp_path, small_cfg, capsys,
+                                                  last_row, message):
+    field = tmp_path / "field.csv"
+    field.write_text(
+        "index,x0,value\n"
+        + "".join("%d,%r,0.5\n" % (i, -0.875 + 0.25 * i) for i in range(7))
+        + last_row + "\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    code = main(["cheeger", "--config", str(small_cfg), "--field", str(field),
+                 "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cheeger_method_option_is_gone(tmp_path, small_cfg, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cheeger", "--config", str(small_cfg), "--method", "brute",
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --method" in capsys.readouterr().err
+
+
+def test_box_that_h_does_not_divide(tmp_path, capsys):
+    # h = 0.3 does not divide the unit square; the grid snaps to 3 x 3 cells
+    path = tmp_path / "snap.cfg"
+    path.write_text(
+        SMALL_CFG.replace("n = 1\nshape = interval\nparams = -1 1",
+                          "n = 2\nshape = box\nparams = 0 0 1 1")
+        .replace("h = 0.25", "h = 0.3")
+        .replace("schedule = 1.3 1.2 1.1", "schedule = 1.1 1.05"),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    field = out / "tiny_field.csv"
+    runs = [
+        (["solve"], field),
+        (["cheeger"], out / "tiny_witness.csv"),
+        (["cheeger", "--field", str(field)], out / "tiny_witness.csv"),
+        (["certify", "--field", str(field)], out / "tiny_certificate.json"),
+    ]
+    for argv, written in runs:
+        if written.exists():
+            written.unlink()
+        assert main(argv + ["--config", str(path), "--out", str(out)]) == 0
+        assert written.exists()
+        if written.suffix == ".csv":
+            assert len(_field_values(written)) == 9
+    report = json.loads((out / "tiny_certificate.json").read_text(encoding="utf-8"))
+    assert report["verified"] == report["feasible"]
+    signs = (out / "tiny_signfield.csv").read_text(encoding="utf-8").splitlines()
+    assert {int(row.split(",")[0]) for row in signs[1:]} <= set(range(9))
 
 
 def test_certify_round_trip(tmp_path, small_cfg, capsys):
@@ -293,6 +374,35 @@ def test_sweep_beyond_physical_memory_exits_2(tmp_path, capsys):
     assert code == 2
     assert "2097152 cells need about" in err
     assert "physical memory" in err
+
+
+def test_certify_lp_beyond_physical_memory_exits_2(tmp_path, capsys, monkeypatch):
+    # 8 MB of physical memory holds the dense arrays of a 16 x 16 box, but
+    # not the LP of its zero field, where every pair is a free entry
+    monkeypatch.setattr(
+        os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2048}.__getitem__
+    )
+    for k, code in [(16, 2), (4, 0)]:
+        cfg_path = tmp_path / ("box%d.cfg" % k)
+        cfg_path.write_text(
+            "config_version = 1\nlabel = box\nn = 2\nshape = box\n"
+            "params = 0 0 %d %d\nh = 1\ns = 0.5\nschedule = 1.1\n" % (k, k),
+            encoding="utf-8",
+        )
+        field = tmp_path / ("zero%d.csv" % k)
+        field.write_text(
+            "index,x0,x1,value\n" + "".join("%d,0.5,0.5,0.0\n" % i for i in range(k * k)),
+            encoding="utf-8",
+        )
+        out = tmp_path / ("out%d" % k)
+        argv = ["certify", "--config", str(cfg_path), "--field", str(field),
+                "--out", str(out)]
+        assert main(argv) == code
+        if code == 2:
+            assert "LP has 32896 free entries" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert (out / "box_certificate.json").exists()
 
 
 @pytest.mark.parametrize(
