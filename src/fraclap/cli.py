@@ -206,7 +206,7 @@ def _cmd_cheeger(args) -> int:
     if args.field is None:
         result = brute_force_cheeger(grid, f, kern)
     else:
-        u = _read_field_csv(args.field, grid.ncells)
+        u = _read_field_csv(args.field, grid)
         result = threshold_cheeger(u, f, kern)
     os.makedirs(args.out, exist_ok=True)
     report = {
@@ -225,15 +225,19 @@ def _cmd_cheeger(args) -> int:
     return 0
 
 
-def _read_field_csv(path, ncells) -> np.ndarray:
-    """Cell values of a field CSV that names every cell once, finitely."""
+def _read_field_csv(path, grid) -> np.ndarray:
+    """Cell values of a field CSV that names every cell of grid once,
+    finitely, each row at a point inside its cell."""
+    ncells = grid.ncells
     values = np.zeros(ncells)
     seen = np.zeros(ncells, dtype=bool)
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
-        if "value" not in header:
-            raise ValueError("field CSV lacks a value column")
+        for col in ["value"] + ["x%d" % k for k in range(grid.n)]:
+            if col not in header:
+                raise ValueError("field CSV lacks a %s column" % col)
         vcol = header.index("value")
+        xcols = [header.index("x%d" % k) for k in range(grid.n)]
         for lineno, line in enumerate(fh, start=2):
             parts = line.strip().split(",")
             if parts == [""]:
@@ -249,6 +253,17 @@ def _read_field_csv(path, ncells) -> np.ndarray:
                 raise ValueError("%s: index %d repeated" % (where, i))
             if not math.isfinite(value):
                 raise ValueError("%s: value %r is not finite" % (where, value))
+            try:
+                point = [float(parts[c]) for c in xcols]
+            except (IndexError, ValueError):
+                raise ValueError("%s: no coordinates" % where) from None
+            center = grid.centers[i].tolist()
+            # a field written for another grid names points outside its cells
+            if not all(abs(x - c) < 0.5 * grid.h for x, c in zip(point, center)):
+                raise ValueError(
+                    "%s: point %r lies outside cell %d, centered at %r"
+                    % (where, tuple(point), i, tuple(center))
+                )
             values[i] = value
             seen[i] = True
     if not np.all(seen):
@@ -262,7 +277,7 @@ def _read_field_csv(path, ncells) -> np.ndarray:
 def _cmd_certify(args) -> int:
     cfg = read_config(args.config)
     grid, kern, f = _instance(cfg, 1.0)
-    u = _read_field_csv(args.field, grid.ncells)
+    u = _read_field_csv(args.field, grid)
     cert = build_certificate(u, f, kern, eps_feas=args.eps)
     rep = verify_certificate(u, cert, f, kern, eps_feas=args.eps)
     os.makedirs(args.out, exist_ok=True)

@@ -69,8 +69,14 @@ class DomainSpec:
       * "union":    params = box params one after another, 2n coordinates
                     per box (nested box tuples flatten to the same list)
 
-    The domain is snapped to the cell lattice: box widths round to integer
-    multiples of h, ball shapes keep the cells whose centers lie inside.
+    One snapping rule serves every shape. Each shape is a list of boxes: an
+    interval or a box is one, a union is its boxes, and a ball is its
+    bounding box [c - R, c + R]^n. A box of width w along an axis has
+    max(1, round(w / h)) cells there, and its lower corner lo snaps onto the
+    lattice anchored at the lowest corner of all the boxes, round((lo -
+    anchor) / h) cells from it (round is Python's, half to even). Cells
+    that boxes share count once. A ball keeps the cells of its bounding
+    box whose centers lie strictly inside it.
     """
 
     n: int
@@ -142,21 +148,12 @@ class KernelSet:
 def build_grid(spec: DomainSpec) -> Grid:
     """Tile the snapped domain with cells of side spec.h.
 
+    Every shape is snapped as a list of boxes, by the rule in DomainSpec.
     Cells are ordered lexicographically by coordinates, which fixes every
     downstream reduction order and tie-break.
     """
     h = float(spec.h)
-    if spec.shape == "interval":
-        if spec.n != 1:
-            raise ValueError("interval shape requires n=1")
-        lo, hi = _box_corners(1, spec.params)
-        lat = _box_lattice(lo, hi, h)
-        anchor = lo
-    elif spec.shape == "box":
-        lo, hi = _box_corners(spec.n, spec.params)
-        lat = _box_lattice(lo, hi, h)
-        anchor = lo
-    elif spec.shape == "ball":
+    if spec.shape == "ball":
         *c, radius = map(float, spec.params)
         if len(c) != spec.n:
             raise ValueError("ball params must be (center..., R)")
@@ -164,13 +161,7 @@ def build_grid(spec: DomainSpec) -> Grid:
             raise ValueError("ball center and radius must be finite")
         if radius <= 0:
             raise ValueError("degenerate domain: ball radius must be positive")
-        lo = tuple(ci - radius for ci in c)
-        hi = tuple(ci + radius for ci in c)
-        lat = _box_lattice(lo, hi, h)
-        centers = lat * h + np.asarray(lo) + 0.5 * h
-        inside = np.sum((centers - np.asarray(c)) ** 2, axis=1) < radius ** 2
-        lat = lat[inside]
-        anchor = lo
+        boxes = [(tuple(ci - radius for ci in c), tuple(ci + radius for ci in c))]
     elif spec.shape == "union":
         vals = _flatten(spec.params)
         step = 2 * spec.n
@@ -183,30 +174,27 @@ def build_grid(spec: DomainSpec) -> Grid:
             _box_corners(spec.n, vals[k:k + step])
             for k in range(0, len(vals), step)
         ]
-        anchor = tuple(min(b[0][k] for b in boxes) for k in range(spec.n))
-        seen = set()
-        rows = []
-        for lo, hi in boxes:
-            # boxes snap onto the shared lattice anchored at the union corner
-            off = tuple(
-                int(round((lo[k] - anchor[k]) / h)) for k in range(spec.n)
-            )
-            lat_b = _box_lattice(lo, hi, h)
-            for row in lat_b:
-                cell = tuple(int(v) + off[k] for k, v in enumerate(row))
-                if cell not in seen:
-                    seen.add(cell)
-                    rows.append(cell)
-        lat = np.array(sorted(rows), dtype=np.int64).reshape(len(rows), spec.n)
-    else:  # pragma: no cover - rejected in DomainSpec
-        raise ValueError(spec.shape)
+    else:
+        if spec.shape == "interval" and spec.n != 1:
+            raise ValueError("interval shape requires n=1")
+        boxes = [_box_corners(spec.n, spec.params)]
 
+    anchor = tuple(min(lo[k] for lo, _ in boxes) for k in range(spec.n))
+    lat = np.concatenate([
+        _box_lattice(lo, hi, h)
+        + [int(round((lo[k] - anchor[k]) / h)) for k in range(spec.n)]
+        for lo, hi in boxes
+    ])
+    if spec.shape == "ball":
+        centers = lat * h + np.asarray(anchor) + 0.5 * h
+        lat = lat[np.sum((centers - np.asarray(c)) ** 2, axis=1) < radius ** 2]
     if lat.size == 0:
         raise ValueError("degenerate domain: no cells after snapping")
 
     lat = lat - lat.min(axis=0)
-    order = np.lexsort(tuple(lat[:, k] for k in reversed(range(spec.n))))
-    lat = lat[order]
+    lat = lat[np.lexsort(lat.T[::-1])]
+    # cells of overlapping boxes count once
+    lat = lat[np.r_[True, np.any(lat[1:] != lat[:-1], axis=1)]]
     origin = np.asarray(anchor, dtype=float)
     centers = origin + (lat + 0.5) * h
 
@@ -241,12 +229,18 @@ def _box_corners(n, params):
 
 
 def _box_lattice(lo, hi, h):
-    counts = [max(1, int(round((hi[k] - lo[k]) / h))) for k in range(len(lo))]
-    ranges = [np.arange(c, dtype=np.int64) for c in counts]
-    if len(counts) == 1:
-        return ranges[0][:, None]
-    gx, gy = np.meshgrid(ranges[0], ranges[1], indexing="ij")
-    return np.column_stack([gx.ravel(), gy.ravel()])
+    """Integer cell coordinates of a box, one row per cell; a box whose
+    cells could not be held is rejected before any of them exists."""
+    counts = [(b - a) / h for a, b in zip(lo, hi)]
+    if not all(map(math.isfinite, counts)):
+        raise ValueError(
+            "resolution h=%r is too fine: the box from %r to %r has no finite "
+            "cell count" % (h, lo, hi)
+        )
+    counts = [max(1, int(round(c))) for c in counts]
+    _check_dense_fits(math.prod(counts))
+    axes = np.meshgrid(*(np.arange(c, dtype=np.int64) for c in counts), indexing="ij")
+    return np.stack([ax.ravel() for ax in axes], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -434,10 +428,12 @@ def _check_dense_fits(ncells: int) -> None:
     need = _DENSE_ARRAYS * ncells * ncells * 8
     have = _physical_memory()
     if have is not None and need > have:
+        # a grid fine enough for need to overflow a float still gets a message
+        gb = need / 1e9 if need < 1e300 else math.inf
         raise ValueError(
             "%d cells need about %.3g GB of dense pair arrays (%d x N^2 x 8 "
             "bytes), more than the %.3g GB of physical memory"
-            % (ncells, need / 1e9, _DENSE_ARRAYS, have / 1e9)
+            % (ncells, gb, _DENSE_ARRAYS, have / 1e9)
         )
 
 

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from fraclap.certify import build_certificate
-from fraclap.cli import main
+from fraclap.cli import _field_csv_text, main
 from fraclap.constants import calibrable_radius, sharp_constants
-from fraclap.domain_grid import build_grid, build_kernel
+from fraclap.domain_grid import DomainSpec, build_grid, build_kernel
 from fraclap.experiments import make_load, read_config
 from fraclap.geometry import threshold_cheeger
 
@@ -376,6 +376,34 @@ def test_sweep_beyond_physical_memory_exits_2(tmp_path, capsys):
     assert "physical memory" in err
 
 
+@pytest.mark.parametrize(
+    "n, shape, params, h, message",
+    [
+        (1, "interval", "0 1", "1e-13", "10000000000000 cells need about"),
+        (1, "interval", "0 1", "1e-320", "has no finite cell count"),
+        (2, "ball", "0 0 1", "1e-7", "400000000000000 cells need about"),
+        (1, "interval", "0 1", "1e-160", "cells need about inf GB"),
+    ],
+    ids=["interval-1e-13", "interval-1e-320", "ball-1e-7", "interval-1e-160"],
+)
+def test_too_fine_grid_exits_2_before_any_lattice(tmp_path, capsys, n, shape,
+                                                   params, h, message):
+    # each lattice would need terabytes or an infinite cell count; a ball is
+    # checked on its bounding box, and 1e160 cells overflow a float's GB
+    cfg_path = tmp_path / "fine.cfg"
+    cfg_path.write_text(
+        "config_version = 1\nlabel = fine\nn = %d\nshape = %s\nparams = %s\n"
+        "h = %s\ns = 0.5\nschedule = 1.1\n" % (n, shape, params, h),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert message in err
+    assert not out.exists()
+
+
 def test_certify_lp_beyond_physical_memory_exits_2(tmp_path, capsys, monkeypatch):
     # 8 MB of physical memory holds the dense arrays of a 16 x 16 box, but
     # not the LP of its zero field, where every pair is a free entry
@@ -391,7 +419,9 @@ def test_certify_lp_beyond_physical_memory_exits_2(tmp_path, capsys, monkeypatch
         )
         field = tmp_path / ("zero%d.csv" % k)
         field.write_text(
-            "index,x0,x1,value\n" + "".join("%d,0.5,0.5,0.0\n" % i for i in range(k * k)),
+            "index,x0,x1,value\n"
+            + "".join("%d,%r,%r,0.0\n" % (i, i // k + 0.5, i % k + 0.5)
+                      for i in range(k * k)),
             encoding="utf-8",
         )
         out = tmp_path / ("out%d" % k)
@@ -406,21 +436,45 @@ def test_certify_lp_beyond_physical_memory_exits_2(tmp_path, capsys, monkeypatch
 
 
 @pytest.mark.parametrize(
-    "value, eps", [("inf", "1e-8"), ("0.0", "0"), ("0.0", "nan")],
+    "value, eps, message",
+    [
+        ("inf", "1e-8", "line 2: value inf is not finite"),
+        ("0.0", "0", "feasibility tolerance must be finite and positive"),
+        ("0.0", "nan", "feasibility tolerance must be finite and positive"),
+    ],
     ids=["inf-field", "zero-eps", "nan-eps"],
 )
 def test_certify_bad_input_exits_2_before_output(tmp_path, small_cfg, capsys,
-                                                  value, eps):
+                                                  value, eps, message):
     field = tmp_path / "field.csv"
     field.write_text(
         "index,x0,value\n0,-0.875,%s\n" % value
-        + "".join("%d,0.0,0.0\n" % i for i in range(1, 8)),
+        + "".join("%d,%r,0.0\n" % (i, -0.875 + 0.25 * i) for i in range(1, 8)),
         encoding="utf-8",
     )
     out = tmp_path / "out"
     code = main(["certify", "--config", str(small_cfg), "--field", str(field),
                  "--eps", eps, "--out", str(out)])
     assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["certify"], ["cheeger"]])
+def test_field_of_another_grid_exits_2_before_output(tmp_path, capsys, command):
+    # 16 cells of [0, 2] at h = 1/8 against 16 cells of [0, 1] at h = 1/16:
+    # the counts agree, the first row's point sits on its cell's boundary
+    cfg_path = tmp_path / "unit.cfg"
+    cfg_path.write_text(ONECELL_CFG.replace("h = 1", "h = 0.0625"), encoding="utf-8")
+    wide = build_grid(DomainSpec(1, "interval", (0.0, 2.0), 0.125))
+    field = tmp_path / "wide_field.csv"
+    field.write_text(_field_csv_text(wide, np.linspace(1.0, 0.0, 16)), encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(command + ["--config", str(cfg_path), "--field", str(field),
+                           "--out", str(out)])
+    assert code == 2
+    assert ("field CSV line 2: point (0.0625,) lies outside cell 0, centered at "
+            "(0.03125,)") in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -17,10 +17,13 @@ from fraclap.domain_grid import (
     NEAR_SUBCELLS,
     OMEGA_N,
     DomainSpec,
+    Grid,
     build_grid,
     build_kernel,
     kernel_exponent,
+    _box_corners,
     _exact_pair_unit,
+    _flatten,
     _hybrid_pair_unit,
     _k1d_exact,
     _k2d_exact,
@@ -165,6 +168,197 @@ def test_bad_resolution_rejected(h):
 def test_r_out_covers_domain():
     grid = build_grid(DomainSpec(1, "interval", (0.0, 1.0), 0.125))
     assert grid.r_out >= grid.diam
+
+
+def _branchwise_build_grid(spec):
+    """build_grid with one branch per shape and a Python loop over union
+    cells: the construction before every shape went through the box path."""
+    h = float(spec.h)
+    if spec.shape == "interval":
+        if spec.n != 1:
+            raise ValueError("interval shape requires n=1")
+        lo, hi = _box_corners(1, spec.params)
+        lat = _branchwise_box_lattice(lo, hi, h)
+        anchor = lo
+    elif spec.shape == "box":
+        lo, hi = _box_corners(spec.n, spec.params)
+        lat = _branchwise_box_lattice(lo, hi, h)
+        anchor = lo
+    elif spec.shape == "ball":
+        *c, radius = map(float, spec.params)
+        if len(c) != spec.n:
+            raise ValueError("ball params must be (center..., R)")
+        if not all(map(math.isfinite, (*c, radius))):
+            raise ValueError("ball center and radius must be finite")
+        if radius <= 0:
+            raise ValueError("degenerate domain: ball radius must be positive")
+        lo = tuple(ci - radius for ci in c)
+        hi = tuple(ci + radius for ci in c)
+        lat = _branchwise_box_lattice(lo, hi, h)
+        centers = lat * h + np.asarray(lo) + 0.5 * h
+        inside = np.sum((centers - np.asarray(c)) ** 2, axis=1) < radius ** 2
+        lat = lat[inside]
+        anchor = lo
+    else:
+        vals = _flatten(spec.params)
+        step = 2 * spec.n
+        if not vals or len(vals) % step:
+            raise ValueError(
+                "union params must list %d corner coordinates per box, got %d"
+                % (step, len(vals))
+            )
+        boxes = [
+            _box_corners(spec.n, vals[k:k + step])
+            for k in range(0, len(vals), step)
+        ]
+        anchor = tuple(min(b[0][k] for b in boxes) for k in range(spec.n))
+        seen = set()
+        rows = []
+        for lo, hi in boxes:
+            off = tuple(
+                int(round((lo[k] - anchor[k]) / h)) for k in range(spec.n)
+            )
+            lat_b = _branchwise_box_lattice(lo, hi, h)
+            for row in lat_b:
+                cell = tuple(int(v) + off[k] for k, v in enumerate(row))
+                if cell not in seen:
+                    seen.add(cell)
+                    rows.append(cell)
+        lat = np.array(sorted(rows), dtype=np.int64).reshape(len(rows), spec.n)
+
+    if lat.size == 0:
+        raise ValueError("degenerate domain: no cells after snapping")
+
+    lat = lat - lat.min(axis=0)
+    order = np.lexsort(tuple(lat[:, k] for k in reversed(range(spec.n))))
+    lat = lat[order]
+    origin = np.asarray(anchor, dtype=float)
+    centers = origin + (lat + 0.5) * h
+
+    ncells = lat.shape[0]
+    measure = ncells * h ** spec.n
+    extent = (lat.max(axis=0) - lat.min(axis=0) + 1) * h
+    diam = float(np.sqrt(np.sum(extent ** 2)))
+    centroid = centers.mean(axis=0)
+    r_far = float(np.sqrt(np.max(np.sum((centers - centroid) ** 2, axis=1))))
+    return Grid(
+        n=spec.n,
+        h=h,
+        centers=centers,
+        lattice=lat,
+        measure=measure,
+        diam=diam,
+        r_out=r_far + 2.0 * diam,
+    )
+
+
+def _branchwise_box_lattice(lo, hi, h):
+    counts = [max(1, int(round((hi[k] - lo[k]) / h))) for k in range(len(lo))]
+    ranges = [np.arange(c, dtype=np.int64) for c in counts]
+    if len(counts) == 1:
+        return ranges[0][:, None]
+    gx, gy = np.meshgrid(ranges[0], ranges[1], indexing="ij")
+    return np.column_stack([gx.ravel(), gy.ravel()])
+
+
+def _grid_or_error(build, spec):
+    try:
+        grid = build(spec)
+    except (ValueError, TypeError) as err:
+        return "%s: %s" % (type(err).__name__, err)
+    return (
+        grid.n, repr(grid.h), grid.centers.dtype, grid.centers.shape,
+        grid.centers.tobytes(), grid.lattice.dtype, grid.lattice.shape,
+        grid.lattice.tobytes(), repr(grid.measure), repr(grid.diam),
+        repr(grid.r_out),
+    )
+
+
+_RESOLUTIONS = (0.1, 0.25, 0.3, 1.0 / 3.0, 0.5, 1.0)
+
+
+def _random_specs(n, shape, count, seed):
+    """Seeded specs of one shape. Half take corners and radii on a quarter
+    grid, where (lo - anchor) / h and the widths meet round's half-way ties;
+    the other half take them uniform."""
+    rng = np.random.default_rng(seed)
+
+    def coords(size, lo, hi):
+        if rng.random() < 0.5:
+            return tuple(float(v) for v in rng.integers(int(4 * lo), int(4 * hi), size) / 4.0)
+        return tuple(float(v) for v in rng.uniform(lo, hi, size))
+
+    def box():
+        lo = coords(n, -2, 2)
+        return lo + tuple(a + w for a, w in zip(lo, coords(n, 0.25, 3)))
+
+    specs = []
+    for _ in range(count):
+        h = float(rng.choice(_RESOLUTIONS))
+        if shape == "ball":
+            params = coords(n, -2, 2) + coords(1, 0.25, 2)
+        elif shape == "union":
+            params = sum((box() for _ in range(rng.integers(1, 6))), ())
+        else:
+            params = box()
+        specs.append(DomainSpec(n, shape, params, h))
+    return specs
+
+
+# the grids of the benchmark, the CLI probes and the tests above
+_NAMED_SPECS = [
+    DomainSpec(1, "interval", (-16.0, 16.0), 0.125),
+    DomainSpec(1, "interval", (-32.0, 32.0), 0.25),
+    DomainSpec(1, "interval", (-64.0, 64.0), 0.5),
+    DomainSpec(1, "interval", (-1.0, 1.0), 1.0 / 32.0),
+    DomainSpec(2, "box", (0.0, 0.0, 32.0, 32.0), 1.0),
+    DomainSpec(2, "box", (0.0, 0.0, 48.0, 48.0), 1.0),
+    DomainSpec(2, "box", (0.0, 0.0, 1.0, 1.0), 0.3),
+    DomainSpec(2, "box", (0.0, 0.0, 3.5, 3.0), 0.5),
+    DomainSpec(2, "ball", (0.0, 0.0, 1.0), 0.25),
+    DomainSpec(1, "union", (0.0, 4.0, 6.0, 10.0), 0.5),
+    DomainSpec(2, "union", ((0.0, 0.0, 1.0, 1.0), (0.5, 0.0, 1.5, 1.0)), 0.5),
+    DomainSpec(1, "union", tuple((float(k), k + 1.0) for k in (3, 4, 9, 17, 29)), 1.0),
+]
+
+
+@pytest.mark.parametrize(
+    "n, shape",
+    [(1, "interval"), (1, "box"), (2, "box"), (1, "ball"), (2, "ball"),
+     (1, "union"), (2, "union")],
+)
+def test_box_path_keeps_branchwise_grid_bits(n, shape):
+    specs = _random_specs(n, shape, 60, seed=10 * n + len(shape))
+    specs += [s for s in _NAMED_SPECS if (s.n, s.shape) == (n, shape)]
+    for spec in specs:
+        assert _grid_or_error(build_grid, spec) == _grid_or_error(
+            _branchwise_build_grid, spec
+        ), spec
+
+
+@pytest.mark.parametrize(
+    "n, shape, params, h",
+    [
+        (2, "interval", (0.0, 0.0, 1.0, 1.0), 0.5),
+        (1, "interval", (0.0, 1.0, 2.0, 3.0), 0.5),
+        (2, "box", (0.0, 1.0, 1.0, 0.5), 0.5),
+        (1, "box", (0.0, math.nan), 0.5),
+        (2, "ball", (0.0, 1.0), 0.5),
+        (1, "ball", (), 0.5),
+        (1, "ball", ((0.0,), 1.0), 0.5),
+        (2, "ball", (0.0, math.inf, 1.0), 0.5),
+        (1, "ball", (0.0, 0.0), 0.5),
+        (2, "ball", (0.0, 0.0, 0.1), 1.0),
+        (1, "union", (), 0.5),
+        (2, "union", (0.0, 0.0, 1.0, 1.0, 2.0), 0.5),
+        (1, "union", ((0.0, 1.0), (3.0, 2.0)), 0.5),
+    ],
+)
+def test_box_path_keeps_branchwise_errors(n, shape, params, h):
+    spec = DomainSpec(n, shape, params, h)
+    error = _grid_or_error(_branchwise_build_grid, spec)
+    assert isinstance(error, str)
+    assert _grid_or_error(build_grid, spec) == error
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,12 @@ def interval16():
     return grid, build_kernel(grid, 1.5)
 
 
+@pytest.fixture(scope="module")
+def box4():
+    grid = build_grid(DomainSpec(2, "box", (0.0, 0.0, 1.0, 1.0), 0.25))
+    return grid, build_kernel(grid, 2.5)
+
+
 def brute_oracle(f, kern):
     """Independent plain-Python subset enumeration."""
     nn = kern.m.size
@@ -106,17 +112,17 @@ def test_perimeter_refinement_improves():
     assert errs[2] <= errs[1] + 1e-12
 
 
-def test_cross_module_identity(interval16):
-    grid, kern = interval16
-    f = load_from_array(np.linspace(0.5, 1.5, grid.ncells))
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        mask = rng.random(grid.ncells) < 0.5
-        if not mask.any():
-            continue
-        lhs = perimeter(mask, kern) - weighted_volume(mask, f, kern)
-        rhs = total_energy(mask.astype(float), f, kern, 1.0).total
-        assert lhs == rhs
+def test_cross_module_identity(interval16, box4):
+    for grid, kern in (interval16, box4):
+        f = load_from_array(np.linspace(0.5, 1.5, grid.ncells))
+        rng = np.random.default_rng(2)
+        for _ in range(10):
+            mask = rng.random(grid.ncells) < 0.5
+            if not mask.any():
+                continue
+            lhs = perimeter(mask, kern) - weighted_volume(mask, f, kern)
+            rhs = total_energy(mask.astype(float), f, kern, 1.0).total
+            assert lhs == rhs
 
 
 # ---------------------------------------------------------------------------
