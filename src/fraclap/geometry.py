@@ -50,17 +50,33 @@ def _as_mask(mask, kernel: KernelSet) -> np.ndarray:
     return arr
 
 
+def _mask_perimeter(arr, kernel: KernelSet, cross, pairs) -> float:
+    """Perimeter of a checked mask, using the N x N bool and float buffers
+    cross and pairs.
+
+    w_ij * (arr_i != arr_j) is |chi_i - chi_j| * w_ij, the array the energy
+    module sums for the p = 1 seminorm power, and t * arr is its tail: the
+    result has the bits of half the seminorm power of the indicator, so
+    P(E) = F_1(chi_E) + |E|_f holds exactly.
+    """
+    np.not_equal.outer(arr, arr, out=cross)
+    pair = float(np.sum(np.multiply(kernel.w, cross, out=pairs)))
+    tail = float(np.sum(kernel.t * arr))
+    return 0.5 * (pair + 2.0 * tail)
+
+
 def perimeter(mask, kernel: KernelSet) -> float:
     """Weighted fractional perimeter of a cell set:
-    cross pairs inside the domain plus exterior tails of the set's cells.
-
-    Computed as half the p = 1 seminorm power of the indicator through the
-    energy module's own reduction, so P(E) = F_1(chi_E) is bitwise exact.
+    cross pairs inside the domain plus exterior tails of the set's cells,
+    equal bit for bit to half the p = 1 seminorm power of the indicator.
     """
     arr = _as_mask(mask, kernel)
     if not np.any(arr):
         return 0.0
-    return 0.5 * seminorm_power(arr.astype(float), kernel, 1.0)
+    n = arr.size
+    return _mask_perimeter(
+        arr, kernel, np.empty((n, n), dtype=bool), np.empty((n, n))
+    )
 
 
 def weighted_volume(mask, f: LoadField, kernel: KernelSet) -> float:
@@ -89,10 +105,13 @@ def coarea_decompose(u, f: LoadField, kernel: KernelSet) -> List[LevelSet]:
         raise ValueError("coarea decomposition requires a nonnegative field")
     levels = np.unique(vals)
     levels = levels[levels > 0]
+    n = vals.size
+    cross = np.empty((n, n), dtype=bool)
+    pairs = np.empty((n, n))
     out = []
     for t in levels:
         mask = vals >= t
-        per = perimeter(mask, kernel)
+        per = _mask_perimeter(mask, kernel, cross, pairs)
         vol = weighted_volume(mask, f, kernel)
         out.append(LevelSet(level=float(t), perimeter=per, weighted_volume=vol))
     return out

@@ -12,7 +12,10 @@ rescaled along their own ray (which makes the weak-solution identity exact
 and the energy nonpositive), and groups of nearly equal entries are snapped
 to their common mean when that does not raise the energy, since plateau
 formation is exactly what the p -> 1 limit demands and separated float
-values keep the gradient pinned at the rounding floor.
+values keep the gradient pinned at the rounding floor. The loop snaps only
+after a step that did not lower the energy, the sign that float noise
+between near-equal values blocks descent; the final polish snaps once
+more.
 
 When rounding noise still dominates before the gradient tolerance is met,
 the solve returns with status "floored" instead of pretending convergence;
@@ -41,7 +44,7 @@ from fraclap.energy import (
 _ARMIJO_C1 = 1e-4
 _MAX_HALVINGS = 60
 _STAGNANT_LIMIT = 25
-_SNAP_LADDER = (1e-12, 1e-9, 1e-6)
+_SNAP_LADDER = (1e-12, 1e-9)
 _EPS_E = 1e-12  # relative energy decrement below which a step may be stagnant
 _PAIRWISE_BLOCK = 8  # numpy sums at least this many entries pairwise
 
@@ -169,9 +172,11 @@ def _keep_lower(u, f_cur, cand, f, kernel, p):
 
 
 def _snap_pass(u, f_cur, f, kernel, p):
-    """Try tie-snapping at increasingly coarse tolerances; keep whatever
-    does not raise the energy. Plateau formation is genuine structure of
-    the p -> 1 limit, and the energy guard makes coarse attempts safe."""
+    """Try tie-snapping at the _SNAP_LADDER tolerances, finest first; keep
+    whatever does not raise the energy. Plateau formation is genuine
+    structure of the p -> 1 limit, and the energy guard makes coarse
+    attempts safe. The ladder stops at 1e-9: after tied steps, the guard
+    rejected every field a 1e-6 rung produced."""
     umax = float(np.max(np.abs(u)))
     if umax == 0.0:
         return u, f_cur
@@ -343,13 +348,15 @@ def solve_p(
         if found is None:
             break
         cand, f_new, halvings = found
+        rel_dec = (f_cur - f_new) / max(abs(f_cur), 1e-300)
         # a tie at the rounding floor is where float energies stop being
-        # convex along d: the next search scans from the full step again
+        # convex along d: the next search scans from the full step again,
+        # and the step's near-equal values are snapped into plateaus
         if f_new >= f_cur:
             halvings = 0
-
-        rel_dec = (f_cur - f_new) / max(abs(f_cur), 1e-300)
-        u, f_cur = _snap_pass(cand, f_new, f, kernel, p)
+            u, f_cur = _snap_pass(cand, f_new, f, kernel, p)
+        else:
+            u, f_cur = cand, f_new
         history.append(f_cur)
     else:
         gn = kkt_residual(u, f, kernel, p)

@@ -13,7 +13,7 @@ from fraclap.domain_grid import (
     build_kernel,
     kernel_exponent,
 )
-from fraclap.energy import LoadField, load_from_array, total_energy
+from fraclap.energy import LoadField, load_from_array, seminorm_power, total_energy
 from fraclap.geometry import (
     BRUTE_FORCE_CELL_CAP,
     CheegerResult,
@@ -123,6 +123,20 @@ def test_cross_module_identity(interval16, box4):
             lhs = perimeter(mask, kern) - weighted_volume(mask, f, kern)
             rhs = total_energy(mask.astype(float), f, kern, 1.0).total
             assert lhs == rhs
+
+
+def test_coarea_layers_keep_indicator_seminorm_bits(interval16, box4):
+    # each layer's perimeter, summed from the mask in reused buffers, has
+    # the bits of half the p = 1 seminorm power of its indicator
+    for grid, kern in (interval16, box4):
+        f = load_from_array(np.ones(grid.ncells))
+        rng = np.random.default_rng(5)
+        u = np.round(rng.random(grid.ncells), 1)  # ties and a zero level
+        layers = coarea_decompose(u, f, kern)
+        assert len(layers) == np.unique(u[u > 0]).size
+        for layer in layers:
+            mask = (u >= layer.level).astype(float)
+            assert layer.perimeter == 0.5 * seminorm_power(mask, kern, 1.0)
 
 
 # ---------------------------------------------------------------------------

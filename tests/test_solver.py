@@ -129,6 +129,43 @@ def test_solution_meets_gradient_tolerance(interval16):
     assert kkt_residual(sol.u, f, kern, 1.2) <= eps_g
 
 
+def test_loop_snaps_only_after_a_tied_step(interval16, monkeypatch):
+    # every accepted step is logged as (energy before, energy after) and
+    # every snap pass as the energy it starts from; the last snap pass is
+    # the final polish, and the ones before it must each follow a step
+    # whose energy did not fall, as must every such step be followed by one
+    grid, kern = interval16
+    f = load_from_array(np.ones(grid.ncells))
+    events = []
+    search, snap = solver._armijo_search, solver._snap_pass
+
+    def logged_search(u, d, step, gd, f_cur, *rest):
+        found = search(u, d, step, gd, f_cur, *rest)
+        if found is not None:
+            events.append(("step", f_cur, found[1]))
+        return found
+
+    def logged_snap(u, f_cur, *rest):
+        events.append(("snap", f_cur))
+        return snap(u, f_cur, *rest)
+
+    monkeypatch.setattr(solver, "_armijo_search", logged_search)
+    monkeypatch.setattr(solver, "_snap_pass", logged_snap)
+    solve_p(grid, kern, f, SolveConfig(p=1.2, s=0.5))
+    assert events[-1][0] == "snap"
+    loop = events[:-1]
+    in_loop = 0
+    for i, event in enumerate(loop):
+        if event[0] == "snap":
+            in_loop += 1
+            kind, before, after = loop[i - 1]
+            assert i > 0 and kind == "step"
+            assert after >= before and event[1] == after
+        elif event[2] >= event[1]:
+            assert loop[i + 1][0] == "snap"
+    assert in_loop >= 1
+
+
 # ---------------------------------------------------------------------------
 # invariants
 # ---------------------------------------------------------------------------
