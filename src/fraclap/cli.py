@@ -69,9 +69,10 @@ def _write(path, text) -> None:
 def _reference_cheeger(cfg: RunConfig):
     """(h_ref, kind): closed form on balls and intervals, volume bound else.
 
-    The closed form assumes the constant load; other loads fall back to the
-    volume lower bound divided by the peak load, which is itself a lower
-    bound for the weighted constant.
+    Both are values for the unit load, divided by the peak |load_scale|:
+    the closed form assumes the constant load, and for other loads the
+    volume lower bound over the peak is itself a lower bound for the
+    weighted constant. A zero load carries no set, so its h_ref is inf.
     """
     spec = cfg.domain
     if cfg.load == "constant" and spec.shape in ("interval", "ball"):
@@ -79,11 +80,13 @@ def _reference_cheeger(cfg: RunConfig):
             radius = 0.5 * (spec.params[1] - spec.params[0])
         else:
             radius = float(spec.params[-1])
-        return ball_cheeger(spec.n, cfg.s, radius) / cfg.load_scale, "closed-form"
-    sobolev = sharp_constants(spec.n, cfg.s, 1.0).sobolev
-    peak = cfg.load_scale if cfg.load_scale > 0 else 1.0
-    bound = build_grid(spec).measure ** (-cfg.s / spec.n) / (2.0 * sobolev)
-    return bound / peak, "volume-bound"
+        unit, kind = ball_cheeger(spec.n, cfg.s, radius), "closed-form"
+    else:
+        sobolev = sharp_constants(spec.n, cfg.s, 1.0).sobolev
+        unit = build_grid(spec).measure ** (-cfg.s / spec.n) / (2.0 * sobolev)
+        kind = "volume-bound"
+    peak = abs(cfg.load_scale)
+    return (unit / peak if peak > 0 else math.inf), kind
 
 
 # ---------------------------------------------------------------------------

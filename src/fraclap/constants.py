@@ -60,10 +60,6 @@ def phi(n: int, s: float, p: float, r: float) -> float:
     )
 
 
-def _phi_at_zero(n: int, ps: float) -> float:
-    return 2.0 if n == 1 else 2.0 * math.pi
-
-
 def _bounded_profile(n: int, ps: float, q: float) -> float:
     """A(q) = q^(1+ps) * phi(1-q), finite on [0, 1/2]."""
     if n == 1:
@@ -97,7 +93,7 @@ def c_constant(n: int, s: float, p: float) -> float:
     _validate(n, s, p)
     ps = p * s
     beta = (n - ps) / p
-    phi0 = _phi_at_zero(n, ps)
+    phi0 = OMEGA_N[n]  # phi(0): the unit sphere's boundary measure
 
     def left(u):
         r = u ** (1.0 / ps)

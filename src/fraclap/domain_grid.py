@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 
 import numpy as np
@@ -30,9 +30,9 @@ _KERNEL_ROWS = 128
 
 #: dense working set of a command, in N x N float64 arrays: the peak-RSS
 #: rise over the imported interpreter on the 32 x 32 box (N = 1024) was
-#: 4.8 N^2 * 8 bytes for solve, 4.1 for certify, 5.8 for a one-p sweep and
-#: 2.2 for cheeger --field
-_DENSE_ARRAYS = 6
+#: 3.8 N^2 * 8 bytes for solve, 4.1 for certify, 4.8 for a one-p sweep and
+#: 2.3 for cheeger --field
+_DENSE_ARRAYS = 5
 
 #: boundary measure of the unit sphere, indexed by dimension
 OMEGA_N = {1: 2.0, 2: 2.0 * math.pi}
@@ -355,6 +355,7 @@ def _ray_window(comp, lo, hi):
 
 
 def _exact_pair_unit(offset, alpha, n):
+    """Exact pair integral of unit cells at an integer center offset."""
     if n == 1:
         return _k1d_exact(abs(int(offset[0])), alpha)
     return _k2d_exact(offset[0], offset[1], alpha)
@@ -364,50 +365,38 @@ def _exact_pair_unit(offset, alpha, n):
 def _hybrid_pair_unit(offset, alpha, subcells, n):
     """Near-pair value on unit cells: subcells^n subcells per cell, midpoint
     rule per subcell pair, except touching subcell pairs (sup-norm offset 1)
-    which use the exact integral. Scaled by the caller for cell side h."""
+    which use the exact integral. Scaled by the caller for cell side h.
+
+    Along each axis the subcell offsets of two cells at offset k run over
+    k*r + span with r - |span| pairs each, span = -(r-1) ... r-1; the
+    counts of an n-D offset multiply across axes.
+    """
     r = int(subcells)
     d = 1.0 / r
-    axes = []
-    for ka in offset:
-        orng = np.arange(ka * r - (r - 1), ka * r + r, dtype=np.int64)
-        cnt = r - np.abs(orng - ka * r)
-        axes.append((orng, cnt))
-    if n == 1:
-        orng, cnt = axes[0]
-        vals = np.abs(orng).astype(float) ** (-alpha)
-        touching = np.abs(orng) == 1
-        if np.any(touching):
-            vals[touching] = _k1d_exact(1, alpha)
-        return d ** (2 * n - alpha) * float(np.sum(cnt * vals))
-    (o1, c1), (o2, c2) = axes
-    O1, O2 = np.meshgrid(o1, o2, indexing="ij")
-    CNT = np.outer(c1, c2).astype(float)
-    d2 = (O1 * O1 + O2 * O2).astype(float)
-    vals = d2 ** (-alpha / 2.0)
-    sup = np.maximum(np.abs(O1), np.abs(O2))
-    for oa, ob in ((1, 0), (1, 1)):
-        mask = (sup == 1) & (np.minimum(np.abs(O1), np.abs(O2)) == ob)
-        if np.any(mask):
-            vals[mask] = _k2d_exact(oa, ob, alpha)
-    return d ** (2 * n - alpha) * float(np.sum(CNT * vals))
+    span = np.arange(1 - r, r, dtype=np.int64)
+    grids = np.meshgrid(*(k * r + span for k in offset), indexing="ij")
+    count = reduce(np.multiply.outer, [r - np.abs(span)] * n)
+    vals = sum(g * g for g in grids).astype(float) ** (-alpha / 2.0)
+    sizes = np.abs(np.stack(grids, axis=-1))
+    for idx in zip(*np.nonzero(sizes.max(axis=-1) == 1)):
+        # sorted sizes name each touching class once in the exact caches
+        touch = sorted(sizes[idx].tolist(), reverse=True)
+        vals[idx] = _exact_pair_unit(touch, alpha, n)
+    return d ** (2 * n - alpha) * float(np.sum(count * vals))
 
 
 def _near_offsets(n):
-    """Canonical integer offsets with Euclidean norm <= 3, keyed by |k|^2.
+    """Canonical integer offsets (descending absolute coordinates) with
+    Euclidean norm <= 3, keyed by |k|^2 in ascending order.
 
     Within this range the squared norm identifies the offset class uniquely.
     """
-    if n == 1:
-        return {k * k: (k,) for k in (1, 2, 3)}
-    table = {}
-    for a in range(0, 4):
-        for b in range(0, a + 1):
-            d2 = a * a + b * b
-            if 0 < d2 <= 9:
-                table[d2] = (a, b)
-    return table
-
-
+    return dict(sorted(
+        (sum(k * k for k in off), off)
+        for off in product(range(4), repeat=n)
+        if list(off) == sorted(off, reverse=True)
+        and 0 < sum(k * k for k in off) <= 9
+    ))
 
 
 # ---------------------------------------------------------------------------

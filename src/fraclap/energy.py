@@ -114,19 +114,12 @@ def _pair_tail(vals: np.ndarray, kernel: KernelSet, p: float):
     """(ordered pair sum of w |du|^p, tail sum of t |u|^p) of a checked field."""
     if p < 1:
         raise ValueError("integrability p must satisfy p >= 1")
-    if p == 1.0:
-        # no power to save by mirroring; x ** 1.0 == x, so the power step
-        # is dropped with the bits kept
-        du = vals[:, None] - vals[None, :]
-        np.abs(du, out=du)
-        du *= kernel.w
-    else:
-        def entry(blk):
-            np.abs(blk, out=blk)
-            blk **= p
 
-        du = _mirrored_pairs(vals, kernel.w, entry)
-    pair = float(np.sum(du))
+    def entry(blk):
+        np.abs(blk, out=blk)
+        blk **= p
+
+    pair = float(np.sum(_mirrored_pairs(vals, kernel.w, entry)))
     tail = float(np.sum(kernel.t * np.abs(vals) ** p))
     return pair, tail
 

@@ -59,7 +59,7 @@ class SolveConfig:
     maxit: int = 50000
 
     def __post_init__(self):
-        if self.p <= 1.0:
+        if not self.p > 1.0:  # NaN fails too
             raise ValueError("need p > 1")
         if not (0.0 < self.s < 1.0):
             raise ValueError("s must lie in (0, 1)")
@@ -78,7 +78,7 @@ class SolveConfig:
         s < s_p < 1 follows from it for p > 1.
         """
         sp_p = kernel_exponent(n, self.s, self.p) - n
-        if sp_p >= 1.0:
+        if not sp_p < 1.0:
             raise ValueError("s_p * p = %g must stay below 1" % sp_p)
 
 
@@ -343,6 +343,9 @@ def solve_p(
                 if curv > 0:
                     step = -gd / curv
             halvings = 0
+        # the metric is dead past here; holding it would keep a second
+        # N x N array alive through the line search and the next direction
+        del hess
 
         found = _armijo_search(u, d, step, gd, f_cur, halvings, f, kernel, p)
         if found is None:

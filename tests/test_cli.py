@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, file outputs, reproducibility."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -123,9 +124,10 @@ def test_removed_config_key_exits_2(tmp_path, capsys, key, value):
         ("schedule", "eps_g = nan\nschedule"),
         ("schedule", "eps_g = 0\nschedule"),
         ("shape = interval\nparams = -1 1", "shape = union\nparams = 0 4 6"),
+        ("schedule = 1.3 1.2 1.1", "schedule = 1.3 nan 1.1"),
     ],
     ids=["reversed", "inf-corner", "nan-h", "inf-h", "nan-eps_g", "zero-eps_g",
-         "union-part-box"],
+         "union-part-box", "nan-p"],
 )
 @pytest.mark.parametrize("command", ["solve", "sweep"])
 def test_bad_config_exits_2_before_output(tmp_path, capsys, command, old, new):
@@ -166,6 +168,24 @@ def test_sweep_writes_csv_json_and_plot(tmp_path, small_cfg, capsys):
     assert report["h_ref_kind"] == "closed-form"
     assert not report["aborted"]
     assert "tiny.csv" in (out / "tiny.gp").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("scale", ["0", "-1"], ids=["zero", "negative"])
+def test_sweep_reference_of_nonpositive_constant_load(tmp_path, capsys, scale):
+    # h_ref is the unit-load value over |load_scale|: the load -1 gets the
+    # load 1's, and a zero load, which no set carries, gets inf
+    cfg = SMALL_CFG.replace("params = -1 1", "params = -2 2")
+    reports = {}
+    for value in ("1", scale):
+        path = tmp_path / ("scale%s.cfg" % value)
+        path.write_text(cfg + "load_scale = %s\n" % value, encoding="utf-8")
+        out = tmp_path / ("out%s" % value)
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+        reports[value] = json.loads((out / "tiny.json").read_text(encoding="utf-8"))
+    report = reports[scale]
+    assert report["h_ref"] == (math.inf if scale == "0" else reports["1"]["h_ref"])
+    assert report["h_ref_kind"] == "closed-form"
+    assert report["classification"] == "vanishing"
 
 
 def test_sweep_duplicate_labels_exit_2(tmp_path, small_cfg, capsys):

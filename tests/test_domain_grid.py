@@ -472,6 +472,82 @@ def test_weights_2d_near_subcell_rule_and_far_midpoint():
     assert near_seen == {(1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 0)}
 
 
+def _branchwise_hybrid_pair_unit(offset, alpha, subcells, n):
+    """The near-pair rule as one branch per dimension: the byte reference
+    for the n-D body of _hybrid_pair_unit."""
+    r = int(subcells)
+    d = 1.0 / r
+    axes = []
+    for ka in offset:
+        orng = np.arange(ka * r - (r - 1), ka * r + r, dtype=np.int64)
+        cnt = r - np.abs(orng - ka * r)
+        axes.append((orng, cnt))
+    if n == 1:
+        orng, cnt = axes[0]
+        vals = np.abs(orng).astype(float) ** (-alpha)
+        touching = np.abs(orng) == 1
+        if np.any(touching):
+            vals[touching] = _k1d_exact(1, alpha)
+        return d ** (2 * n - alpha) * float(np.sum(cnt * vals))
+    (o1, c1), (o2, c2) = axes
+    O1, O2 = np.meshgrid(o1, o2, indexing="ij")
+    CNT = np.outer(c1, c2).astype(float)
+    d2 = (O1 * O1 + O2 * O2).astype(float)
+    vals = d2 ** (-alpha / 2.0)
+    sup = np.maximum(np.abs(O1), np.abs(O2))
+    for oa, ob in ((1, 0), (1, 1)):
+        mask = (sup == 1) & (np.minimum(np.abs(O1), np.abs(O2)) == ob)
+        if np.any(mask):
+            vals[mask] = _k2d_exact(oa, ob, alpha)
+    return d ** (2 * n - alpha) * float(np.sum(CNT * vals))
+
+
+def _branchwise_near_offsets(n):
+    """The near-offset table as one table per dimension."""
+    if n == 1:
+        return {k * k: (k,) for k in (1, 2, 3)}
+    table = {}
+    for a in range(0, 4):
+        for b in range(0, a + 1):
+            d2 = a * a + b * b
+            if 0 < d2 <= 9:
+                table[d2] = (a, b)
+    return table
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_near_offsets_keep_branchwise_table(n):
+    # same keys, same order, same canonical offsets
+    assert list(_near_offsets(n).items()) == list(_branchwise_near_offsets(n).items())
+
+
+# the sweep exponents (n + s) * p at s = 1/2, the 2-D benchmark exponents,
+# and grids inside each dimension's window
+_BENCH_ALPHAS = {
+    1: tuple(1.5 * c for c in (1.0, 1.02, 1.05, 1.1, 1.2, 1.3)),
+    2: (2.5, 2.75),
+}
+_GRID_ALPHAS = {
+    1: tuple(1.0 + k / 301.0 for k in range(1, 301)),
+    2: tuple(2.0 + k / 41.0 for k in range(1, 41)),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_near_rule_keeps_branchwise_bits(n):
+    # past the cache, every near offset at every exponent has the reference's
+    # bits; in 1-D that pins (o^2) ** (-alpha / 2) to |o| ** (-alpha)
+    alphas = _BENCH_ALPHAS[n] + _GRID_ALPHAS[n]
+    got, want = [], []
+    for alpha in alphas:
+        for off in _branchwise_near_offsets(n).values():
+            got.append(_hybrid_pair_unit.__wrapped__(off, alpha, NEAR_SUBCELLS, n))
+            want.append(_branchwise_hybrid_pair_unit(off, alpha, NEAR_SUBCELLS, n))
+    assert np.array_equal(
+        np.array(got).view(np.int64), np.array(want).view(np.int64)
+    )
+
+
 def _full_fill_kernel(grid, alpha):
     """(w, t) through full N x N temporaries: the assembly before row blocks."""
     h, n = grid.h, grid.n

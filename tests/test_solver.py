@@ -1,5 +1,7 @@
 """Solver checks: admissibility, closed-form oracles, invariants, honesty."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -502,6 +504,23 @@ def test_steepest_fallback_descends(interval16, monkeypatch, attr, patch):
     assert np.all(np.isfinite(exc.value.u))
     e_start = total_energy(start, f, kern, p).total
     assert total_energy(exc.value.u, f, kern, p).total < e_start
+
+
+def test_solve_loop_holds_one_metric():
+    # an iteration's N x N metric dies before the line search, so the next
+    # gradient and metric never meet it: the solve's own peak stays below
+    # three pair arrays (holding the metric reads about 3.2)
+    s, p = 0.5, 1.15
+    grid = build_grid(DomainSpec(2, "box", (0.0, 0.0, 1.0, 1.0), 1.0 / 16))
+    kern = build_kernel(grid, kernel_exponent(2, s, p))
+    f = load_from_array(np.ones(grid.ncells))
+    tracemalloc.start()
+    try:
+        solve_p(grid, kern, f, SolveConfig(p=p, s=s))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * kern.w.nbytes
 
 
 def test_no_armijo_step_stops_with_honest_status(interval16, monkeypatch):
