@@ -4,7 +4,9 @@ decomposition, and Cheeger constant estimators.
 Masks are boolean cell arrays (subsets of the domain as unions of cells).
 Perimeter shares the kernel weights with the energy module, which makes
 the set functional Per_s(E) - |E|_f equal to F_1(chi_E), the p = 1
-functional at the indicator, exactly rather than approximately.
+functional at the indicator, exactly rather than approximately. A
+perimeter sums the N x N buffer w_ij * (chi_i != chi_j), which one update
+(_update_pairs) fills for a single mask and keeps across the coarea levels.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from fraclap.energy import LoadField, _as_field, seminorm_power
 
 BRUTE_FORCE_CELL_CAP = 20
 _ENUM_CHUNK = 1 << 16
+_UPDATE_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -50,18 +53,34 @@ def _as_mask(mask, kernel: KernelSet) -> np.ndarray:
     return arr
 
 
-def _mask_perimeter(arr, kernel: KernelSet, cross, pairs) -> float:
-    """Perimeter of a checked mask, using the N x N bool and float buffers
-    cross and pairs.
+def _update_pairs(pairs, mask, moved, kernel: KernelSet) -> None:
+    """Rewrite the rows and columns of the cells moved in pairs, the N x N
+    float buffer of w_ij * (mask_i != mask_j), after they changed side.
 
-    w_ij * (arr_i != arr_j) is |chi_i - chi_j| * w_ij, the array the energy
-    module sums for the p = 1 seminorm power, and t * arr is its tail: the
-    result has the bits of half the seminorm power of the indicator, so
+    mask is the new set. No other entry's cells changed side, so it keeps
+    its value. w is bitwise symmetric, so a row's transpose holds its
+    column's bits and the buffer equals the full fill w * (mask_i !=
+    mask_j) entry by entry. Rows go in blocks of _UPDATE_ROWS, so a large
+    moved set (a zero plateau) needs no second N x N array.
+    """
+    for lo in range(0, moved.size, _UPDATE_ROWS):
+        block = moved[lo:lo + _UPDATE_ROWS]
+        rows = kernel.w[block]
+        rows *= mask[block, None] != mask
+        pairs[block] = rows
+        pairs[:, block] = rows.T
+
+
+def _pair_perimeter(pairs, mask, kernel: KernelSet) -> float:
+    """Perimeter of mask from its filled pair buffer.
+
+    pairs holds |chi_i - chi_j| * w_ij, the array the energy module sums
+    for the p = 1 seminorm power, and t * mask is its tail: the result
+    has the bits of half the seminorm power of the indicator, so
     P(E) = F_1(chi_E) + |E|_f holds exactly.
     """
-    np.not_equal.outer(arr, arr, out=cross)
-    pair = float(np.sum(np.multiply(kernel.w, cross, out=pairs)))
-    tail = float(np.sum(kernel.t * arr))
+    pair = float(np.sum(pairs))
+    tail = float(np.sum(kernel.t * mask))
     return 0.5 * (pair + 2.0 * tail)
 
 
@@ -69,14 +88,19 @@ def perimeter(mask, kernel: KernelSet) -> float:
     """Weighted fractional perimeter of a cell set:
     cross pairs inside the domain plus exterior tails of the set's cells,
     equal bit for bit to half the p = 1 seminorm power of the indicator.
+
+    The pair buffer starts as zeros, the cross pairs of both the empty and
+    the full set, and only the rows and columns of the smaller side of the
+    mask are written.
     """
     arr = _as_mask(mask, kernel)
     if not np.any(arr):
         return 0.0
     n = arr.size
-    return _mask_perimeter(
-        arr, kernel, np.empty((n, n), dtype=bool), np.empty((n, n))
-    )
+    pairs = np.zeros((n, n))
+    moved = min(np.flatnonzero(arr), np.flatnonzero(~arr), key=len)
+    _update_pairs(pairs, arr, moved, kernel)
+    return _pair_perimeter(pairs, arr, kernel)
 
 
 def weighted_volume(mask, f: LoadField, kernel: KernelSet) -> float:
@@ -99,6 +123,12 @@ def coarea_decompose(u, f: LoadField, kernel: KernelSet) -> List[LevelSet]:
     (t_l - t_{l-1}) * perimeter_l over levels reproduces half the p = 1
     seminorm power, and the same gaps against the weighted volumes reproduce
     the load term; both identities are exact up to rounding.
+
+    Each perimeter has the bits of perimeter({u >= t}). One N x N pair
+    buffer walks the levels upward from the full set's zeros: at each level
+    only the rows and columns of the cells that just left are rewritten,
+    and the whole buffer is summed. A level costs one N^2 sum and |R| * N
+    writes for the |R| cells that left.
     """
     vals = _as_field(u, kernel)
     if np.any(vals < 0):
@@ -106,12 +136,20 @@ def coarea_decompose(u, f: LoadField, kernel: KernelSet) -> List[LevelSet]:
     levels = np.unique(vals)
     levels = levels[levels > 0]
     n = vals.size
-    cross = np.empty((n, n), dtype=bool)
-    pairs = np.empty((n, n))
+    # ascending levels only ever take cells out of the set: the cells that
+    # leave before level t are those below it, in sorted order
+    order = np.argsort(vals)
+    ends = np.searchsorted(vals[order], levels)
+    mask = np.ones(n, dtype=bool)
+    pairs = np.zeros((n, n))
     out = []
-    for t in levels:
-        mask = vals >= t
-        per = _mask_perimeter(mask, kernel, cross, pairs)
+    start = 0
+    for t, end in zip(levels, ends):
+        gone = order[start:end]
+        mask[gone] = False
+        _update_pairs(pairs, mask, gone, kernel)
+        start = end
+        per = _pair_perimeter(pairs, mask, kernel)
         vol = weighted_volume(mask, f, kernel)
         out.append(LevelSet(level=float(t), perimeter=per, weighted_volume=vol))
     return out

@@ -199,7 +199,20 @@ def _metric_init(f, kernel):
 
 def _newton_direction(u, g, kernel, p):
     """SPD variable-metric direction: weights of the second variation with a
-    tiny curvature floor inside the metric only."""
+    tiny curvature floor inside the metric only.
+
+    The factorization and the solve skip scipy's finite scans, two O(N^2)
+    passes over their inputs. The scan of the scaled metric can never
+    fire: once dvec passes its check the diagonal is finite, and each
+    diagonal entry is a float row sum of the nonnegative om terms, which
+    bounds each of them, so |hess_ij| <= min(hess_ii, hess_jj), every
+    product hess_ij * scale_j is at most dvec_j and |hs_ij| <= 1. The scan
+    of g * scale fires only where that product overflows: scale is at most
+    1 / sqrt(5e-324) and solve_p has checked that g is finite, but a
+    |g_i| above about 1.8e308 * dvec_i still overflows. There the solve
+    returns a d that is not finite, and solve_p's gd check takes the
+    steepest step where the scan raised ValueError.
+    """
     delta = 1e-10 * max(float(np.max(np.abs(u))), 1e-300)
 
     def entry(blk):
@@ -230,10 +243,10 @@ def _newton_direction(u, g, kernel, p):
     hs *= scale[:, None]
     hs = hs.T
     try:
-        factor = cho_factor(hs, overwrite_a=True)
+        factor = cho_factor(hs, overwrite_a=True, check_finite=False)
     except LinAlgError:
         return None, hess
-    d = -scale * cho_solve(factor, g * scale)
+    d = -scale * cho_solve(factor, g * scale, check_finite=False)
     return d, hess
 
 

@@ -139,6 +139,74 @@ def test_coarea_layers_keep_indicator_seminorm_bits(interval16, box4):
             assert layer.perimeter == 0.5 * seminorm_power(mask, kern, 1.0)
 
 
+def _maskwise_layers(u, f, kern):
+    """Every level filled from its whole mask, (level, perimeter, volume)
+    per layer: the byte reference of coarea_decompose's row updates."""
+    vals = np.asarray(u, dtype=float)
+    levels = np.unique(vals)
+    out = []
+    for t in levels[levels > 0]:
+        mask = vals >= t
+        out.append((float(t), _maskwise_perimeter(mask, kern),
+                    weighted_volume(mask, f, kern)))
+    return out
+
+
+def _maskwise_perimeter(mask, kern):
+    if not np.any(mask):
+        return 0.0
+    cross = np.not_equal.outer(mask, mask)
+    pair = float(np.sum(np.multiply(kern.w, cross)))
+    return 0.5 * (pair + 2.0 * float(np.sum(kern.t * mask)))
+
+
+def _bits(values):
+    return np.array(values, dtype=float).view(np.int64).tolist()
+
+
+@pytest.fixture(scope="module")
+def ball316():
+    # 316 cells: not a multiple of 64, and its zero plateau leaves in many
+    # blocks of geometry._UPDATE_ROWS rows, the last one short
+    grid = build_grid(DomainSpec(2, "ball", (0.0, 0.0, 1.0), 0.1))
+    assert grid.ncells == 316
+    return grid, build_kernel(grid, 2.5)
+
+
+def _layer_fields(n, seed):
+    """Fields with ties, zeros, single-cell levels and levels where many
+    cells leave at once."""
+    rng = np.random.default_rng(seed)
+    ties = np.round(rng.random(n), 1)
+    single = rng.permutation(n) / n  # every level one cell
+    plateau = np.where(rng.random(n) < 0.8, 0.0, rng.random(n))  # most leave first
+    steps = np.floor(rng.random(n) * 3.0) ** 2  # three wide levels
+    top = np.ones(n)  # one level, the full set
+    top[rng.integers(n)] = 2.0
+    return [ties, single, plateau, steps, top, np.full(n, 0.75)]
+
+
+def test_coarea_keeps_maskwise_bits(interval16, box4, ball316):
+    for seed, (grid, kern) in enumerate((interval16, box4, ball316)):
+        f = load_from_array(np.linspace(0.5, 1.5, grid.ncells))
+        for u in _layer_fields(grid.ncells, seed):
+            layers = coarea_decompose(u, f, kern)
+            want = _maskwise_layers(u, f, kern)
+            assert len(layers) == len(want)
+            assert _bits(layers) == _bits(want)
+
+
+def test_perimeter_keeps_maskwise_bits(interval16, box4, ball316):
+    for seed, (grid, kern) in enumerate((interval16, box4, ball316)):
+        n = grid.ncells
+        rng = np.random.default_rng(seed)
+        masks = [np.zeros(n, dtype=bool), np.ones(n, dtype=bool)]
+        masks += [rng.random(n) < share for share in (0.05, 0.5, 0.95)]
+        for mask in masks:
+            got = perimeter(mask, kern)
+            assert _bits([got]) == _bits([_maskwise_perimeter(mask, kern)])
+
+
 # ---------------------------------------------------------------------------
 # brute-force Cheeger
 # ---------------------------------------------------------------------------

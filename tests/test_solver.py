@@ -1,5 +1,6 @@
 """Solver checks: admissibility, closed-form oracles, invariants, honesty."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -475,6 +476,36 @@ def test_newton_direction_keeps_full_fill_bits(mirror_case):
                 want_d, want_hess = _newton_direction_full(u, g, kern, p)
             assert _same_bits(hess, want_hess), p
             assert _same_bits(d, want_d), p
+
+
+def test_newton_direction_is_absent_or_finite_at_any_scale(mirror_case):
+    # the factorization and the solve skip scipy's finite scans: on fields
+    # scaled from 1e-150 to 1e150, with +-0.0 and ties, a direction is
+    # either absent or finite, and nothing raises
+    kern, fields = mirror_case
+    f = load_from_array(np.linspace(-1.0, 2.0, kern.m.size))
+    for u in fields:
+        for e in range(-150, 151, 25):
+            v = u * 10.0 ** e
+            for p in (1.02, 1.1, 2.0):
+                with np.errstate(all="ignore"):
+                    g = gradient(v, f, kern, p)
+                    d, _ = solver._newton_direction(v, g, kern, p)
+                assert d is None or np.all(np.isfinite(d)), (e, p)
+
+
+def test_newton_direction_overflowing_rhs_returns_nonfinite_d(interval16):
+    # g * scale overflows for a load of 1e240 on a field near 1e150; the
+    # direction comes back not finite instead of raising, and solve_p's
+    # gd check turns it into a steepest step
+    grid, kern = interval16
+    u = np.random.default_rng(0).random(grid.ncells) * 1e150
+    f = load_from_array(np.full(grid.ncells, 1e240))
+    with np.errstate(all="ignore"):
+        g = gradient(u, f, kern, 1.02)
+        d, _ = solver._newton_direction(u, g, kern, 1.02)
+        assert np.all(np.isfinite(g)) and d is not None
+        assert not math.isfinite(float(g @ d))
 
 
 def _refuse_factor(*args, **kwargs):
