@@ -253,19 +253,96 @@ def test_brute_force_cell_cap():
         brute_force_cheeger(grid, f, kern)
 
 
-@pytest.mark.parametrize("ncells", [3, 17])
+@pytest.mark.parametrize("ncells", [1, 2, 3, 17, 20])
 def test_brute_force_exact_tie_takes_smallest_bitmask(ncells):
     # only the end cells interact: every set holding both ends or neither
-    # has h = 1, and {1} is the smallest such bitmask; at 17 cells the full
-    # set sits in the second enumeration chunk
+    # has h = 1, and the smallest such bitmask is {1} from 3 cells on, both
+    # ends at 2 cells and the one cell at 1 cell (whose low half is empty);
+    # odd counts split unevenly, and at 20 cells the tied sets fill every
+    # block of high-half rows
     grid = build_grid(DomainSpec(1, "interval", (0.0, float(ncells)), 1.0))
     w = np.zeros((ncells, ncells))
-    w[0, -1] = w[-1, 0] = 10.0
+    if ncells > 1:
+        w[0, -1] = w[-1, 0] = 10.0
     ones = np.ones(ncells)
     kern = KernelSet(exponent=1.5, n=1, h=1.0, w=w, t=ones, m=ones)
     res = brute_force_cheeger(grid, load_from_array(ones), kern)
     assert res.h == 1.0
-    assert np.flatnonzero(res.witness).tolist() == [1]
+    want = {1: [0], 2: [0, 1]}.get(ncells, [1])
+    assert np.flatnonzero(res.witness).tolist() == want
+
+
+def _quadratic_form_cheeger(f, kern):
+    """The former exhaustive search, one n^2 quadratic form per subset in
+    chunks of 2^16 bitmasks: (h, witness) of the smallest ratio, exact
+    ties to the smallest bitmask. The reference of the split enumeration."""
+    nn = kern.m.size
+    fm = f.values * kern.m
+    rowsum = kern.w.sum(axis=1) + kern.t
+    best_h = math.inf
+    best_bits = None
+    total = 1 << nn
+    for k0 in range(1, total, 1 << 16):
+        k1 = min(k0 + (1 << 16), total)
+        ks = np.arange(k0, k1, dtype=np.int64)
+        bits = ((ks[:, None] >> np.arange(nn)) & 1).astype(float)
+        vol = bits @ fm
+        quad = np.sum((bits @ kern.w) * bits, axis=1)
+        per = bits @ rowsum - quad
+        valid = vol > 0
+        if not np.any(valid):
+            continue
+        h = np.where(valid, per / np.where(valid, vol, 1.0), math.inf)
+        idx = int(np.argmin(h))
+        if h[idx] < best_h:
+            best_h = float(h[idx])
+            best_bits = int(ks[idx])
+    witness = np.array([(best_bits >> i) & 1 for i in range(nn)], dtype=bool)
+    h_exact = perimeter(witness, kern) / weighted_volume(witness, f, kern)
+    return h_exact, witness
+
+
+def _split_corpus():
+    """(label, grid, kernel, load): unit-cell intervals of 1-16 cells under
+    a uniform and a bump load (zero in the end cells from 6 cells on) at
+    three exponents, a 20-cell interval, seeded 1-D unions of 12-20 cells
+    with seeded loads, and 3 x 4 and 4 x 4 boxes at two exponents."""
+    for nc in range(1, 17):
+        grid = build_grid(DomainSpec(1, "interval", (0.0, float(nc)), 1.0))
+        x = (np.arange(nc) + 0.5) / nc
+        loads = {"uniform": np.ones(nc),
+                 "bump": np.maximum(0.0, 1.0 - np.abs(2.0 * x - 1.0) * 1.2)}
+        for alpha in (1.3, 1.5, 1.8):
+            kern = build_kernel(grid, alpha)
+            for name, vals in loads.items():
+                yield ("interval%d-%s-%g" % (nc, name, alpha), grid, kern,
+                       load_from_array(vals))
+    grid = build_grid(DomainSpec(1, "interval", (0.0, 20.0), 1.0))
+    yield "interval20", grid, build_kernel(grid, 1.5), load_from_array(np.ones(20))
+    rng = np.random.default_rng(16)
+    for nc in range(12, 21):
+        cells = np.sort(rng.choice(2 * nc, size=nc, replace=False))
+        boxes = tuple((float(c), float(c + 1)) for c in cells)
+        grid = build_grid(DomainSpec(1, "union", boxes, 1.0))
+        yield ("union%d" % nc, grid, build_kernel(grid, 1.5),
+               load_from_array(rng.uniform(0.5, 1.5, nc)))
+    for rows, cols in ((3, 4), (4, 4)):
+        corners = (0.0, 0.0, float(cols), float(rows))
+        grid = build_grid(DomainSpec(2, "box", corners, 1.0))
+        for alpha in (2.5, 2.75):
+            yield ("box%dx%d-%g" % (rows, cols, alpha), grid,
+                   build_kernel(grid, alpha), load_from_array(np.ones(grid.ncells)))
+
+
+def test_split_enumeration_keeps_quadratic_form_witness_and_bits():
+    count = 0
+    for label, grid, kern, f in _split_corpus():
+        res = brute_force_cheeger(grid, f, kern)
+        h_ref, witness_ref = _quadratic_form_cheeger(f, kern)
+        assert res.witness.tolist() == witness_ref.tolist(), label
+        assert _bits([res.h]) == _bits([h_ref]), label
+        count += 1
+    assert count == 96 + 1 + 9 + 4
 
 
 def test_brute_force_requires_positive_load(cell1):

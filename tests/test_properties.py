@@ -6,8 +6,14 @@ import numpy as np
 import pytest
 
 from fraclap.domain_grid import DomainSpec, build_grid, build_kernel
-from fraclap.energy import load_from_array, seminorm_power
-from fraclap.geometry import coarea_decompose, perimeter, threshold_cheeger
+from fraclap.energy import load_from_array, seminorm_power, total_energy
+from fraclap.geometry import (
+    brute_force_cheeger,
+    coarea_decompose,
+    perimeter,
+    threshold_cheeger,
+    weighted_volume,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -22,10 +28,17 @@ _SETTINGS = hypothesis.settings(
     params=[(1, "interval", (-1.0, 1.0), 0.125), (2, "box", (0.0, 0.0, 1.0, 1.0), 0.25)],
     ids=["interval16", "box4"],
 )
-def kern16(request):
-    """p = 1 kernel at s = 1/2 on 16 cells: an interval or a 4 x 4 box."""
+def case16(request):
+    """(grid, p = 1 kernel at s = 1/2) on 16 cells: an interval or a 4 x 4
+    box."""
     n, shape, params, h = request.param
-    return build_kernel(build_grid(DomainSpec(n, shape, params, h)), n + 0.5)
+    grid = build_grid(DomainSpec(n, shape, params, h))
+    return grid, build_kernel(grid, n + 0.5)
+
+
+@pytest.fixture(scope="module")
+def kern16(case16):
+    return case16[1]
 
 
 _MASK = st.lists(st.booleans(), min_size=16, max_size=16).map(np.array)
@@ -67,3 +80,53 @@ def test_coarea_layers_are_mask_perimeters(kern16, u):
          layer.perimeter / layer.weighted_volume)
         for layer in layers
     ]
+
+
+# loads with zero cells, so that some subsets have zero weighted volume
+_LOAD = st.lists(
+    st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0]), min_size=16, max_size=16
+).map(np.array)
+
+
+@_SETTINGS
+@hypothesis.given(load=_LOAD, masks=st.lists(_MASK, min_size=1, max_size=4))
+def test_brute_force_cheeger_is_below_every_ratio(case16, load, masks):
+    # the exhaustive minimum is at most the ratio of any set of positive
+    # weighted volume, the drawn ones, the whole domain and the load's
+    # support among them, and h is its witness's ratio bit for bit
+    hypothesis.assume(np.any(load > 0))
+    grid, kern = case16
+    f = load_from_array(load)
+    res = brute_force_cheeger(grid, f, kern)
+    assert res.h == perimeter(res.witness, kern) / weighted_volume(res.witness, f, kern)
+    for mask in masks + [np.ones(16, dtype=bool), load > 0]:
+        vol = weighted_volume(mask, f, kern)
+        if vol > 0:
+            assert res.h <= perimeter(mask, kern) / vol * (1.0 + 1e-12)
+
+
+_FIELD_16 = st.lists(
+    st.floats(-2.0, 2.0, allow_nan=False), min_size=16, max_size=16
+).map(np.array)
+
+
+@_SETTINGS
+@hypothesis.given(
+    a=_FIELD_16,
+    b=_FIELD_16,
+    load=_FIELD_16,
+    p=st.floats(1.0, 2.0, exclude_min=True),
+)
+def test_total_energy_is_midpoint_convex(kern16, a, b, load, p):
+    # F_p is convex for p >= 1, so along the line through a and b its value
+    # at the midpoint is at most the mean of its end values, up to rounding
+    # of order N * eps * sum |terms| over the N = 16^2 summed terms
+    f = load_from_array(load)
+    ends = [total_energy(u, f, kern16, p) for u in (a, b)]
+    mid = total_energy(0.5 * (a + b), f, kern16, p)
+    terms = sum(
+        e.kinetic + float(np.sum(np.abs(load * u * kern16.m)))
+        for e, u in zip(ends + [mid], (a, b, 0.5 * (a + b)))
+    )
+    slack = kern16.w.size * np.finfo(float).eps * terms
+    assert mid.total <= 0.5 * (ends[0].total + ends[1].total) + slack
