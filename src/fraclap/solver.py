@@ -19,7 +19,11 @@ more.
 
 When rounding noise still dominates before the gradient tolerance is met,
 the solve returns with status "floored" instead of pretending convergence;
-the reported gradient norm is the honest one.
+the reported gradient norm is the honest one. A floored solve stops after
+_STAGNANT_LIMIT stagnant steps or at its first exact fixed point: an
+iteration that leaves the iterate, bit for bit, and the start of the next
+line search as they were. The next iteration is a function of those two
+alone, so every later one would repeat it.
 """
 
 from __future__ import annotations
@@ -171,6 +175,17 @@ def _keep_lower(u, f_cur, cand, f, kernel, p):
     return u, f_cur
 
 
+def _at_fixed_point(u_top, halvings_top, u, halvings):
+    """True when an iteration that started at (u_top, halvings_top) ended
+    at (u, halvings) with the same bits. Everything else an iteration
+    reads is a function of these two (the energy is total_energy(u); g, d,
+    the steepest fallback and the metric floor are functions of u), or
+    only decides when the loop ends (stagnant, rel_dec, prev_gn)."""
+    return halvings == halvings_top and np.array_equal(
+        u.view(np.int64), u_top.view(np.int64)
+    )
+
+
 def _snap_pass(u, f_cur, f, kernel, p):
     """Try tie-snapping at the _SNAP_LADDER tolerances, finest first; keep
     whatever does not raise the energy. Plateau formation is genuine
@@ -290,6 +305,10 @@ def solve_p(
     """Minimize the order-(s_p, p) functional; unique minimizer for p > 1.
 
     u0, when given, warm-starts the iteration (used along p-sweeps).
+    cfg.maxit counts iterations that can still change the state: the loop
+    ends at the first iteration that leaves u and the next search's start
+    unchanged, and raises SolverError only when each of maxit iterations
+    changed one of them without meeting a stopping test.
     """
     cfg.validate_for(kernel.n)
     want = kernel_exponent(kernel.n, cfg.s, cfg.p)
@@ -325,6 +344,7 @@ def solve_p(
     halvings = 0  # the last accepted step's, where the next search starts
 
     for iters in range(1, cfg.maxit + 1):
+        u_top, halvings_top = u, halvings
         g = gradient(u, f, kernel, p)
         gn = float(np.max(np.abs(g)))
         if not math.isfinite(gn):
@@ -374,6 +394,8 @@ def solve_p(
         else:
             u, f_cur = cand, f_new
         history.append(f_cur)
+        if _at_fixed_point(u_top, halvings_top, u, halvings):
+            break
     else:
         gn = kkt_residual(u, f, kernel, p)
         raise SolverError(

@@ -5,7 +5,8 @@ examples."""
 import numpy as np
 import pytest
 
-from fraclap.domain_grid import DomainSpec, build_grid, build_kernel
+from fraclap import solver
+from fraclap.domain_grid import DomainSpec, build_grid, build_kernel, kernel_exponent
 from fraclap.energy import load_from_array, seminorm_power, total_energy
 from fraclap.geometry import (
     brute_force_cheeger,
@@ -130,3 +131,29 @@ def test_total_energy_is_midpoint_convex(kern16, a, b, load, p):
     )
     slack = kern16.w.size * np.finfo(float).eps * terms
     assert mid.total <= 0.5 * (ends[0].total + ends[1].total) + slack
+
+
+@hypothesis.settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@hypothesis.given(
+    cells=st.integers(8, 32),
+    load=st.sampled_from([0.5, 1.0, 2.0]),
+    p=st.sampled_from([1.3, 1.2, 1.1]),
+)
+@hypothesis.example(cells=12, load=2.0, p=1.1)
+def test_fixed_point_stop_keeps_the_solution(cells, load, p):
+    # the loop stops once an iteration leaves u and the next search's start
+    # unchanged; running on to the stagnation stop ends at the same bits.
+    # In the explicit example an iteration leaves u unchanged but restarts
+    # the search from the full step, and the solve moves on from there
+    grid = build_grid(DomainSpec(1, "interval", (0.0, float(cells)), 1.0))
+    kern = build_kernel(grid, kernel_exponent(1, 0.5, p))
+    f = load_from_array(np.full(cells, load))
+    cfg = solver.SolveConfig(p=p, s=0.5)
+    stopped = solver.solve_p(grid, kern, f, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_at_fixed_point", lambda *args: False)
+        full = solver.solve_p(grid, kern, f, cfg)
+    assert stopped.u.tobytes() == full.u.tobytes()
+    assert stopped.breakdown == full.breakdown
+    assert stopped.status == full.status
+    assert stopped.iterations <= full.iterations

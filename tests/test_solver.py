@@ -1,5 +1,6 @@
 """Solver checks: admissibility, closed-form oracles, invariants, honesty."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -565,6 +566,55 @@ def test_no_armijo_step_stops_with_honest_status(interval16, monkeypatch):
     assert sol.grad_norm == kkt_residual(sol.u, f, kern, p)
     hist = sol.energy_history
     assert all(b <= a for a, b in zip(hist, hist[1:]))
+
+
+# ---------------------------------------------------------------------------
+# exact fixed point of the loop
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def unit32():
+    """32 unit cells at s = 1/2 under a constant load of 0.5. A cold solve
+    at p = 1.3 snaps back to the bits it started iteration 34 with, and the
+    stagnation stop alone would end it at iteration 54."""
+    grid = build_grid(DomainSpec(1, "interval", (0.0, 32.0), 1.0))
+    kern = build_kernel(grid, kernel_exponent(1, 0.5, 1.3))
+    return grid, kern, load_from_array(np.full(grid.ncells, 0.5))
+
+
+def _breakdown_bits(eb):
+    return np.array(dataclasses.astuple(eb)).tobytes()
+
+
+def test_fixed_point_stop_keeps_the_bits(unit32, monkeypatch):
+    grid, kern, f = unit32
+    cfg = SolveConfig(p=1.3, s=0.5)
+    stopped = solve_p(grid, kern, f, cfg)
+    monkeypatch.setattr(solver, "_at_fixed_point", lambda *args: False)
+    full = solve_p(grid, kern, f, cfg)
+    assert (stopped.iterations, full.iterations) == (34, 54)
+    assert stopped.u.tobytes() == full.u.tobytes()
+    assert _breakdown_bits(stopped.breakdown) == _breakdown_bits(full.breakdown)
+    assert stopped.grad_norm == full.grad_norm
+    assert stopped.status == full.status == "floored"
+    # the unstopped loop appends the fixed point's energy once per repeat,
+    # then the polish appends the same final energy
+    hist = stopped.energy_history
+    repeats = full.iterations - stopped.iterations - 1
+    assert full.energy_history == hist[:-1] + [hist[-2]] * repeats + hist[-1:]
+
+
+def test_maxit_counts_iterations_that_change_the_state(unit32):
+    # iterations 1-33 each change the iterate or the next search's start;
+    # iteration 34 changes neither, so any maxit from 34 on returns
+    grid, kern, f = unit32
+    sol = solve_p(grid, kern, f, SolveConfig(p=1.3, s=0.5, maxit=40))
+    assert (sol.status, sol.iterations) == ("floored", 34)
+    assert solve_p(grid, kern, f, SolveConfig(p=1.3, s=0.5, maxit=34)).iterations == 34
+    with pytest.raises(SolverError) as exc:
+        solve_p(grid, kern, f, SolveConfig(p=1.3, s=0.5, maxit=33))
+    assert exc.value.iterations == 33
 
 
 # ---------------------------------------------------------------------------
