@@ -322,6 +322,8 @@ def _cmd_probe(args) -> int:
 
 
 def _probe_faber_krahn(args) -> int:
+    if args.trials < 0:
+        raise ValueError("--trials must be nonnegative")
     s = args.s
     consts = sharp_constants(1, s, 1.0)
     reports = []

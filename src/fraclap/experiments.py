@@ -382,7 +382,13 @@ class EnergyLimitReport:
 def energy_limit_probe(
     grid: Grid, u, s: float, schedule: Sequence[float]
 ) -> EnergyLimitReport:
-    """Convergence of the kinetic energy to its p = 1 value on a fixed field."""
+    """Convergence of the kinetic energy to its p = 1 value on a fixed field.
+
+    Every scheduled p must exceed 1: a p = 1 entry has a zero gap and
+    would pass the probe vacuously, as would an empty schedule.
+    """
+    if not schedule or not all(p > 1.0 for p in schedule):  # NaN fails too
+        raise ValueError("energy-limit schedule needs p > 1 in every entry")
     n = grid.n
     vals = np.asarray(u, dtype=float)
     kern_1 = build_kernel(grid, kernel_exponent(n, s, 1.0))

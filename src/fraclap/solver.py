@@ -7,7 +7,11 @@ magnitude above tight gradient tolerances. The loop below therefore takes
 variable-metric steps (an SPD approximation of the Hessian regularized only
 inside the metric, never in the objective), falls back to steepest descent
 when the factorization is unusable, and enforces monotone energy through
-Armijo backtracking. Two further ingredients matter near p = 1: iterates are
+Armijo backtracking. The line search brackets the Armijo step from the last
+accepted halving count; when it doubles back to a pass, the probe of one
+halving fewer is skipped where convexity, with a float error bound, proves
+that it fails, and the gradient that proof needed serves the next
+iteration. Two further ingredients matter near p = 1: iterates are
 rescaled along their own ray (which makes the weak-solution identity exact
 and the energy nonpositive), and groups of nearly equal entries are snapped
 to their common mean when that does not raise the energy, since plateau
@@ -51,6 +55,7 @@ _STAGNANT_LIMIT = 25
 _SNAP_LADDER = (1e-12, 1e-9)
 _EPS_E = 1e-12  # relative energy decrement below which a step may be stagnant
 _PAIRWISE_BLOCK = 8  # numpy sums at least this many entries pairwise
+_METRIC_BLOCK = 1 << 16  # entries per block of the metric's scaling pass
 
 
 @dataclass(frozen=True)
@@ -212,21 +217,16 @@ def _metric_init(f, kernel):
         return rhs.copy()
 
 
-def _newton_direction(u, g, kernel, p):
-    """SPD variable-metric direction: weights of the second variation with a
-    tiny curvature floor inside the metric only.
+def _metric_weights(u, kernel, p):
+    """(om, hd) for the variable metric at u, or None when the metric has
+    no finite positive diagonal.
 
-    The factorization and the solve skip scipy's finite scans, two O(N^2)
-    passes over their inputs. The scan of the scaled metric can never
-    fire: once dvec passes its check the diagonal is finite, and each
-    diagonal entry is a float row sum of the nonnegative om terms, which
-    bounds each of them, so |hess_ij| <= min(hess_ii, hess_jj), every
-    product hess_ij * scale_j is at most dvec_j and |hs_ij| <= 1. The scan
-    of g * scale fires only where that product overflows: scale is at most
-    1 / sqrt(5e-324) and solve_p has checked that g is finite, but a
-    |g_i| above about 1.8e308 * dvec_i still overflows. There the solve
-    returns a d that is not finite, and solve_p's gd check takes the
-    steepest step where the scan raised ValueError.
+    om is the N x N array of the second variation's pair weights, with a
+    tiny curvature floor inside the metric only, and hd is the metric's
+    diagonal. The metric itself is (p - 1) * (0.0 - om) off the diagonal
+    and hd on it; 0.0 - om (not -om) keeps the bits of
+    diag(diag) - om. hd is finite and positive exactly when its square
+    root is.
     """
     delta = 1e-10 * max(float(np.max(np.abs(u))), 1e-300)
 
@@ -235,39 +235,202 @@ def _newton_direction(u, g, kernel, p):
         blk += delta * delta
         blk **= (p - 2.0) / 2.0
 
-    # one N x N buffer becomes the pair weights, then the metric, in place;
-    # 0.0 - om (not -om) keeps the bits of diag(diag) - om off the diagonal
     om = _mirrored_pairs(u, kernel.w, entry)
     omb = kernel.t * (u * u + delta * delta) ** ((p - 2.0) / 2.0)
-    diag = om.sum(axis=1) + omb
-    on_diag = np.diag_indices_from(om)
-    diag -= om[on_diag]
+    hd = om.sum(axis=1) + omb
+    hd -= om[np.diag_indices_from(om)]
+    hd *= p - 1.0
+    if not (np.all(np.isfinite(hd)) and np.all(hd > 0)):
+        return None
+    return om, hd
+
+
+def _full_metric(u, kernel, p):
+    """The whole N x N variable metric at u, or None when it has no finite
+    positive diagonal; only the steepest fallback's curvature needs it."""
+    pairs = _metric_weights(u, kernel, p)
+    if pairs is None:
+        return None
+    om, hd = pairs
     hess = np.subtract(0.0, om, out=om)
-    hess[on_diag] = diag
     hess *= p - 1.0
-    dvec = np.sqrt(np.diag(hess))
-    if not np.all(np.isfinite(dvec)) or np.any(dvec <= 0):
-        return None, None
-    scale = 1.0 / dvec
-    # hess is bitwise symmetric, so the transpose of
-    # (hess * scale[None, :]) * scale[:, None] holds the bits of
-    # (hess * scale[:, None]) * scale[None, :] in Fortran order: the
-    # factorization overwrites it without a copy, and neither product
-    # writes memory with a stride
-    hs = np.multiply(hess, scale[None, :])
-    hs *= scale[:, None]
-    hs = hs.T
+    hess[np.diag_indices_from(hess)] = hd
+    return hess
+
+
+def _steepest_step(u, g, gd, kernel, p):
+    """Initial step along -g, with gd = -g @ g: the curvature step
+    -gd / (g @ hess @ g) when the metric exists and is positive along g,
+    else the unit step. The metric dies on return."""
+    hess = _full_metric(u, kernel, p)
+    if hess is not None:
+        curv = float(g @ (hess @ g))
+        if curv > 0:
+            return -gd / curv
+    return 1.0
+
+
+def _newton_direction(u, g, kernel, p):
+    """SPD variable-metric direction d, or None when the metric or its
+    factorization is unusable.
+
+    The scaled metric hs = D^-1/2 hess D^-1/2, D = diag(hess), is built
+    in the pair fill's own buffer by one row-blocked pass over the lower
+    triangle: negate, times (p - 1), times the column scales, then the
+    row scales, the order of _full_metric followed by the column and row
+    products, so every entry keeps those bits. The diagonal comes from hd.
+    In C order that lower triangle is the upper triangle of the Fortran
+    view om.T, the only one cho_factor reads (hess is bitwise symmetric),
+    so the factorization overwrites it without a copy. A block spans
+    _METRIC_BLOCK entries at most, so its four products stay in cache; a
+    matrix of at most that size is one block.
+
+    The factorization and the solve skip scipy's finite scans, two O(N^2)
+    passes over their inputs. The scan of the scaled metric can never
+    fire: hd is finite, and each diagonal entry is a float row sum of the
+    nonnegative om terms, which bounds each of them, so
+    |hess_ij| <= min(hess_ii, hess_jj), every product hess_ij * scale_j
+    is at most sqrt(hd_j) and |hs_ij| <= 1. The scan of g * scale fires
+    only where that product overflows: scale is at most 1 / sqrt(5e-324)
+    and solve_p has checked that g is finite, but a |g_i| above about
+    1.8e308 * sqrt(hd_i) still overflows. There the solve returns a d
+    that is not finite, and solve_p's gd check takes the steepest step
+    where the scan raised ValueError.
+    """
+    pairs = _metric_weights(u, kernel, p)
+    if pairs is None:
+        return None
+    om, hd = pairs
+    scale = 1.0 / np.sqrt(hd)
+    n = hd.size
+    rows = max(1, _METRIC_BLOCK // n)
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
+        blk = om[r0:r1, :r1]
+        np.subtract(0.0, blk, out=blk)
+        blk *= p - 1.0
+        blk *= scale[:r1]
+        blk *= scale[r0:r1, None]
+    om[np.diag_indices_from(om)] = hd * scale * scale
     try:
-        factor = cho_factor(hs, overwrite_a=True, check_finite=False)
+        factor = cho_factor(om.T, overwrite_a=True, check_finite=False)
     except LinAlgError:
-        return None, hess
-    d = -scale * cho_solve(factor, g * scale, check_finite=False)
-    return d, hess
+        return None
+    return -scale * cho_solve(factor, g * scale, check_finite=False)
 
 
-def _armijo_search(u, d, step, gd, f_cur, k, f, kernel, p):
+def _pairwise_depth(n):
+    """The most roundings any entry meets in numpy's pairwise sum of n
+    contiguous entries: halvings (the larger part keeps n - n2 entries,
+    n2 = n // 2 rounded down to a multiple of 8) down to a leaf of at most
+    128, where eight accumulators take up to 15 adds each, a 3-level tree
+    joins them and up to 7 trailing entries are added one by one; below 8
+    entries the leaf adds them one by one."""
+    depth = 0
+    while n > 128:
+        n -= n // 2 - (n // 2) % 8
+        depth += 1
+    if n < 8:
+        return depth + n
+    return depth + n // 8 + 2 + n % 8
+
+
+class _BackoffBound:
+    """A lower bound on the float energy of the line search's back-off
+    probe, which settles that the probe fails its Armijo test without
+    evaluating it. Built once per solve.
+
+    For p > 1, F is convex, so F(b) >= F(a) + grad F(a) . (b - a) for the
+    accepted candidate a and the probe b (Rockafellar, Convex Analysis,
+    Sec. 24). The float test at b fails when fl F(b) > rhs, so the probe
+    is certified to fail when
+
+        fl F(a) + fl(g . (b - a)) - margin > rhs,  g = gradient(a),
+
+    and margin bounds |fl F(a) - F(a)| + |fl F(b) - F(b)|, the error of g
+    weighted by |b - a|, and the rounding of the dot product and of the
+    left side. With u = eps / 2 the unit roundoff, and pow budgeted at
+    4 ulp (8u; numpy's SIMD kernel measured under 0.7 ulp against
+    120-bit references):
+
+    - fl F(x). A pair entry w |x_i - x_j|^p meets one rounding in the
+      difference (relative p * u after the power, p < 2), pow (8u) and
+      the product by w; numpy's pairwise sum of the N^2 entries adds
+      D = _pairwise_depth(N^2) roundings, and pair + 2 tail, the division
+      by 2p and kinetic - load add one each. The tail (N entries, 9u
+      each) and the load (2u each) meet fewer, as _pairwise_depth(N) <= D.
+      So |fl F(x) - F(x)| <= (D + 14) u S(x), S(x) = pair/(2p) + tail/p
+      + sum |f x m| = kinetic + sum |f x m|, to first order.
+    - S(b) from S(a). The seminorm is a norm, so [b] <= [a] + [b - a],
+      and with delta = max |b - a|, [b - a]^p <= delta^p (2^p sum w +
+      2 sum t); also sum |f x m| <= max |x| * sum |f m|.
+    - g. Row i of the pair term sums N terms w_ij |a_i - a_j|^(p-1), each
+      within 10u and at most w_ij (2 max |a|)^(p-1), in
+      _pairwise_depth(N) roundings; the tail term (9u), the product f m
+      and two joining roundings follow. So |g_i - grad_i F(a)| <=
+      (_pairwise_depth(N) + 12) u ((2 max |a|)^(p-1) (sum_j w_ij + t_i)
+      + |f_i m_i|), using |a_i| <= 2 max |a|.
+    - g . (b - a). The subtraction and the product round once each, and
+      BLAS may sum in any order: at most (N + 1) u sum |g_i| |b_i - a_i|.
+      Adding it to fl F(a) and subtracting the margin round once more,
+      within u (S(a) + sum |g_i| |b_i - a_i|) plus u times the margin.
+
+    Each coefficient below is twice the first-order one (eps for u),
+    which covers second-order terms, the float evaluation of the bound
+    itself and of S(a) from a's breakdown, and the last two roundings.
+    Underflow breaks relative bounds; every rounding below the normal
+    range errs by at most 2^-1075 in absolute value, and `tiny` times
+    (1 + delta) exceeds the sum of those over all the operations above.
+    A bound that is not finite is -inf and settles nothing.
+    """
+
+    def __init__(self, f, kernel, p):
+        n = kernel.m.size
+        fm = np.abs(f.values * kernel.m)
+        w_rows = kernel.w.sum(axis=1)
+        w_sum, t_sum = float(np.sum(w_rows)), float(np.sum(kernel.t))
+        self.p = p
+        self.rows = np.stack((w_rows + kernel.t, fm))
+        self.fm_sum = float(np.sum(fm))
+        self.semi_of_delta = (2.0 ** p * w_sum + 2.0 * t_sum) ** (1.0 / p)
+        eps = np.finfo(float).eps
+        self.f_coef = (_pairwise_depth(n * n) + 14) * eps
+        self.g_coef = (_pairwise_depth(n) + 12) * eps
+        self.dot_coef = (n + 3) * eps
+        self.tiny = math.ldexp(
+            w_sum + t_sum + float(np.sum(kernel.m)) + n * n + 4.0 * n + 8.0, -1072
+        )
+
+    def floor(self, b, a, eb_a, g):
+        """A float at or below fl total_energy(b), or -inf where the bound
+        is not finite; eb_a is a's breakdown and g = gradient(a)."""
+        p = self.p
+        diff = b - a
+        adiff = np.abs(diff)
+        delta = float(np.max(adiff))
+        a_max = float(np.max(np.abs(a)))
+        slope = float(g @ diff)
+        g_part = float(np.abs(g) @ adiff)
+        w_part, f_part = self.rows @ adiff
+        s_a = eb_a.kinetic + a_max * self.fm_sum
+        s_b = (eb_a.seminorm + delta * self.semi_of_delta) ** p / (2.0 * p) + (
+            a_max + delta
+        ) * self.fm_sum
+        margin = (
+            self.f_coef * (s_a + s_b)
+            + self.g_coef * ((2.0 * a_max) ** (p - 1.0) * w_part + f_part)
+            + self.dot_coef * g_part
+            + self.tiny * (1.0 + delta)
+        )
+        low = eb_a.total + slope - margin
+        return low if math.isfinite(low) else -math.inf
+
+
+def _armijo_search(u, d, step, gd, f_cur, k, f, kernel, p, bound):
     """Armijo step step * 0.5**j along d with the fewest halvings j below
-    _MAX_HALVINGS, as (candidate, its energy, j), or None if there is none.
+    _MAX_HALVINGS, as (candidate, its energy, j, g), or None if there is
+    none; g is gradient(candidate) when the search computed it, and None
+    otherwise, always after a tie (energy >= f_cur).
 
     The search starts at j = k, halves further while the test fails and
     doubles back while it passes; a scan that halved stops at its first
@@ -276,18 +439,42 @@ def _armijo_search(u, d, step, gd, f_cur, k, f, kernel, p):
     returns the j of a scan from j = 0; starting at the last accepted j
     saves the 8-12 failing trials that the overshooting Newton step of a
     p-homogeneous energy costs a full scan.
+
+    A scan that doubles back ends at the probe of j - 1 that fails. That
+    probe is skipped when bound (a _BackoffBound) certifies its failure
+    from the gradient g at the passing candidate a; solve_p reuses that g
+    as the next iteration's gradient, so a skipped probe costs no pair
+    pass. g is computed only when the step lowered the energy (a tie is
+    snapped, and its gradient would go unused) and when the quadratic
+    through f_cur, gd and F(a) predicts that the probe fails, i.e.
+    F(a) - f_cur > (1 + _ARMIJO_C1) / 2 * t * gd, so a probe that passes
+    seldom wastes a gradient. Every probe the bound leaves open is
+    evaluated as before, so the result never changes.
     """
     found = None
     j = k
     while 0 <= j < _MAX_HALVINGS:
         t = step * 0.5 ** j
         cand = u + t * d
-        f_new = total_energy(cand, f, kernel, p).total
+        eb = total_energy(cand, f, kernel, p)
+        f_new = eb.total
         if f_new <= f_cur + _ARMIJO_C1 * t * gd:
-            found = (cand, f_new, j)
+            found = (cand, f_new, j, None)
             if j > k:
                 break
             j -= 1
+            if (
+                j >= 0
+                and f_new < f_cur
+                and f_new - f_cur > 0.5 * (1.0 + _ARMIJO_C1) * t * gd
+            ):
+                g = gradient(cand, f, kernel, p)
+                found = (cand, f_new, j + 1, g)
+                t_b = step * 0.5 ** j
+                if bound.floor(u + t_b * d, cand, eb, g) > (
+                    f_cur + _ARMIJO_C1 * t_b * gd
+                ):
+                    break
         elif found is not None:
             break
         else:
@@ -342,10 +529,12 @@ def solve_p(
     prev_gn = math.inf
     rel_dec = math.inf
     halvings = 0  # the last accepted step's, where the next search starts
+    bound = _BackoffBound(f, kernel, p)
+    g_next = None  # gradient(u) when the last search computed it
 
     for iters in range(1, cfg.maxit + 1):
         u_top, halvings_top = u, halvings
-        g = gradient(u, f, kernel, p)
+        g = g_next if g_next is not None else gradient(u, f, kernel, p)
         gn = float(np.max(np.abs(g)))
         if not math.isfinite(gn):
             raise SolverError(
@@ -365,25 +554,21 @@ def solve_p(
         if stagnant >= _STAGNANT_LIMIT:
             break
 
-        d, hess = _newton_direction(u, g, kernel, p)
+        d = _newton_direction(u, g, kernel, p)
         gd = float(g @ d) if d is not None else 0.0
         step = 1.0
         if d is None or not math.isfinite(gd) or gd >= 0.0:
             d = -g
             gd = -float(g @ g)
-            if hess is not None:
-                curv = float(g @ (hess @ g))
-                if curv > 0:
-                    step = -gd / curv
+            step = _steepest_step(u, g, gd, kernel, p)
             halvings = 0
-        # the metric is dead past here; holding it would keep a second
-        # N x N array alive through the line search and the next direction
-        del hess
 
-        found = _armijo_search(u, d, step, gd, f_cur, halvings, f, kernel, p)
+        found = _armijo_search(
+            u, d, step, gd, f_cur, halvings, f, kernel, p, bound
+        )
         if found is None:
             break
-        cand, f_new, halvings = found
+        cand, f_new, halvings, g_next = found
         rel_dec = (f_cur - f_new) / max(abs(f_cur), 1e-300)
         # a tie at the rounding floor is where float energies stop being
         # convex along d: the next search scans from the full step again,

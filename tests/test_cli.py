@@ -557,6 +557,22 @@ def test_probe_faber_krahn_seeded_reproducibility(capsys):
     assert len(report["instances"]) == 3  # anchor plus two trials
 
 
+def test_probe_faber_krahn_rejects_negative_trials(capsys):
+    assert main(["probe", "faber-krahn", "--trials", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "configuration error: --trials must be nonnegative" in captured.err
+
+
+@pytest.mark.parametrize("bad", ["1.0", "0.5", "nan"])
+def test_probe_energy_limit_rejects_p_not_above_one(capsys, bad):
+    # before the fix a p = 1 entry passed the gate vacuously (exit 0)
+    assert main(["probe", "energy-limit", "--p", "1.3", "--p", bad]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "configuration error: " in captured.err
+
+
 def test_probe_energy_limit_onecell_passes(onecell_cfg, capsys):
     code = main(
         ["probe", "energy-limit", "--config", str(onecell_cfg),

@@ -407,6 +407,18 @@ def test_energy_limit_zero_field():
     assert rep.gaps == (0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "schedule",
+    [(1.3, 1.0), (1.3, 0.9), (1.2, float("nan")), ()],
+    ids=["p-one", "p-below-one", "p-nan", "empty"],
+)
+def test_energy_limit_rejects_schedules_without_p_above_one(schedule):
+    # a p = 1 entry has a zero gap, so it would pass the gate vacuously
+    grid = build_grid(DomainSpec(1, "interval", (-1.0, 1.0), 0.25))
+    with pytest.raises(ValueError, match="p > 1"):
+        energy_limit_probe(grid, np.ones(grid.ncells), 0.5, schedule)
+
+
 def test_energy_limit_one_cell_matches_exterior_integrals():
     grid = build_grid(DomainSpec(1, "interval", (0.0, 1.0), 1.0))
     schedule = (1.3, 1.2, 1.1)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from fraclap import solver
+from fraclap.certify import build_certificate, verify_certificate
 from fraclap.domain_grid import DomainSpec, build_grid, build_kernel, kernel_exponent
-from fraclap.energy import load_from_array, seminorm_power, total_energy
+from fraclap.energy import gradient, load_from_array, seminorm_power, total_energy
 from fraclap.geometry import (
     brute_force_cheeger,
     coarea_decompose,
@@ -157,3 +158,80 @@ def test_fixed_point_stop_keeps_the_solution(cells, load, p):
     assert stopped.breakdown == full.breakdown
     assert stopped.status == full.status
     assert stopped.iterations <= full.iterations
+
+
+# entries with ties, zeros of both signs and a spread of magnitudes
+_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0]),
+    st.floats(-2.0, 2.0, allow_nan=False),
+)
+_VEC_16 = st.lists(_ENTRY, min_size=16, max_size=16).map(np.array)
+
+
+@_SETTINGS
+@hypothesis.given(
+    u=_VEC_16,
+    d=_VEC_16,
+    load=_VEC_16,
+    p=st.floats(1.0, 2.0, exclude_min=True),
+    scale=st.integers(-100, 100),
+    d_scale=st.sampled_from([-16, -14, -12, -8, -4, 0, 1]),
+    load_scale=st.integers(-50, 50),
+    step=st.sampled_from([1.0, 0.75, 3.0]),
+    j=st.integers(1, 12),
+)
+def test_backoff_floor_is_below_the_probe_energy(
+    kern16, u, d, load, p, scale, d_scale, load_scale, step, j
+):
+    # the back-off bound's floor never exceeds the float energy of the
+    # probe, so a probe it settles fails the float Armijo test run through
+    # total_energy. Fields span 1e-100 to 1e100, directions reach down to
+    # 1e-16 of the field, where the energy's rounding hides the curvature
+    u = u * 10.0 ** scale
+    d = d * 10.0 ** (scale + d_scale)
+    f = load_from_array(load * 10.0 ** load_scale)
+    bound = solver._BackoffBound(f, kern16, p)
+    t_a, t_b = step * 0.5 ** j, step * 0.5 ** (j - 1)
+    a, b = u + t_a * d, u + t_b * d
+    eb_a = total_energy(a, f, kern16, p)
+    floor = bound.floor(b, a, eb_a, gradient(a, f, kern16, p))
+    f_b = total_energy(b, f, kern16, p).total
+    assert f_b >= floor
+    f_cur = total_energy(u, f, kern16, p).total
+    gd = float(gradient(u, f, kern16, p) @ d)
+    rhs = f_cur + solver._ARMIJO_C1 * t_b * gd
+    hypothesis.event("settled" if floor > rhs else "open")
+    if floor > rhs:
+        assert not f_b <= rhs
+
+
+@pytest.fixture(scope="module")
+def cert_case(case16):
+    """(grid, p = 1 kernel, its Cheeger constant under unit load, the
+    p = 1.1 solution field under unit load) on the 16-cell grids."""
+    grid, kern = case16
+    ones = load_from_array(np.ones(16))
+    h = brute_force_cheeger(grid, ones, kern).h
+    kern_p = build_kernel(grid, kernel_exponent(grid.n, 0.5, 1.1))
+    solved = solver.solve_p(grid, kern_p, ones, solver.SolveConfig(p=1.1, s=0.5)).u
+    return kern, h, solved
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@hypothesis.given(
+    kind=st.sampled_from(["zero", "tied", "solved"]),
+    tied=_FIELD,
+    ratio=st.sampled_from([0.5, 0.9, 0.99, 0.999, 1.001, 1.1]),
+    bumps=st.lists(st.sampled_from([0.0, 0.0, 0.1, -0.1]), min_size=16, max_size=16),
+)
+def test_feasible_certificate_passes_verification(cert_case, kind, tied, ratio, bumps):
+    # a certificate that build_certificate reports feasible passes every
+    # check of verify_certificate; loads sit either side of the unit
+    # load's Cheeger constant h, and fields are zero, tied or a solution
+    kern, h, solved = cert_case
+    u = {"zero": np.zeros(16), "tied": tied, "solved": solved}[kind]
+    f = load_from_array(ratio * h * (1.0 + np.array(bumps)))
+    cert = build_certificate(u, f, kern)
+    hypothesis.event("feasible" if cert.feasible else "infeasible")
+    if cert.feasible:
+        assert verify_certificate(u, cert, f, kern).passed

@@ -292,13 +292,14 @@ def test_armijo_search_start_does_not_change_the_step(interval16):
     u = solver._ray_rescale(solver._metric_init(f, kern), f, kern, p)
     f_cur = total_energy(u, f, kern, p).total
     g = gradient(u, f, kern, p)
-    d, _ = solver._newton_direction(u, g, kern, p)
+    d = solver._newton_direction(u, g, kern, p)
     gd = float(g @ d)
     args = (u, d, 1.0, gd, f_cur)
-    cand, f_new, k = solver._armijo_search(*args, 0, f, kern, p)
+    bound = solver._BackoffBound(f, kern, p)
+    cand, f_new, k, _ = solver._armijo_search(*args, 0, f, kern, p, bound)
     assert k >= 1 and f_new < f_cur
     for start in (k, k + 3):
-        c2, f2, k2 = solver._armijo_search(*args, start, f, kern, p)
+        c2, f2, k2, _ = solver._armijo_search(*args, start, f, kern, p, bound)
         assert k2 == k
         assert f2 == f_new
         assert c2.tobytes() == cand.tobytes()
@@ -347,7 +348,7 @@ def _first_newton_step(grid, kern, p):
     u = solver._ray_rescale(solver._metric_init(f, kern), f, kern, p)
     f_cur = total_energy(u, f, kern, p).total
     g = gradient(u, f, kern, p)
-    d, _ = solver._newton_direction(u, g, kern, p)
+    d = solver._newton_direction(u, g, kern, p)
     return f, (u, d, 1.0, float(g @ d), f_cur)
 
 
@@ -370,12 +371,13 @@ def test_upward_armijo_scan_evaluates_no_step_twice(interval16, monkeypatch):
     grid, kern = interval16
     p = 1.2
     f, args = _first_newton_step(grid, kern, p)
+    bound = solver._BackoffBound(f, kern, p)
     seen = _count_energy(monkeypatch)
-    cand, f_new, k = solver._armijo_search(*args, 0, f, kern, p)
+    cand, f_new, k, _ = solver._armijo_search(*args, 0, f, kern, p, bound)
     assert k >= 1
     # j = 0, ..., k once each: the scan stops at its first pass
     assert len({c.tobytes() for c in seen}) == len(seen) == k + 1
-    c2, f2, k2 = solver._armijo_search(*args, k, f, kern, p)
+    c2, f2, k2, _ = solver._armijo_search(*args, k, f, kern, p, bound)
     assert (c2.tobytes(), f2, k2) == (cand.tobytes(), f_new, k)
 
 
@@ -387,9 +389,10 @@ def _keep_lower_always(u, f_cur, cand, f, kernel, p):
     return u, f_cur
 
 
-def _armijo_search_rescan(u, d, step, gd, f_cur, k, f, kernel, p):
+def _armijo_search_rescan(u, d, step, gd, f_cur, k, f, kernel, p, bound):
     """_armijo_search that, after halving to a pass, also retries the
-    step below it, which is known to fail."""
+    step below it, which is known to fail, and evaluates every back-off
+    probe."""
     found = None
     j = k
     while 0 <= j < solver._MAX_HALVINGS:
@@ -397,7 +400,7 @@ def _armijo_search_rescan(u, d, step, gd, f_cur, k, f, kernel, p):
         cand = u + t * d
         f_new = solver.total_energy(cand, f, kernel, p).total
         if f_new <= f_cur + solver._ARMIJO_C1 * t * gd:
-            found = (cand, f_new, j)
+            found = (cand, f_new, j, None)
             j -= 1
         elif found is not None:
             break
@@ -421,6 +424,82 @@ def test_skipped_evaluations_keep_the_solve(interval16, monkeypatch):
     assert lean.u.tobytes() == full.u.tobytes()
     assert lean.energy_history == full.energy_history
     assert lean.iterations == full.iterations
+
+
+def _armijo_search_probing(u, d, step, gd, f_cur, k, f, kernel, p, bound):
+    """_armijo_search without the certified back-off: every probe of one
+    halving fewer is evaluated. The byte reference of _armijo_search."""
+    found = None
+    j = k
+    while 0 <= j < solver._MAX_HALVINGS:
+        t = step * 0.5 ** j
+        cand = u + t * d
+        f_new = solver.total_energy(cand, f, kernel, p).total
+        if f_new <= f_cur + solver._ARMIJO_C1 * t * gd:
+            found = (cand, f_new, j, None)
+            if j > k:
+                break
+            j -= 1
+        elif found is not None:
+            break
+        else:
+            j += 1
+    return found
+
+
+@pytest.mark.parametrize(
+    "n, p",
+    [(1, 1.3), (1, 1.2), (1, 1.1), (1, 1.02), (2, 1.1)],
+    ids=["interval16-1.3", "interval16-1.2", "interval16-1.1", "interval16-1.02", "box8-1.1"],
+)
+def test_certified_backoff_keeps_the_solve(monkeypatch, n, p):
+    # skipping the probes the convexity bound settles, and reusing the
+    # gradient it computed, changes no iterate: every byte of the solution
+    # matches the search that evaluates each probe
+    if n == 1:
+        spec = DomainSpec(1, "interval", (-1.0, 1.0), 0.125)
+    else:
+        spec = DomainSpec(2, "box", (0.0, 0.0, 1.0, 1.0), 0.125)
+    grid = build_grid(spec)
+    kern = build_kernel(grid, kernel_exponent(n, 0.5, p))
+    f = load_from_array(np.ones(grid.ncells))
+    cfg = SolveConfig(p=p, s=0.5)
+    seen = _count_energy(monkeypatch)
+    lean = solve_p(grid, kern, f, cfg)
+    lean_calls = len(seen)
+    monkeypatch.setattr(solver, "_armijo_search", _armijo_search_probing)
+    del seen[:]
+    full = solve_p(grid, kern, f, cfg)
+    assert lean_calls < len(seen)
+    assert lean.u.tobytes() == full.u.tobytes()
+    assert lean.energy_history == full.energy_history
+    assert lean.grad_norm == full.grad_norm
+    assert lean.iterations == full.iterations
+
+
+def test_backoff_gradient_is_not_recomputed(interval16, monkeypatch):
+    # the gradient a search computed at its accepted step serves the next
+    # iteration, so the loop computes no field's gradient twice
+    grid, kern = interval16
+    f = load_from_array(np.ones(grid.ncells))
+    fields, returned = [], []
+    grad_of, search = solver.gradient, solver._armijo_search
+
+    def counted(u, *rest):
+        fields.append(np.array(u, dtype=float).tobytes())
+        return grad_of(u, *rest)
+
+    def logged(*args):
+        found = search(*args)
+        returned.append(found is not None and found[3] is not None)
+        return found
+
+    monkeypatch.setattr(solver, "gradient", counted)
+    monkeypatch.setattr(solver, "_armijo_search", logged)
+    solve_p(grid, kern, f, SolveConfig(p=1.2, s=0.5))
+    assert any(returned)
+    loop = fields[:-1]  # the last is the final residual's
+    assert len(set(loop)) == len(loop)
 
 
 # ---------------------------------------------------------------------------
@@ -464,19 +543,26 @@ def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def test_newton_direction_keeps_full_fill_bits(mirror_case):
+def test_newton_direction_keeps_full_fill_bits(mirror_case, monkeypatch):
+    # the scaling pass runs in one block, in single rows, and in blocks of
+    # 7 rows with a partial last one
     kern, fields = mirror_case
-    f = load_from_array(np.linspace(-1.0, 2.0, kern.m.size))
-    for u in fields:
-        for p in (1.02, 1.1, 2.0):
-            g = gradient(u, f, kern, p)
-            # a zero field has no metric: 0.0 ** ((p - 2) / 2) is inf, and
-            # inf meets the zero diagonal of w
-            with np.errstate(divide="ignore", invalid="ignore"):
-                d, hess = solver._newton_direction(u, g, kern, p)
-                want_d, want_hess = _newton_direction_full(u, g, kern, p)
-            assert _same_bits(hess, want_hess), p
-            assert _same_bits(d, want_d), p
+    cells = kern.m.size
+    f = load_from_array(np.linspace(-1.0, 2.0, cells))
+    for rows in (None, 1, 7):
+        if rows is not None:
+            monkeypatch.setattr(solver, "_METRIC_BLOCK", rows * cells)
+        for u in fields:
+            for p in (1.02, 1.1, 2.0):
+                g = gradient(u, f, kern, p)
+                # a zero field has no metric: 0.0 ** ((p - 2) / 2) is inf,
+                # and inf meets the zero diagonal of w
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    d = solver._newton_direction(u, g, kern, p)
+                    hess = solver._full_metric(u, kern, p)
+                    want_d, want_hess = _newton_direction_full(u, g, kern, p)
+                assert _same_bits(hess, want_hess), (rows, p)
+                assert _same_bits(d, want_d), (rows, p)
 
 
 def test_newton_direction_is_absent_or_finite_at_any_scale(mirror_case):
@@ -491,7 +577,7 @@ def test_newton_direction_is_absent_or_finite_at_any_scale(mirror_case):
             for p in (1.02, 1.1, 2.0):
                 with np.errstate(all="ignore"):
                     g = gradient(v, f, kern, p)
-                    d, _ = solver._newton_direction(v, g, kern, p)
+                    d = solver._newton_direction(v, g, kern, p)
                 assert d is None or np.all(np.isfinite(d)), (e, p)
 
 
@@ -504,7 +590,7 @@ def test_newton_direction_overflowing_rhs_returns_nonfinite_d(interval16):
     f = load_from_array(np.full(grid.ncells, 1e240))
     with np.errstate(all="ignore"):
         g = gradient(u, f, kern, 1.02)
-        d, _ = solver._newton_direction(u, g, kern, 1.02)
+        d = solver._newton_direction(u, g, kern, 1.02)
         assert np.all(np.isfinite(g)) and d is not None
         assert not math.isfinite(float(g @ d))
 
@@ -516,7 +602,7 @@ def _refuse_factor(*args, **kwargs):
 @pytest.mark.parametrize(
     "attr, patch",
     [
-        ("_newton_direction", lambda u, g, kernel, p: (None, None)),
+        ("_newton_direction", lambda u, g, kernel, p: None),
         ("cho_factor", _refuse_factor),
     ],
     ids=["unit-step", "curvature-step"],
