@@ -24,8 +24,8 @@ from scipy.integrate import quad
 #: subcells per axis of the near-pair rule behind the pair weights w
 NEAR_SUBCELLS = 4
 
-#: row-block height of the kernel assembly: one block of int64 distances
-#: and its temporaries is all the scratch beside w
+#: row-block height of the kernel assembly: one block of int64 offset
+#: indices and its near-entry mask is all the scratch beside w
 _KERNEL_ROWS = 128
 
 #: dense working set of a command, in N x N float64 arrays: the peak-RSS
@@ -33,6 +33,13 @@ _KERNEL_ROWS = 128
 #: 3.8 N^2 * 8 bytes for solve, 4.1 for certify, 4.8 for a one-p sweep and
 #: 2.3 for cheeger --field
 _DENSE_ARRAYS = 5
+
+#: peak bytes per entry of the per-offset stages of the kernel assembly,
+#: measured with tracemalloc: the exterior lattice sum holds 16 per offset
+#: in 1-D and 38.4 per (2 kmax + 1)^2 offset in 2-D, and the per-offset
+#: value tables 41 (1-D) and 49 (2-D) per entry
+_LATTICE_BYTES = {1: 16, 2: 40}
+_TABLE_BYTES = 50
 
 #: boundary measure of the unit sphere, indexed by dimension
 OMEGA_N = {1: 2.0, 2: 2.0 * math.pi}
@@ -426,6 +433,28 @@ def _check_dense_fits(ncells: int) -> None:
         )
 
 
+def _check_offsets_fit(n: int, kmax: int, hi) -> None:
+    """Reject a domain whose per-offset stages exceed physical memory.
+
+    The exterior lattice sum runs over every offset within kmax cells and
+    the value tables over every offset within the bounding box, -hi_k ...
+    hi_k on axis k. Both follow the domain's spread, not its cell count, so two cells
+    far apart would pass _check_dense_fits and still need gigabytes here.
+    """
+    lattice = kmax if n == 1 else (2 * kmax + 1) ** n
+    table = math.prod(2 * int(k) + 1 for k in hi)
+    need = max(_LATTICE_BYTES[n] * lattice, _TABLE_BYTES * table)
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise ValueError(
+            "a domain whose bounding box spans %s cells needs about %.3g GB "
+            "for its exterior lattice sum (%d cells out) and its per-offset "
+            "tables, more than the %.3g GB of physical memory"
+            % (" x ".join(str(int(k) + 1) for k in hi), need / 1e9, kmax,
+               have / 1e9)
+        )
+
+
 def build_kernel(grid: Grid, exponent: float) -> KernelSet:
     """Pairwise weights w and exterior tails t in one pass over row blocks.
 
@@ -443,6 +472,16 @@ def build_kernel(grid: Grid, exponent: float) -> KernelSet:
 
     The pair weights w share the midpoint far values of kv; their near
     values use the subcell rule of _hybrid_pair_unit at NEAR_SUBCELLS.
+
+    Cells are congruent, so every weight depends only on the lattice offset
+    of its pair. kv and tw (kv with the subcell values in its near slots)
+    are tables over the offsets of the grid's bounding box, -hi_k ... hi_k
+    on axis k, in mixed radix. A cell's key is its lattice point in the
+    same radix, so a block's table indices are one int64 difference of
+    keys; the block takes its entries from kv, its row sums for the tails,
+    and then its near entries from tw. Each table value comes from the
+    float input and expression of the entry in a full N x N fill, so w and
+    t keep that fill's bits.
     """
     validate_exponent(grid.n, exponent)
     _check_dense_fits(grid.ncells)
@@ -452,6 +491,9 @@ def build_kernel(grid: Grid, exponent: float) -> KernelSet:
     sigma = alpha - n
     kmax = int(math.floor(grid.r_out / h))
     r_snap = (kmax + 0.5) * h
+    lat = grid.lattice.astype(np.int64)
+    hi = lat.max(axis=0)
+    _check_offsets_fit(n, kmax, hi)
 
     scale = h ** (2 * n - alpha)
     offsets = _near_offsets(n)
@@ -477,32 +519,35 @@ def build_kernel(grid: Grid, exponent: float) -> KernelSet:
             vals[dvals == float(dd)] = v
         lattice_sum = float(np.sum(vals))
 
-    # row blocks of w first hold kv for the in-domain pairs, whose row sums
-    # give the tails; then their near pairs take the subcell rule
-    hybrid = {
-        dd: scale * _hybrid_pair_unit(off, alpha, NEAR_SUBCELLS, n)
-        for dd, off in offsets.items()
-    }
+    # per-offset value tables over the bounding box, in mixed radix
+    axes = np.meshgrid(
+        *(np.arange(-k, k + 1, dtype=np.int64) for k in hi), indexing="ij"
+    )
+    d2 = sum(ax * ax for ax in axes).ravel()
+    kv = np.zeros(d2.shape)
+    far = d2 > 9
+    kv[far] = scale * d2[far].astype(float) ** (-alpha / 2.0)
+    tw = kv.copy()
+    for dd, off in offsets.items():
+        slots = d2 == dd
+        kv[slots] = near[dd]
+        tw[slots] = scale * _hybrid_pair_unit(off, alpha, NEAR_SUBCELLS, n)
+    is_near = (d2 > 0) & ~far
+    radix = np.cumprod(np.r_[1, 2 * hi[:0:-1] + 1])[::-1]
+    keys = lat @ radix
+    origin = int(hi @ radix)  # the table slot of offset zero
+
     ncells = grid.ncells
-    cols = grid.lattice.T.astype(np.int64)
-    w = np.zeros((ncells, ncells))
+    w = np.empty((ncells, ncells))
     kv_sums = np.empty(ncells)
     for r0 in range(0, ncells, _KERNEL_ROWS):
         r1 = min(r0 + _KERNEL_ROWS, ncells)
-        d2 = np.zeros((r1 - r0, ncells), dtype=np.int64)
-        for col in cols:
-            diff = np.subtract.outer(col[r0:r1], col)
-            diff *= diff
-            d2 += diff
+        idx = np.subtract.outer(keys[r0:r1] + origin, keys)
         blk = w[r0:r1]
-        far = d2 > 9
-        blk[far] = scale * d2[far].astype(float) ** (-alpha / 2.0)
-        near_idx = {dd: np.flatnonzero(d2 == dd) for dd in offsets}
-        for dd, idx in near_idx.items():
-            blk.flat[idx] = near[dd]
+        np.take(kv, idx, out=blk, mode="clip")  # "raise" would buffer out
         kv_sums[r0:r1] = blk.sum(axis=1)
-        for dd, idx in near_idx.items():
-            blk.flat[idx] = hybrid[dd]
+        sel = np.flatnonzero(is_near.take(idx))
+        blk.flat[sel] = tw.take(idx.flat[sel])
 
     tail = grid.cell_measure * OMEGA_N[n] / (sigma * r_snap ** sigma)
     t = lattice_sum - kv_sums + tail

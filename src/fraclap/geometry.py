@@ -5,8 +5,9 @@ Masks are boolean cell arrays (subsets of the domain as unions of cells).
 Perimeter shares the kernel weights with the energy module, which makes
 the set functional Per_s(E) - |E|_f equal to F_1(chi_E), the p = 1
 functional at the indicator, exactly rather than approximately. A
-perimeter sums the N x N buffer w_ij * (chi_i != chi_j), which one update
-(_update_pairs) fills for a single mask and keeps across the coarea levels.
+perimeter sums the N x N buffer w_ij * (chi_i != chi_j): one full fill for
+a single mask, and one buffer that _update_pairs keeps across the coarea
+levels.
 """
 
 from __future__ import annotations
@@ -91,19 +92,11 @@ def perimeter(mask, kernel: KernelSet) -> float:
     """Weighted fractional perimeter of a cell set:
     cross pairs inside the domain plus exterior tails of the set's cells,
     equal bit for bit to half the p = 1 seminorm power of the indicator.
-
-    The pair buffer starts as zeros, the cross pairs of both the empty and
-    the full set, and only the rows and columns of the smaller side of the
-    mask are written.
     """
     arr = _as_mask(mask, kernel)
     if not np.any(arr):
         return 0.0
-    n = arr.size
-    pairs = np.zeros((n, n))
-    moved = min(np.flatnonzero(arr), np.flatnonzero(~arr), key=len)
-    _update_pairs(pairs, arr, moved, kernel)
-    return _pair_perimeter(pairs, arr, kernel)
+    return _pair_perimeter(kernel.w * (arr[:, None] != arr), arr, kernel)
 
 
 def weighted_volume(mask, f: LoadField, kernel: KernelSet) -> float:

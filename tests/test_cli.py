@@ -396,6 +396,26 @@ def test_sweep_beyond_physical_memory_exits_2(tmp_path, capsys):
     assert "physical memory" in err
 
 
+@pytest.mark.parametrize("command", ["solve", "cheeger"])
+def test_far_spread_union_exits_2(tmp_path, capsys, command):
+    # two unit cells 10^6 apart: the exterior lattice sum behind their
+    # tails would span (5 * 10^6)^2 offsets, about 10^6 GB
+    cfg_path = tmp_path / "far.cfg"
+    cfg_path.write_text(
+        "config_version = 1\nlabel = far\nn = 2\nshape = union\n"
+        "params = 0 0 1 1 1000000 0 1000001 1\nh = 1\ns = 0.5\n"
+        "schedule = 1.1\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert "bounding box spans 1000001 x 1 cells" in err
+    assert "physical memory" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "n, shape, params, h, message",
     [

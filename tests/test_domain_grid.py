@@ -6,6 +6,7 @@ t^(2-alpha) / ((1-alpha)(2-alpha)).
 """
 
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -594,17 +595,34 @@ def _full_fill_kernel(grid, alpha):
     return w, t
 
 
-# 1-D cell counts around the 128-row assembly blocks, and 2-D boxes of one
-# partial, two and three blocks
+# 1-D cell counts around the 128-row assembly blocks, 2-D boxes of one
+# partial, two and three blocks, and balls and unions (whose bounding boxes
+# hold cells of no grid) at the sweeps' resolutions h = 0.125 and 0.5
+_FULL_FILL_GRIDS = {
+    **{"1d-%d" % c: (DomainSpec(1, "box", (0.0, float(c)), 1.0), (1.5, 1.8))
+       for c in (1, 127, 128, 129, 300)},
+    **{"2d-%dx%d" % box: (DomainSpec(2, "box", (0.0, 0.0) + box, 1.0), (2.5, 2.75))
+       for box in ((7, 5), (12, 12), (17, 17))},
+    "1d-ball-0.125": (DomainSpec(1, "ball", (0.0, 8.0), 0.125), (1.5, 1.8)),
+    "1d-union-0.5": (DomainSpec(1, "union", (0.0, 16.0, 21.5, 40.0), 0.5), (1.5, 1.8)),
+    "2d-ball-0.5": (DomainSpec(2, "ball", (0.0, 0.0, 4.0), 0.5), (2.5, 2.75)),
+    "2d-ball-0.125": (DomainSpec(2, "ball", (0.0, 0.0, 1.0), 0.125), (2.5, 2.75)),
+    "2d-union-0.125": (
+        DomainSpec(2, "union", (0.0, 0.0, 1.0, 2.0, 1.5, 0.5, 3.0, 1.25), 0.125),
+        (2.5, 2.75),
+    ),
+    "2d-union-0.5": (
+        DomainSpec(2, "union", (0.0, 0.0, 4.0, 2.0, 2.0, 0.0, 5.0, 6.0), 0.5),
+        (2.5, 2.75),
+    ),
+}
+
+
 @pytest.mark.parametrize(
-    "n, upper, alphas",
-    [(1, (c,), (1.5, 1.8)) for c in (1, 127, 128, 129, 300)]
-    + [(2, box, (2.5, 2.75)) for box in ((7, 5), (12, 12), (17, 17))],
-    ids=["1d-1", "1d-127", "1d-128", "1d-129", "1d-300", "2d-7x5", "2d-12x12",
-         "2d-17x17"],
+    "spec, alphas", list(_FULL_FILL_GRIDS.values()), ids=list(_FULL_FILL_GRIDS)
 )
-def test_blockwise_kernel_keeps_full_fill_bits(n, upper, alphas):
-    grid = build_grid(DomainSpec(n, "box", (0.0,) * n + tuple(map(float, upper)), 1.0))
+def test_blockwise_kernel_keeps_full_fill_bits(spec, alphas):
+    grid = build_grid(spec)
     for alpha in alphas:
         kern = build_kernel(grid, alpha)
         w, t = _full_fill_kernel(grid, alpha)
@@ -623,6 +641,42 @@ def test_kernel_assembly_peaks_below_two_pair_arrays():
     finally:
         tracemalloc.stop()
     assert peak < 2 * kern.w.nbytes
+
+
+@pytest.mark.parametrize(
+    "n, params",
+    [(1, (0.0, 1.0, sep, sep + 1.0)) for sep in (1e6, 1e12)]
+    + [(2, (0.0, 0.0, 1.0, 1.0, sep, 0.0, sep + 1.0, 1.0)) for sep in (1e4, 1e6)],
+    ids=["1d-1e6", "1d-1e12", "2d-1e4", "2d-1e6"],
+)
+def test_far_spread_union_is_rejected_before_its_lattice(monkeypatch, n, params):
+    # two cells far apart pass the dense check, but the exterior lattice sum
+    # and the per-offset tables follow the spread; with 16 MB of physical
+    # memory each case is rejected before anything grows with its spread
+    monkeypatch.setattr(
+        os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 4096}.__getitem__
+    )
+    grid = build_grid(DomainSpec(n, "union", params, 1.0))
+    assert grid.ncells == 2
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="physical memory"):
+            build_kernel(grid, n + 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def test_near_union_passes_the_lattice_check(monkeypatch):
+    # the same two cells 50 apart need about 2.6 MB of the 16 MB: their
+    # lattice sum runs 127 cells out
+    monkeypatch.setattr(
+        os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 4096}.__getitem__
+    )
+    grid = build_grid(DomainSpec(2, "union", (0.0, 0.0, 1.0, 1.0, 50.0, 0.0, 51.0, 1.0), 1.0))
+    kern = build_kernel(grid, 2.5)
+    assert kern.w[0, 1] == kern.w[1, 0] == pytest.approx(50.0 ** -2.5, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

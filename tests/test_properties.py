@@ -134,6 +134,42 @@ def test_total_energy_is_midpoint_convex(kern16, a, b, load, p):
     assert mid.total <= 0.5 * (ends[0].total + ends[1].total) + slack
 
 
+@st.composite
+def _grid_specs(draw):
+    """A box, ball or two-box union of up to about 200 cells, at a sweep
+    resolution or unit cells."""
+    n = draw(st.sampled_from([1, 2]))
+    h = draw(st.sampled_from([0.125, 0.5, 1.0]))
+    side = st.integers(1, 150 if n == 1 else 12)
+    shape = draw(st.sampled_from(["box", "ball", "union"]))
+    if shape == "ball":
+        centre = tuple(draw(st.integers(-4, 4)) * h for _ in range(n))
+        return DomainSpec(n, shape, centre + (draw(side) * h / 2,), h)
+    boxes = []
+    for _ in range(1 if shape == "box" else 2):
+        lo = [draw(st.integers(-20, 20)) for _ in range(n)]
+        hi = [k + draw(side) for k in lo]
+        boxes.append(tuple(k * h for k in lo + hi))
+    return DomainSpec(n, shape, sum(boxes, ()), h)
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@hypothesis.given(spec=_grid_specs(), step=st.sampled_from([0.25, 0.5, 0.75]))
+def test_pair_weight_depends_only_on_absolute_offset(spec, step):
+    # congruent cells: w_ij has the bits of w_kl whenever the two pairs have
+    # the same absolute lattice offset on every axis, the structure that
+    # lets the assembly read every weight from one per-offset table
+    grid = build_grid(spec)
+    kern = build_kernel(grid, spec.n + step)
+    lat = grid.lattice
+    offsets = np.abs(lat[:, None, :] - lat[None, :, :]).reshape(-1, spec.n)
+    group = np.unique(offsets, axis=0, return_inverse=True)[1].ravel()
+    bits = kern.w.view(np.int64).ravel()
+    chosen = np.empty(group.max() + 1, dtype=np.int64)
+    chosen[group] = bits  # one pair's bits per offset class
+    assert np.array_equal(chosen[group], bits)
+
+
 @hypothesis.settings(max_examples=24, deadline=None, derandomize=True, database=None)
 @hypothesis.given(
     cells=st.integers(8, 32),
