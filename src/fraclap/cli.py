@@ -132,6 +132,7 @@ def _cmd_solve(args) -> int:
         "s_p": grid.n + cfg.s - grid.n / p,
         "status": sol.status,
         "iterations": sol.iterations,
+        "orbits": sol.orbits,
         "grad_norm": sol.grad_norm,
         "l1": sol.l1,
         "seminorm": sol.seminorm,
@@ -168,7 +169,10 @@ def _cmd_sweep(args) -> int:
             "aborted": table.aborted,
             "failure": table.failure,
             "statuses": list(table.statuses),
-            "records": [rec._asdict() for rec in table.records],
+            "records": [
+                dict(rec._asdict(), orbits=k)
+                for rec, k in zip(table.records, table.orbits)
+            ],
         }
         if len(table.records) >= 3:
             h_ref, kind = _reference_cheeger(cfg)

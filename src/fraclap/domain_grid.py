@@ -117,7 +117,7 @@ class Grid:
     n: int
     h: float
     centers: np.ndarray  # (N, n) cell centers
-    lattice: np.ndarray  # (N, n) integer cell coordinates, min per axis is 0
+    lattice: np.ndarray  # (N, n) int64 cell coordinates, min per axis is 0
     measure: float  # |Omega| = N * h^n
     diam: float  # diameter bound (bounding-box diagonal)
     r_out: float  # exterior-quadrature split radius
@@ -188,9 +188,7 @@ def build_grid(spec: DomainSpec) -> Grid:
 
     anchor = tuple(min(lo[k] for lo, _ in boxes) for k in range(spec.n))
     lat = np.concatenate([
-        _box_lattice(lo, hi, h)
-        + [int(round((lo[k] - anchor[k]) / h)) for k in range(spec.n)]
-        for lo, hi in boxes
+        _box_lattice(lo, hi, h) + _box_shift(lo, anchor, h) for lo, hi in boxes
     ])
     if spec.shape == "ball":
         centers = lat * h + np.asarray(anchor) + 0.5 * h
@@ -248,6 +246,20 @@ def _box_lattice(lo, hi, h):
     _check_dense_fits(math.prod(counts))
     axes = np.meshgrid(*(np.arange(c, dtype=np.int64) for c in counts), indexing="ij")
     return np.stack([ax.ravel() for ax in axes], axis=1)
+
+
+def _box_shift(lo, anchor, h):
+    """int64 lattice offset of a box's lower corner from the anchor. An
+    offset past int64 would turn the lattice into floats, whose far cells
+    round together, so it is rejected; below 2^62 the box's own cells,
+    whose count _check_dense_fits has bounded, still fit."""
+    shift = [(a - b) / h for a, b in zip(lo, anchor)]
+    if not all(0.0 <= v < 2.0 ** 62 for v in shift):
+        raise ValueError(
+            "a box at %r lies %r cells of side %r from the lowest corner %r, "
+            "beyond the int64 cell lattice" % (lo, max(shift), h, anchor)
+        )
+    return np.array([int(round(v)) for v in shift], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,7 @@ class SweepTable:
 
     records: Tuple[SweepRecord, ...]
     statuses: Tuple[str, ...]
+    orbits: Tuple[int, ...]  # variables of each solve's loop (Solution.orbits)
     aborted: bool
     failure: Optional[str]
     label: str
@@ -213,6 +214,7 @@ def run_sweep(cfg: RunConfig) -> SweepTable:
 
     records: List[SweepRecord] = []
     statuses: List[str] = []
+    orbits: List[int] = []
     aborted = False
     failure = None
     u_prev = None
@@ -239,9 +241,11 @@ def run_sweep(cfg: RunConfig) -> SweepTable:
             )
         )
         statuses.append(sol.status)
+        orbits.append(sol.orbits)
     return SweepTable(
         records=tuple(records),
         statuses=tuple(statuses),
+        orbits=tuple(orbits),
         aborted=aborted,
         failure=failure,
         label=cfg.label,

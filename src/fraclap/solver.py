@@ -28,6 +28,20 @@ _STAGNANT_LIMIT stagnant steps or at its first exact fixed point: an
 iteration that leaves the iterate, bit for bit, and the start of the next
 line search as they were. The next iteration is a function of those two
 alone, so every later one would repeat it.
+
+The loop runs on the orbits of the domain's lattice symmetries. A
+reflection of the cell lattice, or in 2-D the swap of its axes, is kept
+when it maps the cells onto themselves and leaves the load and w unchanged
+bit for bit. For p > 1 the functional is strictly convex, and each kept
+map leaves it invariant (t to within rounding), so its unique minimizer is
+invariant too and lies among the fields that are constant on each orbit
+(Palais, "The principle of symmetric criticality", Comm. Math. Phys. 69,
+1979). The functional restricted to those fields is again of the same
+form, with one variable per orbit, the pair weights summed over pairs of
+orbits and the tails, measures and load sums over each orbit; the loop
+minimizes it unchanged and expands the result. That restriction is exact
+for any partition, so an asymmetric problem, whose partition is one cell
+per orbit, passes its own kernel and load through and keeps every bit.
 """
 
 from __future__ import annotations
@@ -56,6 +70,7 @@ _SNAP_LADDER = (1e-12, 1e-9)
 _EPS_E = 1e-12  # relative energy decrement below which a step may be stagnant
 _PAIRWISE_BLOCK = 8  # numpy sums at least this many entries pairwise
 _METRIC_BLOCK = 1 << 16  # entries per block of the metric's scaling pass
+_ORBIT_ROWS = 128  # cells per row block of the symmetry checks and the quotient
 
 
 @dataclass(frozen=True)
@@ -108,6 +123,7 @@ class Solution:
     semi_power_pm1: float  # [u]^(p-1), the blow-up/vanishing discriminant
     l1: float
     status: str
+    orbits: int  # variables of the loop: one per symmetry orbit, 0 if none ran
     energy_history: List[float] = field(repr=False, default_factory=list)
 
 
@@ -168,11 +184,15 @@ def _ray_rescale(u, f, kernel, p):
     return beta * u
 
 
+def _same_bits(a, b):
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def _keep_lower(u, f_cur, cand, f, kernel, p):
     """(cand, its energy) if that energy does not exceed f_cur, else
     (u, f_cur): the guard behind every optional move of the solve. f_cur
     is u's energy, so a candidate with u's bits costs no evaluation."""
-    if np.array_equal(cand.view(np.int64), u.view(np.int64)):
+    if _same_bits(cand, u):
         return u, f_cur
     f_cand = total_energy(cand, f, kernel, p).total
     if f_cand <= f_cur:
@@ -186,9 +206,7 @@ def _at_fixed_point(u_top, halvings_top, u, halvings):
     reads is a function of these two (the energy is total_energy(u); g, d,
     the steepest fallback and the metric floor are functions of u), or
     only decides when the loop ends (stagnant, rel_dec, prev_gn)."""
-    return halvings == halvings_top and np.array_equal(
-        u.view(np.int64), u_top.view(np.int64)
-    )
+    return halvings == halvings_top and _same_bits(u, u_top)
 
 
 def _snap_pass(u, f_cur, f, kernel, p):
@@ -482,6 +500,134 @@ def _armijo_search(u, d, step, gd, f_cur, k, f, kernel, p, bound):
     return found
 
 
+def _lattice_images(lat):
+    """The cell lattice mapped by each candidate isometry of its bounding
+    box [0, hi]: the reflection x_k -> hi_k - x_k of each axis and, in
+    2-D with a square box, the swap of the two axes."""
+    hi = lat.max(axis=0)
+    images = []
+    for k in range(lat.shape[1]):
+        img = lat.copy()
+        img[:, k] = hi[k] - lat[:, k]
+        images.append(img)
+    if lat.shape[1] == 2 and hi[0] == hi[1]:
+        images.append(lat[:, ::-1])
+    return images
+
+
+def _fixes_weights(w, perm):
+    """True when w_{perm i, perm j} has the bits of w_ij for every pair,
+    compared one block of _ORBIT_ROWS rows at a time."""
+    n = perm.size
+    for r0 in range(0, n, _ORBIT_ROWS):
+        r1 = min(r0 + _ORBIT_ROWS, n)
+        if not _same_bits(w[np.ix_(perm[r0:r1], perm)], w[r0:r1]):
+            return False
+    return True
+
+
+def _symmetry_maps(grid, kernel, f):
+    """The candidates of _lattice_images that fix the problem, each as the
+    cell permutation it induces: a map is kept when it sends the cell set
+    onto itself and leaves f.values and w unchanged bit for bit.
+
+    t is not compared: its row sums round differently in mirrored cells,
+    so it is invariant only to within that rounding, and the quotient sums
+    it over each orbit.
+    """
+    lat = grid.lattice
+    ncells = kernel.m.size
+    if lat.shape[0] != ncells:
+        raise ValueError(
+            "grid has %d cells, kernel %d" % (lat.shape[0], ncells)
+        )
+    radix = np.cumprod(np.r_[1, lat.max(axis=0)[:0:-1] + 1])[::-1]
+    keys = lat @ radix  # ascending, as the lattice is in lexicographic order
+    perms = []
+    for img in _lattice_images(lat):
+        img_keys = img @ radix
+        perm = np.minimum(np.searchsorted(keys, img_keys), ncells - 1)
+        if (
+            np.array_equal(keys[perm], img_keys)
+            and _same_bits(f.values[perm], f.values)
+            and _fixes_weights(kernel.w, perm)
+        ):
+            perms.append(perm)
+    return perms
+
+
+def _symmetry_orbits(grid, kernel, f):
+    """Orbit index of each cell under the group the maps of _symmetry_maps
+    generate, numbered in the order of each orbit's first cell."""
+    perms = _symmetry_maps(grid, kernel, f)
+    # each cell takes the least index it reaches through the kept maps
+    label = np.arange(kernel.m.size)
+    while True:
+        low = label
+        for perm in perms:
+            low = np.minimum(low, low[perm])
+        if np.array_equal(low, label):
+            return np.unique(label, return_inverse=True)[1]
+        label = low
+
+
+class _Quotient:
+    """The functional on fields that are constant on each orbit of a cell
+    partition, as a kernel and a load with one variable per orbit.
+
+    For u_i = v_a on every cell i of orbit a, each sum of the functional
+    groups by orbits: the pair sum is sum_ab W_ab |v_a - v_b|^p with
+    W_ab = sum_{i in a, j in b} w_ij (pairs inside an orbit add
+    |0|^p = 0, so W_aa = 0), the tail sum is sum_a T_a |v_a|^p with
+    T_a = sum_{i in a} t_i, and the load is sum_a f_a v_a M_a with
+    M_a = sum_{i in a} m_i, f being constant on each orbit. So the
+    quotient is exactly F restricted to those fields, for any partition,
+    and its gradient is the sum of F's over each orbit.
+
+    W is summed one block of whole orbits at a time, columns first; the
+    entries with a <= b are kept and mirrored, so W is bitwise symmetric.
+    When every orbit is one cell, kernel and f pass through as they are.
+    """
+
+    def __init__(self, orbit, kernel, f):
+        ncells = orbit.size
+        self.orbit = orbit
+        self.order = order = np.argsort(orbit, kind="stable")
+        self.starts = starts = np.flatnonzero(
+            np.r_[True, orbit[order][1:] != orbit[order][:-1]]
+        )
+        self.size = np.diff(np.r_[starts, ncells]).astype(float)
+        if starts.size == ncells:
+            self.kernel, self.f = kernel, f
+            return
+        nq = starts.size
+        ends = np.r_[starts[1:], ncells]
+        w = np.empty((nq, nq))
+        step = max(1, _ORBIT_ROWS * nq // ncells)
+        for a0 in range(0, nq, step):
+            a1 = min(a0 + step, nq)
+            cells = order[starts[a0]:ends[a1 - 1]]
+            cols = np.add.reduceat(kernel.w[np.ix_(cells, order)], starts, axis=1)
+            rows = np.add.reduceat(cols, starts[a0:a1] - starts[a0], axis=0)
+            upper = np.triu(rows[:, a0:a1], 1)
+            w[a0:a1, a0:a1] = upper + upper.T
+            w[a0:a1, a1:] = rows[:, a1:]
+            w[a1:, a0:a1] = rows[:, a1:].T
+        self.kernel = KernelSet(
+            exponent=kernel.exponent, n=kernel.n, h=kernel.h, w=w,
+            t=self.sums(kernel.t), m=self.sums(kernel.m),
+        )
+        self.f = LoadField(values=f.values[order[starts]], nonnegative=f.nonnegative)
+
+    def sums(self, x):
+        """Per-orbit sums of a cell array."""
+        return np.add.reduceat(x[self.order], self.starts)
+
+    def expand(self, v):
+        """The cell field that is v_a on every cell of orbit a."""
+        return v[self.orbit]
+
+
 def solve_p(
     grid,
     kernel: KernelSet,
@@ -491,7 +637,13 @@ def solve_p(
 ) -> Solution:
     """Minimize the order-(s_p, p) functional; unique minimizer for p > 1.
 
-    u0, when given, warm-starts the iteration (used along p-sweeps).
+    The loop runs on one variable per orbit of the lattice symmetries
+    that fix grid, w and f (_symmetry_orbits), through _Quotient: u0,
+    when given, warm-starts it (used along p-sweeps) at its orbit means,
+    and its gradient-norm test divides each orbit's gradient by the
+    orbit's size, the gradient of F at any of its cells. The polish runs
+    there too, so energy_history is in one arithmetic; breakdown and
+    grad_norm are those of the expanded field on the full kernel.
     cfg.maxit counts iterations that can still change the state: the loop
     ends at the first iteration that leaves u and the next search's start
     unchanged, and raises SolverError only when each of maxit iterations
@@ -512,33 +664,40 @@ def solve_p(
         return Solution(
             u=u, breakdown=eb, iterations=0, grad_norm=0.0,
             seminorm=0.0, semi_power_pm1=0.0, l1=0.0,
-            status="converged", energy_history=[0.0],
+            status="converged", orbits=0, energy_history=[0.0],
         )
     eps_g = cfg.eps_g if cfg.eps_g is not None else 1e-8 * scale_f
+    if u0 is not None and np.shape(u0) != kernel.m.shape:
+        raise ValueError(
+            "warm start has shape %s, the grid %d cells"
+            % (np.shape(u0), kernel.m.size)
+        )
 
+    quo = _Quotient(_symmetry_orbits(grid, kernel, f), kernel, f)
+    qk, qf, size = quo.kernel, quo.f, quo.size
     if u0 is not None:
-        u = np.asarray(u0, dtype=float).copy()
+        u = quo.sums(np.asarray(u0, dtype=float)) / size
     else:
-        u = _metric_init(f, kernel)
-    u = _ray_rescale(u, f, kernel, p)
+        u = _metric_init(qf, qk)
+    u = _ray_rescale(u, qf, qk, p)
 
-    f_cur = total_energy(u, f, kernel, p).total
+    f_cur = total_energy(u, qf, qk, p).total
     history = [f_cur]
     stagnant = 0
     iters = 0
     prev_gn = math.inf
     rel_dec = math.inf
     halvings = 0  # the last accepted step's, where the next search starts
-    bound = _BackoffBound(f, kernel, p)
+    bound = _BackoffBound(qf, qk, p)
     g_next = None  # gradient(u) when the last search computed it
 
     for iters in range(1, cfg.maxit + 1):
         u_top, halvings_top = u, halvings
-        g = g_next if g_next is not None else gradient(u, f, kernel, p)
-        gn = float(np.max(np.abs(g)))
+        g = g_next if g_next is not None else gradient(u, qf, qk, p)
+        gn = float(np.max(np.abs(g) / size))
         if not math.isfinite(gn):
             raise SolverError(
-                "gradient overflow during iteration", u=u,
+                "gradient overflow during iteration", u=quo.expand(u),
                 grad_norm=gn, iterations=iters,
             )
         if gn <= eps_g:
@@ -554,18 +713,16 @@ def solve_p(
         if stagnant >= _STAGNANT_LIMIT:
             break
 
-        d = _newton_direction(u, g, kernel, p)
+        d = _newton_direction(u, g, qk, p)
         gd = float(g @ d) if d is not None else 0.0
         step = 1.0
         if d is None or not math.isfinite(gd) or gd >= 0.0:
             d = -g
             gd = -float(g @ g)
-            step = _steepest_step(u, g, gd, kernel, p)
+            step = _steepest_step(u, g, gd, qk, p)
             halvings = 0
 
-        found = _armijo_search(
-            u, d, step, gd, f_cur, halvings, f, kernel, p, bound
-        )
+        found = _armijo_search(u, d, step, gd, f_cur, halvings, qf, qk, p, bound)
         if found is None:
             break
         cand, f_new, halvings, g_next = found
@@ -575,13 +732,14 @@ def solve_p(
         # and the step's near-equal values are snapped into plateaus
         if f_new >= f_cur:
             halvings = 0
-            u, f_cur = _snap_pass(cand, f_new, f, kernel, p)
+            u, f_cur = _snap_pass(cand, f_new, qf, qk, p)
         else:
             u, f_cur = cand, f_new
         history.append(f_cur)
         if _at_fixed_point(u_top, halvings_top, u, halvings):
             break
     else:
+        u = quo.expand(u)
         gn = kkt_residual(u, f, kernel, p)
         raise SolverError(
             "did not converge within %d iterations (gradient norm %.3e)"
@@ -595,10 +753,11 @@ def solve_p(
     # f >= 0), snap residual float scatter, rescale onto the weak-identity
     # ray; each sub-step is kept only if it does not raise the energy
     if f.nonnegative:
-        u, f_cur = _keep_lower(u, f_cur, np.maximum(u, 0.0), f, kernel, p)
-    u, f_cur = _snap_pass(u, f_cur, f, kernel, p)
-    u, f_cur = _keep_lower(u, f_cur, _ray_rescale(u, f, kernel, p), f, kernel, p)
+        u, f_cur = _keep_lower(u, f_cur, np.maximum(u, 0.0), qf, qk, p)
+    u, f_cur = _snap_pass(u, f_cur, qf, qk, p)
+    u, f_cur = _keep_lower(u, f_cur, _ray_rescale(u, qf, qk, p), qf, qk, p)
     history.append(f_cur)
+    u = quo.expand(u)
     eb = total_energy(u, f, kernel, p)
     gn = kkt_residual(u, f, kernel, p)
     status = "converged" if gn <= eps_g else "floored"
@@ -613,5 +772,6 @@ def solve_p(
         semi_power_pm1=semi ** (p - 1.0),
         l1=float(np.sum(np.abs(u) * kernel.m)),
         status=status,
+        orbits=size.size,
         energy_history=history,
     )

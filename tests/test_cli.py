@@ -3,15 +3,18 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fraclap
 from fraclap.certify import build_certificate
 from fraclap.cli import _field_csv_text, main
 from fraclap.constants import calibrable_radius, sharp_constants
 from fraclap.domain_grid import DomainSpec, build_grid, build_kernel
-from fraclap.experiments import make_load, read_config
+from fraclap.experiments import CSV_COLUMNS, make_load, read_config
 from fraclap.geometry import threshold_cheeger
 
 SMALL_CFG = """\
@@ -68,6 +71,7 @@ def test_solve_writes_solution_and_field(tmp_path, small_cfg, capsys):
     report = json.loads((out / "tiny_solution.json").read_text(encoding="utf-8"))
     assert report["status"] in ("converged", "floored")
     assert report["p"] == 1.3
+    assert report["orbits"] == 4  # the 8 cells in mirrored pairs
     lines = (out / "tiny_field.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "index,x0,value"
     assert len(lines) == 9  # header plus 8 cells
@@ -162,8 +166,10 @@ def test_sweep_writes_csv_json_and_plot(tmp_path, small_cfg, capsys):
     assert code == 0
     csv_lines = (out / "tiny.csv").read_text(encoding="utf-8").splitlines()
     assert csv_lines[0].startswith("p,s_p,l1")
+    assert csv_lines[0] == ",".join(CSV_COLUMNS) and "orbits" not in csv_lines[0]
     assert len(csv_lines) == 4
     report = json.loads((out / "tiny.json").read_text(encoding="utf-8"))
+    assert [rec["orbits"] for rec in report["records"]] == [4, 4, 4]
     assert report["classification"] == "vanishing"
     assert report["h_ref_kind"] == "closed-form"
     assert not report["aborted"]
@@ -414,6 +420,61 @@ def test_far_spread_union_exits_2(tmp_path, capsys, command):
     assert "bounding box spans 1000001 x 1 cells" in err
     assert "physical memory" in err
     assert not out.exists()
+
+
+def test_union_beyond_int64_lattice_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "wide.cfg"
+    cfg_path.write_text(
+        "config_version = 1\nlabel = wide\nn = 1\nshape = union\n"
+        "params = 0 1 1e19 1.0000000000000004e19\nh = 1\ns = 0.5\n"
+        "schedule = 1.1\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert "beyond the int64 cell lattice" in err
+    assert not out.exists()
+
+
+BOX8_CFG = """\
+config_version = 1
+label = box8
+n = 2
+shape = box
+params = 0 0 8 8
+h = 1
+s = 0.5
+schedule = 1.1
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_box_field_is_d4_invariant_at_any_blas_thread_count(tmp_path, threads):
+    # the solve runs on the box's D4 orbits, so its field keeps every bit
+    # under both reflections and the transpose, whatever BLAS thread count
+    # the process starts with
+    cfg_path = tmp_path / "box8.cfg"
+    cfg_path.write_text(BOX8_CFG, encoding="utf-8")
+    out = tmp_path / "out"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fraclap.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+    subprocess.run(
+        [sys.executable, "-m", "fraclap.cli", "solve", "--config", str(cfg_path),
+         "--out", str(out)],
+        env=env, check=True, capture_output=True, timeout=300,
+    )
+    report = json.loads((out / "box8_solution.json").read_text(encoding="utf-8"))
+    assert report["orbits"] == 10  # 6 orbits of 8, 4 of 4 on the diagonals
+    lines = (out / "box8_field.csv").read_text(encoding="utf-8").splitlines()[1:]
+    field = np.zeros((8, 8))
+    for line in lines:
+        _, x, y, value = line.split(",")
+        field[int(float(x)), int(float(y))] = float(value)
+    assert np.all(field > 0.0)
+    for image in (field[::-1, :], field[:, ::-1], field.T):
+        assert image.tobytes() == field.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -362,6 +362,32 @@ def test_box_path_keeps_branchwise_errors(n, shape, params, h):
     assert _grid_or_error(build_grid, spec) == error
 
 
+@pytest.mark.parametrize(
+    "n, params, h",
+    [
+        (1, (0.0, 1.0, 1e19, 1.0000000000000004e19), 1.0),
+        (2, (0.0, 0.0, 1.0, 1.0, 0.0, 1e19, 1.0, 1.0000000000000004e19), 1.0),
+        # one cell of one ulp at each end of the float range: the offset
+        # between them overflows to inf
+        (1, (-1e308, math.nextafter(-1e308, 0.0), 1e308, math.nextafter(1e308, math.inf)),
+         math.ulp(1e308)),
+    ],
+    ids=["1e19", "2d-1e19", "span-overflows"],
+)
+def test_union_beyond_int64_lattice_is_rejected(n, params, h):
+    # past int64 the lattice offsets would become floats whose far cells
+    # round together (the first union came out as 4 cells, not 4097)
+    with pytest.raises(ValueError, match="beyond the int64 cell lattice"):
+        build_grid(DomainSpec(n, "union", params, h))
+
+
+def test_union_near_int64_keeps_an_int64_lattice():
+    grid = build_grid(DomainSpec(1, "union", (0.0, 1.0, 2.0 ** 61, 2.0 ** 61 + 512), 1.0))
+    assert grid.lattice.dtype == np.int64
+    assert grid.ncells == 513
+    assert int(grid.lattice[-1, 0]) == 2 ** 61 + 511
+
+
 # ---------------------------------------------------------------------------
 # exact pair integrals
 # ---------------------------------------------------------------------------

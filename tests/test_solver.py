@@ -659,11 +659,19 @@ def test_no_armijo_step_stops_with_honest_status(interval16, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def unit32():
-    """32 unit cells at s = 1/2 under a constant load of 0.5. A cold solve
-    at p = 1.3 snaps back to the bits it started iteration 34 with, and the
-    stagnation stop alone would end it at iteration 54."""
+def _one_cell_orbits(grid, kernel, f):
+    """_symmetry_orbits with no map kept: every cell is its own orbit."""
+    return np.arange(kernel.m.size)
+
+
+@pytest.fixture
+def unit32(monkeypatch):
+    """32 unit cells at s = 1/2 under a constant load of 0.5, solved on all
+    32 cells (the trivial partition). A cold solve at p = 1.3 snaps back to
+    the bits it started iteration 34 with, and the stagnation stop alone
+    would end it at iteration 54. On its 16 reflection orbits the same
+    solve converges at iteration 14 and never meets a fixed point."""
+    monkeypatch.setattr(solver, "_symmetry_orbits", _one_cell_orbits)
     grid = build_grid(DomainSpec(1, "interval", (0.0, 32.0), 1.0))
     kern = build_kernel(grid, kernel_exponent(1, 0.5, 1.3))
     return grid, kern, load_from_array(np.full(grid.ncells, 0.5))
@@ -764,3 +772,218 @@ def test_snap_ties_matches_elementwise_loop():
         cuts = np.flatnonzero(np.diff(su) > tau) + 1
         sizes.update(np.diff(np.concatenate(([0], cuts, [n]))).tolist())
     assert set(range(2, 8)) <= sizes and max(sizes) >= 8
+
+
+# ---------------------------------------------------------------------------
+# symmetry orbits and the quotient loop
+# ---------------------------------------------------------------------------
+
+
+def _problem(spec, values=None, p=1.1):
+    grid = build_grid(spec)
+    kern = build_kernel(grid, kernel_exponent(spec.n, 0.5, p))
+    if values is None:
+        values = np.ones(grid.ncells)
+    return grid, kern, load_from_array(values)
+
+
+def _box(*upper):
+    return DomainSpec(len(upper), "box", (0.0,) * len(upper) + upper, 1.0)
+
+
+def _orbit_sizes(problem):
+    return np.bincount(solver._symmetry_orbits(*problem))
+
+
+def _isometry_images(lat):
+    """Every isometry of the lattice's bounding box, applied to lat: the
+    identity and reflections, and in 2-D the transposes as well."""
+    hi = lat.max(axis=0)
+    flips = [lat]
+    for k in range(lat.shape[1]):
+        flips += [np.where(np.arange(lat.shape[1]) == k, hi - img, img) for img in flips]
+    if lat.shape[1] == 2 and hi[0] == hi[1]:
+        flips += [img[:, ::-1] for img in flips]
+    return flips
+
+
+def _permutation(lat, img):
+    """The cell permutation i -> index of img[i], or None when img is not
+    the cell set."""
+    index = {tuple(c): i for i, c in enumerate(lat.tolist())}
+    perm = [index.get(tuple(c)) for c in img.tolist()]
+    return None if None in perm else np.array(perm)
+
+
+@pytest.mark.parametrize("cells", [16, 17, 64, 65])
+def test_interval_orbits_pair_mirrored_cells(cells):
+    orbit = solver._symmetry_orbits(*_problem(_box(float(cells))))
+    assert orbit.max() + 1 == (cells + 1) // 2
+    assert np.array_equal(orbit, orbit[::-1])
+
+
+def test_box32_has_136_orbits():
+    # D4 on 32 x 32 cells: orbits of 8, and of 4 on the two diagonals
+    sizes = _orbit_sizes(_problem(_box(32.0, 32.0)))
+    assert sizes.size == 136
+    assert np.array_equal(np.bincount(sizes), [0, 0, 0, 0, 16, 0, 0, 0, 120])
+
+
+def test_box4x6_has_six_orbits_of_four():
+    # two reflections; the bounding box is not square, so no swap
+    assert np.array_equal(_orbit_sizes(_problem(_box(4.0, 6.0))), [4] * 6)
+
+
+def test_ball_orbits_are_d4_orbits():
+    grid, kern, f = _problem(DomainSpec(2, "ball", (0.0, 0.0, 1.0), 0.125))
+    orbit = solver._symmetry_orbits(grid, kern, f)
+    perms = [_permutation(grid.lattice, img) for img in _isometry_images(grid.lattice)]
+    assert len(perms) == 8 and all(perm is not None for perm in perms)
+    for i in range(grid.ncells):
+        assert set(np.flatnonzero(orbit == orbit[i])) == {int(perm[i]) for perm in perms}
+
+
+@pytest.mark.parametrize(
+    "spec, sizes",
+    [
+        # a 4 x 4 box and a 2 x 2 box beside it at mid-height: the
+        # reflection across y = 2 survives, the others do not
+        (DomainSpec(2, "union", (0, 0, 4, 4, 5, 1, 7, 3), 1.0), [2] * 10),
+        # the same boxes, the small one at the bottom: no map survives
+        (DomainSpec(2, "union", (0, 0, 4, 4, 5, 0, 7, 2), 1.0), [1] * 20),
+        # two intervals of different lengths
+        (DomainSpec(1, "union", (0, 4, 6, 8), 0.5), [1] * 12),
+    ],
+    ids=["union-y-mirror", "union-none", "union-1d"],
+)
+def test_union_keeps_only_its_symmetries(spec, sizes):
+    assert np.array_equal(_orbit_sizes(_problem(spec)), sizes)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, sizes",
+    [((1.0, 0.0), (3.0, 8.0), [2] * 32), ((1.0, 0.0), (3.0, 2.0), [1] * 64)],
+    ids=["full-height", "corner"],
+)
+def test_off_centre_indicator_load_keeps_a_subgroup(lo, hi, sizes):
+    # an indicator on columns 1-2 of an 8 x 8 box keeps the y-reflection
+    # when it spans the full height, and no map in a corner
+    grid = build_grid(_box(8.0, 8.0))
+    inside = np.all((grid.centers >= lo) & (grid.centers <= hi), axis=1)
+    values = np.where(inside, 1.0, 0.0)
+    assert np.array_equal(_orbit_sizes(_problem(_box(8.0, 8.0), values)), sizes)
+
+
+@pytest.mark.parametrize(
+    "spec, kept",
+    [
+        (_box(32.0, 32.0), 3),
+        (_box(17.0), 1),
+        (DomainSpec(1, "interval", (-16.0, 16.0), 0.125), 1),
+        (DomainSpec(1, "interval", (-64.0, 64.0), 0.5), 1),
+        (DomainSpec(2, "ball", (0.0, 0.0, 1.0), 0.125), 3),
+        (_box(4.0, 6.0), 2),
+        (DomainSpec(2, "union", (0, 0, 4, 4, 5, 1, 7, 3), 1.0), 1),
+    ],
+    ids=["box32", "interval17", "van16", "blow64", "ball", "box4x6", "union"],
+)
+@pytest.mark.parametrize("p", [1.0, 1.1])
+def test_kept_maps_fix_w_bits_and_t_to_rounding(spec, kept, p):
+    # each kept map is an isometry of the bounding box that maps the cells
+    # onto themselves; w keeps every bit under it, and t moves by its row
+    # sums' rounding only: at most 16 eps * max t per cell (measured: at
+    # most 1.0e-15 * max t, up to 7.3e-13 of the cell's own t)
+    grid, kern, f = _problem(spec, p=p)
+    perms = solver._symmetry_maps(grid, kern, f)
+    assert len(perms) == kept
+    isometries = [_permutation(grid.lattice, img) for img in _isometry_images(grid.lattice)]
+    eps = np.finfo(float).eps
+    for perm in perms:
+        assert any(q is not None and np.array_equal(q, perm) for q in isometries[1:])
+        w_mapped = kern.w[np.ix_(perm, perm)]
+        assert np.array_equal(w_mapped.view(np.int64), kern.w.view(np.int64))
+        assert np.max(np.abs(kern.t[perm] - kern.t)) <= 16 * eps * np.max(kern.t)
+
+
+def test_map_that_moves_a_weight_bit_is_dropped():
+    # w is compared bit for bit: one pair weight one ulp off breaks the
+    # reflections that move that pair elsewhere, and only those
+    grid, kern, f = _problem(_box(4.0, 6.0))
+    w = kern.w.copy()
+    w[2, 3] = w[3, 2] = np.nextafter(w[2, 3], np.inf)  # cells (0, 2) and (0, 3)
+    bumped = dataclasses.replace(kern, w=w)
+    perms = solver._symmetry_maps(grid, bumped, f)
+    # the y-reflection swaps the two cells; the x-reflection moves them
+    assert len(perms) == 1
+    assert np.array_equal(grid.lattice[perms[0], 0], grid.lattice[:, 0])
+
+
+def test_gradient_test_is_per_cell(interval16):
+    # eps_g between the first iterate's per-cell gradient norm and its
+    # orbit sums (twice as large over the interval's mirrored pairs) ends
+    # the loop at its first iteration
+    grid, kern = interval16
+    p = 1.2
+    f = load_from_array(np.ones(grid.ncells))
+    quo = solver._Quotient(solver._symmetry_orbits(grid, kern, f), kern, f)
+    v = solver._ray_rescale(solver._metric_init(quo.f, quo.kernel), quo.f, quo.kernel, p)
+    g_cell = kkt_residual(quo.expand(v), f, kern, p)
+    g_orbit = float(np.max(np.abs(gradient(v, quo.f, quo.kernel, p))))
+    assert g_orbit > 1.9 * g_cell
+    sol = solve_p(grid, kern, f, SolveConfig(p=p, s=0.5, eps_g=1.5 * g_cell))
+    assert sol.iterations == 1
+
+
+def test_quotient_is_the_restricted_functional(interval16):
+    # for any partition, the quotient energy and gradient at v are F's at
+    # the expanded field and F's gradient summed over each orbit; W is
+    # bitwise symmetric with a zero diagonal
+    grid, kern = interval16
+    rng = np.random.default_rng(5)
+    orbit = np.unique(rng.integers(0, 4, 16), return_inverse=True)[1]
+    f = load_from_array(rng.uniform(0.5, 1.5, 4)[orbit])
+    quo = solver._Quotient(orbit, kern, f)
+    qk = quo.kernel
+    assert np.array_equal(qk.w, qk.w.T) and np.all(np.diag(qk.w) == 0.0)
+    v = rng.normal(size=quo.size.size)
+    u = quo.expand(v)
+    assert total_energy(v, quo.f, qk, 1.2).total == pytest.approx(
+        total_energy(u, f, kern, 1.2).total, rel=1e-13
+    )
+    np.testing.assert_allclose(
+        gradient(v, quo.f, qk, 1.2),
+        np.bincount(orbit, weights=gradient(u, f, kern, 1.2)),
+        rtol=1e-12,
+    )
+
+
+def test_trivial_partition_passes_the_problem_through(interval16):
+    grid, kern = interval16
+    f = load_from_array(np.linspace(0.5, 1.5, grid.ncells))
+    orbit = solver._symmetry_orbits(grid, kern, f)
+    assert np.array_equal(orbit, np.arange(grid.ncells))
+    quo = solver._Quotient(orbit, kern, f)
+    assert quo.kernel is kern and quo.f is f
+    u = np.random.default_rng(1).normal(size=grid.ncells)
+    u[3] = -0.0
+    assert quo.expand(u).tobytes() == u.tobytes()
+    assert (quo.sums(u) / quo.size).tobytes() == u.tobytes()
+
+
+def test_orbits_report_the_loop_size(interval16):
+    grid, kern = interval16
+    ones = load_from_array(np.ones(grid.ncells))
+    assert solve_p(grid, kern, ones, SolveConfig(p=1.2, s=0.5)).orbits == 8
+    ramp = load_from_array(np.linspace(0.5, 1.5, grid.ncells))
+    assert solve_p(grid, kern, ramp, SolveConfig(p=1.2, s=0.5)).orbits == 16
+    zero = LoadField(values=np.zeros(grid.ncells), nonnegative=False)
+    assert solve_p(grid, kern, zero, SolveConfig(p=1.2, s=0.5)).orbits == 0
+
+
+def test_warm_start_or_grid_of_another_size_is_rejected(interval16, cell1):
+    grid, kern = interval16
+    f = load_from_array(np.ones(grid.ncells))
+    with pytest.raises(ValueError, match="warm start"):
+        solve_p(grid, kern, f, SolveConfig(p=1.2, s=0.5), u0=np.ones(grid.ncells + 1))
+    with pytest.raises(ValueError, match="grid has 1 cells, kernel 16"):
+        solve_p(cell1[0], kern, f, SolveConfig(p=1.2, s=0.5))
