@@ -4,10 +4,16 @@ decomposition, and Cheeger constant estimators.
 Masks are boolean cell arrays (subsets of the domain as unions of cells).
 Perimeter shares the kernel weights with the energy module, which makes
 the set functional Per_s(E) - |E|_f equal to F_1(chi_E), the p = 1
-functional at the indicator, exactly rather than approximately. A
-perimeter sums the N x N buffer w_ij * (chi_i != chi_j): one full fill for
-a single mask, and one buffer that _update_pairs keeps across the coarea
-levels.
+functional at the indicator, exactly rather than approximately: a
+perimeter sums the N x N array w_ij * (chi_i != chi_j) the energy sums.
+
+The coarea decomposition never builds a mask's pairs. A superlevel set
+{u >= t} is a union of whole levels of u, so its perimeter is a sum of
+level-pair weights W_ab = sum_{i in a, j in b} w_ij and level tails,
+summed once for all levels (fraclap.quotient); each layer's perimeter is
+then within a stated rounding bound of the mask's (_layer_rounding), and
+the threshold search recomputes the few layers that bound cannot
+separate from the best on their masks.
 """
 
 from __future__ import annotations
@@ -20,13 +26,13 @@ import numpy as np
 
 from fraclap.domain_grid import Grid, KernelSet
 from fraclap.energy import LoadField, _as_field, seminorm_power
+from fraclap.quotient import Partition, pairwise_depth
 
 BRUTE_FORCE_CELL_CAP = 20
 # entries in a block temporary of the exhaustive search, high-half rows
 # times every low-half subset; up to BRUTE_FORCE_CELL_CAP cells the
 # per-half tables are smaller
 _ENUM_CHUNK = 1 << 16
-_UPDATE_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -57,37 +63,6 @@ def _as_mask(mask, kernel: KernelSet) -> np.ndarray:
     return arr
 
 
-def _update_pairs(pairs, mask, moved, kernel: KernelSet) -> None:
-    """Rewrite the rows and columns of the cells moved in pairs, the N x N
-    float buffer of w_ij * (mask_i != mask_j), after they changed side.
-
-    mask is the new set. No other entry's cells changed side, so it keeps
-    its value. w is bitwise symmetric, so a row's transpose holds its
-    column's bits and the buffer equals the full fill w * (mask_i !=
-    mask_j) entry by entry. Rows go in blocks of _UPDATE_ROWS, so a large
-    moved set (a zero plateau) needs no second N x N array.
-    """
-    for lo in range(0, moved.size, _UPDATE_ROWS):
-        block = moved[lo:lo + _UPDATE_ROWS]
-        rows = kernel.w[block]
-        rows *= mask[block, None] != mask
-        pairs[block] = rows
-        pairs[:, block] = rows.T
-
-
-def _pair_perimeter(pairs, mask, kernel: KernelSet) -> float:
-    """Perimeter of mask from its filled pair buffer.
-
-    pairs holds |chi_i - chi_j| * w_ij, the array the energy module sums
-    for the p = 1 seminorm power, and t * mask is its tail: the result
-    has the bits of half the seminorm power of the indicator, so
-    P(E) = F_1(chi_E) + |E|_f holds exactly.
-    """
-    pair = float(np.sum(pairs))
-    tail = float(np.sum(kernel.t * mask))
-    return 0.5 * (pair + 2.0 * tail)
-
-
 def perimeter(mask, kernel: KernelSet) -> float:
     """Weighted fractional perimeter of a cell set:
     cross pairs inside the domain plus exterior tails of the set's cells,
@@ -96,7 +71,12 @@ def perimeter(mask, kernel: KernelSet) -> float:
     arr = _as_mask(mask, kernel)
     if not np.any(arr):
         return 0.0
-    return _pair_perimeter(kernel.w * (arr[:, None] != arr), arr, kernel)
+    # the array and the order the energy module sums for the p = 1
+    # seminorm power of the indicator, so P(E) = F_1(chi_E) + |E|_f
+    # holds exactly
+    pair = float(np.sum(kernel.w * (arr[:, None] != arr)))
+    tail = float(np.sum(kernel.t * arr))
+    return 0.5 * (pair + 2.0 * tail)
 
 
 def weighted_volume(mask, f: LoadField, kernel: KernelSet) -> float:
@@ -111,6 +91,62 @@ class LevelSet(NamedTuple):
     weighted_volume: float
 
 
+def _layer_rounding(ncells: int, nlevels: int) -> float:
+    """Relative bound on |P - perimeter(E)| / perimeter(E) for a layer E
+    of coarea_decompose on ncells cells and nlevels distinct values, P
+    being the layer's perimeter there.
+
+    Both are float sums of the nonnegative terms of one exact
+    Per(E) = sum_{i in E, j not in E} w_ij + sum_{i in E} t_i (the mask
+    route sums each cross pair twice and halves, exactly). A float sum of
+    nonnegative terms in which no term meets more than d roundings is
+    within gamma_d = d u / (1 - d u) of the exact sum, relative, in any
+    order: each term carries a factor in [(1 - u)^d, (1 + u)^d] (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., Lemma 3.1),
+    and a binary tree of m leaves has depth at most m - 1. Sums of
+    nonnegative floats never round in the subnormal range, where addition
+    is exact. With u = eps / 2:
+
+    - levels (_level_perimeters). A weight w_ij with i in level a and j
+      in level b meets the sum over b's cells (|b| - 1 roundings), the
+      sum over a's (|a| - 1), the prefix sum over the levels
+      (nlevels - 1), the sum over the rows of the layer (nlevels, the
+      blocks' partial sums included) and the addition of the tails (1):
+      d1 <= ncells + 2 nlevels, as |a| + |b| <= ncells. A tail meets
+      fewer.
+    - mask (perimeter). numpy's pairwise sum of the N^2 pair array, then
+      pair + 2 tail: d2 = pairwise_depth(N^2) + 1; the tail sum's
+      pairwise_depth(N) + 1 is no more.
+
+    So |P - perimeter(E)| <= (gamma_d1 + gamma_d2) Per(E) <= gamma_d
+    Per(E) with d = d1 + d2, and Per(E) <= perimeter(E) / (1 - gamma_d).
+    For d u <= 1/4, gamma_d / (1 - gamma_d) <= 2 d u = d eps, which is
+    returned (an integer times eps, exact in float).
+    """
+    depth = ncells + 2 * nlevels + pairwise_depth(ncells * ncells) + 1
+    return depth * np.finfo(float).eps
+
+
+def _level_perimeters(part: Partition, kernel: KernelSet) -> np.ndarray:
+    """Per({u >= t_k}) for every level k of u, from part, the cells
+    grouped by level in ascending order.
+
+    The layer of level k is the union of the levels a >= k, so its
+    perimeter is sum_{b >= k} sum_{a < k} W_ba + sum_{a >= k} T_a, with W
+    the level-pair sums of w and T the level sums of t. Each block of
+    rows b of W, up to the diagonal, is turned into prefix sums over a
+    and added, row by row, to every layer k <= b: O(N^2 + L^2) work for L
+    levels, and no array larger than a block of Partition.lower_rows.
+    """
+    cross = np.zeros(part.starts.size)
+    for b0, rows in part.lower_rows(kernel.w):
+        # below[r, c] = sum over a <= c of W_{b0 + r, a}, the part of
+        # layer c + 1 that row b0 + r adds when c < b0 + r
+        below = np.cumsum(rows[:, :-1], axis=1)
+        cross[1:b0 + rows.shape[0]] += np.sum(np.tril(below, b0 - 1), axis=0)
+    return cross + np.cumsum(part.sums(kernel.t)[::-1])[::-1]
+
+
 def coarea_decompose(u, f: LoadField, kernel: KernelSet) -> List[LevelSet]:
     """Layer-cake decomposition of a nonnegative field at kernel order p = 1.
 
@@ -120,40 +156,35 @@ def coarea_decompose(u, f: LoadField, kernel: KernelSet) -> List[LevelSet]:
     seminorm power, and the same gaps against the weighted volumes reproduce
     the load term; both identities are exact up to rounding.
 
-    Each perimeter has the bits of perimeter({u >= t}). One N x N pair
-    buffer walks the levels upward from the full set's zeros: at each level
-    only the rows and columns of the cells that just left are rewritten,
-    and the whole buffer is summed. A level costs one N^2 sum and |R| * N
-    writes for the |R| cells that left.
+    A superlevel set never splits a level of u, so every perimeter comes
+    from one pass over w that sums it by pairs of levels
+    (_level_perimeters), O(N^2 + L^2) for L levels, within
+    _layer_rounding of perimeter({u >= t}). Each weighted volume has the
+    bits of weighted_volume({u >= t}).
     """
     vals = _as_field(u, kernel)
     if np.any(vals < 0):
         raise ValueError("coarea decomposition requires a nonnegative field")
-    levels = np.unique(vals)
-    levels = levels[levels > 0]
-    n = vals.size
-    # ascending levels only ever take cells out of the set: the cells that
-    # leave before level t are those below it, in sorted order
-    order = np.argsort(vals)
-    ends = np.searchsorted(vals[order], levels)
-    mask = np.ones(n, dtype=bool)
-    pairs = np.zeros((n, n))
-    out = []
-    start = 0
-    for t, end in zip(levels, ends):
-        gone = order[start:end]
-        mask[gone] = False
-        _update_pairs(pairs, mask, gone, kernel)
-        start = end
-        per = _pair_perimeter(pairs, mask, kernel)
-        vol = weighted_volume(mask, f, kernel)
-        out.append(LevelSet(level=float(t), perimeter=per, weighted_volume=vol))
-    return out
+    levels, label = np.unique(vals, return_inverse=True)
+    first = int(levels[0] == 0.0)  # the zero level has no layer
+    if first == levels.size:
+        return []
+    per = _level_perimeters(Partition(label), kernel)
+    return [
+        LevelSet(
+            level=t, perimeter=p,
+            weighted_volume=weighted_volume(vals >= t, f, kernel),
+        )
+        for t, p in zip(levels[first:].tolist(), per[first:].tolist())
+    ]
 
 
 def coarea_identity_gap(u, f: LoadField, kernel: KernelSet) -> float:
-    """Max relative defect of the two coarea identities (0 for exact)."""
+    """Max relative defect of the two coarea identities (0 for exact),
+    each relative to the larger magnitude of its two sides."""
     decomp = coarea_decompose(u, f, kernel)
+    if not decomp:
+        return 0.0
     prev = 0.0
     per_sum = 0.0
     vol_sum = 0.0
@@ -164,9 +195,12 @@ def coarea_identity_gap(u, f: LoadField, kernel: KernelSet) -> float:
         prev = entry.level
     semi_half = 0.5 * seminorm_power(u, kernel, 1.0)
     load = float(np.sum(f.values * np.asarray(u, dtype=float) * kernel.m))
-    scale_a = max(abs(semi_half), 1.0)
-    scale_b = max(abs(load), 1.0)
-    return max(abs(per_sum - semi_half) / scale_a, abs(vol_sum - load) / scale_b)
+    return max(_relative_defect(per_sum, semi_half), _relative_defect(vol_sum, load))
+
+
+def _relative_defect(a: float, b: float) -> float:
+    scale = max(abs(a), abs(b))
+    return abs(a - b) / scale if scale > 0 else 0.0
 
 
 def _require_positive_load(f: LoadField) -> None:
@@ -252,7 +286,18 @@ def threshold_cheeger(u, f: LoadField, kernel: KernelSet) -> CheegerResult:
 
     Candidates are the superlevel sets {u >= t} of the coarea
     decomposition with positive weighted volume; the result is an upper
-    bound for the exhaustive constant on the same grid.
+    bound for the exhaustive constant on the same grid. The table holds
+    the decomposition's layers.
+
+    The layers are ranked by their ratios. Every layer whose ratio is
+    within the rounding bound of the best one is recomputed as
+    perimeter(mask) / weighted_volume(mask), and the first exact minimum
+    in ascending level order is the witness, so h is the witness's ratio
+    bit for bit. With rho = _layer_rounding + 2 eps (the two divisions),
+    a layer's ratio r and its recomputed ratio h satisfy
+    r <= (1 + rho) h and h <= r / (1 - rho), so the exact minimizer's r
+    is at most (1 + rho) / (1 - rho) <= 1 + 3 rho times the least r; the
+    screen's 1 + 4 rho also absorbs its own two roundings.
     """
     _require_positive_load(f)
     layers = coarea_decompose(u, f, kernel)
@@ -266,8 +311,16 @@ def threshold_cheeger(u, f: LoadField, kernel: KernelSet) -> CheegerResult:
     ]
     if not table:
         raise ValueError("weighted volume degenerate: no admissible level set")
-    best = min(table, key=lambda row: row[3])
-    witness = np.asarray(u, dtype=float) >= best[0]
+    rho = _layer_rounding(kernel.m.size, len(layers) + 1) + 2.0 * np.finfo(float).eps
+    screen = min(row[3] for row in table) * (1.0 + 4.0 * rho)
+    vals = np.asarray(u, dtype=float)
+    best_h, witness = math.inf, None
+    for level, _, _, ratio in table:
+        if ratio <= screen:
+            mask = vals >= level
+            h = perimeter(mask, kernel) / weighted_volume(mask, f, kernel)
+            if h < best_h:
+                best_h, witness = h, mask
     return CheegerResult(
-        h=best[3], witness=witness, method="threshold", table=table
+        h=best_h, witness=witness, method="threshold", table=table
     )

@@ -62,6 +62,7 @@ from fraclap.energy import (
     seminorm_power,
     total_energy,
 )
+from fraclap.quotient import Partition, pairwise_depth
 
 _ARMIJO_C1 = 1e-4
 _MAX_HALVINGS = 60
@@ -70,7 +71,7 @@ _SNAP_LADDER = (1e-12, 1e-9)
 _EPS_E = 1e-12  # relative energy decrement below which a step may be stagnant
 _PAIRWISE_BLOCK = 8  # numpy sums at least this many entries pairwise
 _METRIC_BLOCK = 1 << 16  # entries per block of the metric's scaling pass
-_ORBIT_ROWS = 128  # cells per row block of the symmetry checks and the quotient
+_ORBIT_ROWS = 128  # cells per row block of the symmetry checks
 
 
 @dataclass(frozen=True)
@@ -337,22 +338,6 @@ def _newton_direction(u, g, kernel, p):
     return -scale * cho_solve(factor, g * scale, check_finite=False)
 
 
-def _pairwise_depth(n):
-    """The most roundings any entry meets in numpy's pairwise sum of n
-    contiguous entries: halvings (the larger part keeps n - n2 entries,
-    n2 = n // 2 rounded down to a multiple of 8) down to a leaf of at most
-    128, where eight accumulators take up to 15 adds each, a 3-level tree
-    joins them and up to 7 trailing entries are added one by one; below 8
-    entries the leaf adds them one by one."""
-    depth = 0
-    while n > 128:
-        n -= n // 2 - (n // 2) % 8
-        depth += 1
-    if n < 8:
-        return depth + n
-    return depth + n // 8 + 2 + n % 8
-
-
 class _BackoffBound:
     """A lower bound on the float energy of the line search's back-off
     probe, which settles that the probe fails its Armijo test without
@@ -374,9 +359,9 @@ class _BackoffBound:
     - fl F(x). A pair entry w |x_i - x_j|^p meets one rounding in the
       difference (relative p * u after the power, p < 2), pow (8u) and
       the product by w; numpy's pairwise sum of the N^2 entries adds
-      D = _pairwise_depth(N^2) roundings, and pair + 2 tail, the division
+      D = pairwise_depth(N^2) roundings, and pair + 2 tail, the division
       by 2p and kinetic - load add one each. The tail (N entries, 9u
-      each) and the load (2u each) meet fewer, as _pairwise_depth(N) <= D.
+      each) and the load (2u each) meet fewer, as pairwise_depth(N) <= D.
       So |fl F(x) - F(x)| <= (D + 14) u S(x), S(x) = pair/(2p) + tail/p
       + sum |f x m| = kinetic + sum |f x m|, to first order.
     - S(b) from S(a). The seminorm is a norm, so [b] <= [a] + [b - a],
@@ -384,9 +369,9 @@ class _BackoffBound:
       2 sum t); also sum |f x m| <= max |x| * sum |f m|.
     - g. Row i of the pair term sums N terms w_ij |a_i - a_j|^(p-1), each
       within 10u and at most w_ij (2 max |a|)^(p-1), in
-      _pairwise_depth(N) roundings; the tail term (9u), the product f m
+      pairwise_depth(N) roundings; the tail term (9u), the product f m
       and two joining roundings follow. So |g_i - grad_i F(a)| <=
-      (_pairwise_depth(N) + 12) u ((2 max |a|)^(p-1) (sum_j w_ij + t_i)
+      (pairwise_depth(N) + 12) u ((2 max |a|)^(p-1) (sum_j w_ij + t_i)
       + |f_i m_i|), using |a_i| <= 2 max |a|.
     - g . (b - a). The subtraction and the product round once each, and
       BLAS may sum in any order: at most (N + 1) u sum |g_i| |b_i - a_i|.
@@ -412,8 +397,8 @@ class _BackoffBound:
         self.fm_sum = float(np.sum(fm))
         self.semi_of_delta = (2.0 ** p * w_sum + 2.0 * t_sum) ** (1.0 / p)
         eps = np.finfo(float).eps
-        self.f_coef = (_pairwise_depth(n * n) + 14) * eps
-        self.g_coef = (_pairwise_depth(n) + 12) * eps
+        self.f_coef = (pairwise_depth(n * n) + 14) * eps
+        self.g_coef = (pairwise_depth(n) + 12) * eps
         self.dot_coef = (n + 3) * eps
         self.tiny = math.ldexp(
             w_sum + t_sum + float(np.sum(kernel.m)) + n * n + 4.0 * n + 8.0, -1072
@@ -571,7 +556,7 @@ def _symmetry_orbits(grid, kernel, f):
         label = low
 
 
-class _Quotient:
+class _Quotient(Partition):
     """The functional on fields that are constant on each orbit of a cell
     partition, as a kernel and a load with one variable per orbit.
 
@@ -581,51 +566,28 @@ class _Quotient:
     |0|^p = 0, so W_aa = 0), the tail sum is sum_a T_a |v_a|^p with
     T_a = sum_{i in a} t_i, and the load is sum_a f_a v_a M_a with
     M_a = sum_{i in a} m_i, f being constant on each orbit. So the
-    quotient is exactly F restricted to those fields, for any partition,
-    and its gradient is the sum of F's over each orbit.
+    quotient is exactly F restricted to those fields, for any partition
+    on whose parts f is constant, and its gradient is the sum of F's over
+    each orbit.
 
-    W is summed one block of whole orbits at a time, columns first; the
-    entries with a <= b are kept and mirrored, so W is bitwise symmetric.
-    When every orbit is one cell, kernel and f pass through as they are.
+    W is Partition.pair_sums, bitwise symmetric. When every orbit is one
+    cell in cell order, kernel and f pass through as they are.
     """
 
     def __init__(self, orbit, kernel, f):
-        ncells = orbit.size
-        self.orbit = orbit
-        self.order = order = np.argsort(orbit, kind="stable")
-        self.starts = starts = np.flatnonzero(
-            np.r_[True, orbit[order][1:] != orbit[order][:-1]]
-        )
-        self.size = np.diff(np.r_[starts, ncells]).astype(float)
-        if starts.size == ncells:
+        super().__init__(orbit)
+        # every orbit one cell, orbit a being cell a: all sums are identities
+        if np.array_equal(orbit, np.arange(orbit.size)):
             self.kernel, self.f = kernel, f
             return
-        nq = starts.size
-        ends = np.r_[starts[1:], ncells]
-        w = np.empty((nq, nq))
-        step = max(1, _ORBIT_ROWS * nq // ncells)
-        for a0 in range(0, nq, step):
-            a1 = min(a0 + step, nq)
-            cells = order[starts[a0]:ends[a1 - 1]]
-            cols = np.add.reduceat(kernel.w[np.ix_(cells, order)], starts, axis=1)
-            rows = np.add.reduceat(cols, starts[a0:a1] - starts[a0], axis=0)
-            upper = np.triu(rows[:, a0:a1], 1)
-            w[a0:a1, a0:a1] = upper + upper.T
-            w[a0:a1, a1:] = rows[:, a1:]
-            w[a1:, a0:a1] = rows[:, a1:].T
         self.kernel = KernelSet(
-            exponent=kernel.exponent, n=kernel.n, h=kernel.h, w=w,
-            t=self.sums(kernel.t), m=self.sums(kernel.m),
+            exponent=kernel.exponent, n=kernel.n, h=kernel.h,
+            w=self.pair_sums(kernel.w), t=self.sums(kernel.t),
+            m=self.sums(kernel.m),
         )
-        self.f = LoadField(values=f.values[order[starts]], nonnegative=f.nonnegative)
-
-    def sums(self, x):
-        """Per-orbit sums of a cell array."""
-        return np.add.reduceat(x[self.order], self.starts)
-
-    def expand(self, v):
-        """The cell field that is v_a on every cell of orbit a."""
-        return v[self.orbit]
+        self.f = LoadField(
+            values=f.values[self.order[self.starts]], nonnegative=f.nonnegative
+        )
 
 
 def solve_p(

@@ -18,6 +18,7 @@ from fraclap.energy import (
     total_energy,
 )
 from fraclap.geometry import (
+    _layer_rounding,
     coarea_decompose,
     coarea_identity_gap,
     perimeter,
@@ -210,7 +211,8 @@ def test_coarea_indicator(interval16):
     from fraclap.geometry import perimeter, weighted_volume
 
     assert decomp[0].level == 1.0
-    assert decomp[0].perimeter == perimeter(mask, kern)
+    want = perimeter(mask, kern)
+    assert abs(decomp[0].perimeter - want) <= _layer_rounding(grid.ncells, 2) * want
     assert decomp[0].weighted_volume == weighted_volume(mask, f, kern)
 
 
@@ -245,6 +247,28 @@ def test_coarea_random_plateau_fields(interval16):
         levels = np.sort(np.abs(rng.normal(size=3)))
         u = levels[rng.integers(0, 3, size=grid.ncells)]
         assert coarea_identity_gap(u, f, kern) <= 1e-12
+
+
+def test_coarea_gap_is_relative_at_any_scale(interval16):
+    # a power of two scales every sum exactly, so the relative gap keeps
+    # its bits; other scales keep it at the rounding level. The zero field
+    # has an empty decomposition and no gap
+    grid, kern = interval16
+    f = load_from_array(np.linspace(0.5, 1.5, grid.ncells))
+    rng = np.random.default_rng(23)
+    eps = np.finfo(float).eps
+    nonzero = 0
+    for _ in range(6):
+        levels = np.sort(np.abs(rng.normal(size=3)))
+        u = levels[rng.integers(0, 3, size=grid.ncells)]
+        gap = coarea_identity_gap(u, f, kern)
+        nonzero += gap > 0
+        for scale in (2.0 ** -30, 2.0 ** 30):
+            assert coarea_identity_gap(scale * u, f, kern) == gap
+        for scale in (1e-9, 1.0, 1e9):
+            assert coarea_identity_gap(scale * u, f, kern) <= 64 * eps
+    assert nonzero > 0
+    assert coarea_identity_gap(np.zeros(grid.ncells), f, kern) == 0.0
 
 
 # ---------------------------------------------------------------------------

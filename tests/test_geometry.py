@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,8 +22,12 @@ from fraclap.geometry import (
     coarea_decompose,
     perimeter,
     threshold_cheeger,
+    _layer_rounding,
     weighted_volume,
 )
+from fraclap.experiments import hat_field
+
+from coarea_walk import walk_layers, walk_threshold
 
 INTERVAL_PER = 8.0 * math.sqrt(2.0)  # Per_s((-1,1)) at s = 1/2
 INTERVAL_H = 4.0 * math.sqrt(2.0)  # h_s((-1,1)) at s = 1/2, f = 1
@@ -125,18 +130,21 @@ def test_cross_module_identity(interval16, box4):
             assert lhs == rhs
 
 
-def test_coarea_layers_keep_indicator_seminorm_bits(interval16, box4):
-    # each layer's perimeter, summed from the mask in reused buffers, has
-    # the bits of half the p = 1 seminorm power of its indicator
+def test_coarea_layers_are_within_bound_of_indicator_seminorm(interval16, box4):
+    # each layer's perimeter, read from level-pair sums, is within the
+    # stated rounding bound of half the p = 1 seminorm power of its
+    # indicator, which has the bits of perimeter(mask)
     for grid, kern in (interval16, box4):
         f = load_from_array(np.ones(grid.ncells))
         rng = np.random.default_rng(5)
         u = np.round(rng.random(grid.ncells), 1)  # ties and a zero level
         layers = coarea_decompose(u, f, kern)
         assert len(layers) == np.unique(u[u > 0]).size
+        bound = _layer_rounding(grid.ncells, np.unique(u).size)
         for layer in layers:
             mask = (u >= layer.level).astype(float)
-            assert layer.perimeter == 0.5 * seminorm_power(mask, kern, 1.0)
+            want = 0.5 * seminorm_power(mask, kern, 1.0)
+            assert abs(layer.perimeter - want) <= bound * want
 
 
 def _maskwise_layers(u, f, kern):
@@ -166,8 +174,8 @@ def _bits(values):
 
 @pytest.fixture(scope="module")
 def ball316():
-    # 316 cells: not a multiple of 64, and its zero plateau leaves in many
-    # blocks of geometry._UPDATE_ROWS rows, the last one short
+    # 316 cells: not a multiple of 64, and its zero plateau leaves the
+    # reference walk in many blocks of rows, the last one short
     grid = build_grid(DomainSpec(2, "ball", (0.0, 0.0, 1.0), 0.1))
     assert grid.ncells == 316
     return grid, build_kernel(grid, 2.5)
@@ -187,13 +195,77 @@ def _layer_fields(n, seed):
 
 
 def test_coarea_keeps_maskwise_bits(interval16, box4, ball316):
+    # levels and volumes keep the bits of the maskwise reference, and the
+    # perimeters are within the stated rounding bound of it; the walk the
+    # threshold search used before keeps every bit of it
     for seed, (grid, kern) in enumerate((interval16, box4, ball316)):
         f = load_from_array(np.linspace(0.5, 1.5, grid.ncells))
         for u in _layer_fields(grid.ncells, seed):
             layers = coarea_decompose(u, f, kern)
             want = _maskwise_layers(u, f, kern)
+            assert _bits(walk_layers(u, f, kern)) == _bits(want)
             assert len(layers) == len(want)
-            assert _bits(layers) == _bits(want)
+            got = np.array(layers)
+            ref = np.array(want)
+            assert _bits(got[:, [0, 2]]) == _bits(ref[:, [0, 2]])
+            bound = _layer_rounding(grid.ncells, np.unique(u).size)
+            assert np.all(np.abs(got[:, 1] - ref[:, 1]) <= bound * ref[:, 1])
+
+
+def test_threshold_keeps_walk_witness_and_bits(interval16, box4, ball316):
+    # the layers the rounding bound cannot separate from the best are
+    # recomputed on their masks, so the search returns the walk's witness
+    # and bits of h; the 16 x 16 hat field has many single-cell levels
+    hat_grid = build_grid(DomainSpec(2, "box", (0.0, 0.0, 16.0, 16.0), 1.0))
+    hat = (hat_grid, build_kernel(hat_grid, 2.5))
+    cases = [
+        (kern, f, u)
+        for seed, (grid, kern) in enumerate((interval16, box4, ball316))
+        for f in (load_from_array(np.ones(grid.ncells)),
+                  load_from_array(np.linspace(0.5, 1.5, grid.ncells)))
+        for u in _layer_fields(grid.ncells, seed)
+    ]
+    cases.append((hat[1], load_from_array(np.ones(256)), hat_field(hat_grid)))
+    for kern, f, u in cases:
+        res = threshold_cheeger(u, f, kern)
+        h_ref, witness_ref = walk_threshold(u, f, kern)
+        assert _bits([res.h]) == _bits([h_ref])
+        assert res.witness.tolist() == witness_ref.tolist()
+
+
+def test_level_partition_builds_no_load(interval16):
+    # the load vanishes on the first cell of every level, so a quotient
+    # load taken from each level's first cell would be zero everywhere
+    grid, kern = interval16
+    u = np.tile([0.5, 1.0, 2.0, 0.0], 4)
+    load = np.ones(grid.ncells)
+    load[:4] = 0.0
+    f = load_from_array(load)
+    layers = coarea_decompose(u, f, kern)
+    assert _bits([layer.weighted_volume for layer in layers]) == _bits(
+        [row[2] for row in walk_layers(u, f, kern)]
+    )
+    h_ref, witness_ref = walk_threshold(u, f, kern)
+    res = threshold_cheeger(u, f, kern)
+    assert _bits([res.h]) == _bits([h_ref])
+    assert res.witness.tolist() == witness_ref.tolist()
+
+
+def test_coarea_allocates_no_pair_array():
+    # 1,024 cells at 1,024 distinct levels: one N x N float array alone
+    # would take the peak to 8 MB
+    grid = build_grid(DomainSpec(2, "box", (0.0, 0.0, 32.0, 32.0), 1.0))
+    kern = build_kernel(grid, 2.5)
+    u = np.random.default_rng(3).permutation(grid.ncells) + 1.0
+    f = load_from_array(np.ones(grid.ncells))
+    tracemalloc.start()
+    try:
+        layers = coarea_decompose(u, f, kern)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(layers) == grid.ncells
+    assert peak < kern.w.nbytes
 
 
 def test_perimeter_keeps_maskwise_bits(interval16, box4, ball316):

@@ -10,12 +10,15 @@ from fraclap.certify import build_certificate, verify_certificate
 from fraclap.domain_grid import DomainSpec, build_grid, build_kernel, kernel_exponent
 from fraclap.energy import gradient, load_from_array, seminorm_power, total_energy
 from fraclap.geometry import (
+    _layer_rounding,
     brute_force_cheeger,
     coarea_decompose,
     perimeter,
     threshold_cheeger,
     weighted_volume,
 )
+
+from coarea_walk import walk_threshold
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -65,23 +68,39 @@ _FIELD = st.lists(
 @_SETTINGS
 @hypothesis.given(u=_FIELD)
 def test_coarea_layers_are_mask_perimeters(kern16, u):
-    # every layer, updated row by row from the one before, has the bits of
-    # the perimeter of its own mask and of half the indicator's p = 1
-    # seminorm power; the threshold search tabulates exactly these layers
+    # every layer, read from level-pair sums, is within the stated rounding
+    # bound of the perimeter of its own mask, which has the bits of half
+    # the indicator's p = 1 seminorm power; the threshold search tabulates
+    # exactly these layers
     hypothesis.assume(np.any(u > 0))
     f = load_from_array(np.ones(16))
     layers = coarea_decompose(u, f, kern16)
     assert [layer.level for layer in layers] == sorted(set(u[u > 0].tolist()))
+    bound = _layer_rounding(16, np.unique(u).size)
     for layer in layers:
         mask = u >= layer.level
-        assert layer.perimeter == perimeter(mask, kern16)
-        assert layer.perimeter == 0.5 * seminorm_power(mask.astype(float), kern16, 1.0)
+        want = perimeter(mask, kern16)
+        assert want == 0.5 * seminorm_power(mask.astype(float), kern16, 1.0)
+        assert abs(layer.perimeter - want) <= bound * want
+        assert layer.weighted_volume == weighted_volume(mask, f, kern16)
     table = threshold_cheeger(u, f, kern16).table
     assert table == [
         (layer.level, layer.perimeter, layer.weighted_volume,
          layer.perimeter / layer.weighted_volume)
         for layer in layers
     ]
+
+
+@_SETTINGS
+@hypothesis.given(u=_FIELD, load=st.sampled_from(["ones", "ramp"]))
+def test_threshold_keeps_walk_witness_and_bits(kern16, u, load):
+    # the search returns the former row-update walk's witness and bits of h
+    hypothesis.assume(np.any(u > 0))
+    f = load_from_array(np.ones(16) if load == "ones" else np.linspace(0.5, 1.5, 16))
+    res = threshold_cheeger(u, f, kern16)
+    h_ref, witness_ref = walk_threshold(u, f, kern16)
+    assert np.float64(res.h).tobytes() == np.float64(h_ref).tobytes()
+    assert res.witness.tolist() == witness_ref.tolist()
 
 
 # loads with zero cells, so that some subsets have zero weighted volume

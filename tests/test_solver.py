@@ -970,6 +970,70 @@ def test_trivial_partition_passes_the_problem_through(interval16):
     assert (quo.sums(u) / quo.size).tobytes() == u.tobytes()
 
 
+def test_permuted_singleton_partition_is_summed(interval16):
+    # one cell per part, but part a is not cell a: the quotient is the
+    # problem in part order, not the problem passed through
+    grid, kern = interval16
+    label = np.random.default_rng(4).permutation(grid.ncells)
+    f = load_from_array(np.ones(grid.ncells))
+    quo = solver._Quotient(label, kern, f)
+    order = np.argsort(label)
+    assert quo.kernel is not kern
+    assert quo.kernel.w.tobytes() == kern.w[np.ix_(order, order)].tobytes()
+    assert quo.kernel.t.tobytes() == kern.t[order].tobytes()
+    assert quo.kernel.m.tobytes() == kern.m[order].tobytes()
+    u = np.random.default_rng(5).normal(size=grid.ncells)
+    assert quo.expand(u)[order].tobytes() == u.tobytes()
+    assert total_energy(u, quo.f, quo.kernel, 1.2).total == pytest.approx(
+        total_energy(quo.expand(u), f, kern, 1.2).total, rel=1e-13
+    )
+
+
+def _column_first_quotient(orbit, kern):
+    """(W, T, M) summed as the solver's quotient first did: per block of
+    orbit rows, a gather of w's rows and columns in orbit order, its
+    columns summed per orbit, then its rows; the entries above the
+    diagonal are kept and mirrored."""
+    ncells = orbit.size
+    order = np.argsort(orbit, kind="stable")
+    starts = np.flatnonzero(np.r_[True, orbit[order][1:] != orbit[order][:-1]])
+    nq = starts.size
+    ends = np.r_[starts[1:], ncells]
+    w = np.empty((nq, nq))
+    step = max(1, 128 * nq // ncells)
+    for a0 in range(0, nq, step):
+        a1 = min(a0 + step, nq)
+        cells = order[starts[a0]:ends[a1 - 1]]
+        cols = np.add.reduceat(kern.w[np.ix_(cells, order)], starts, axis=1)
+        rows = np.add.reduceat(cols, starts[a0:a1] - starts[a0], axis=0)
+        upper = np.triu(rows[:, a0:a1], 1)
+        w[a0:a1, a0:a1] = upper + upper.T
+        w[a0:a1, a1:] = rows[:, a1:]
+        w[a1:, a0:a1] = rows[:, a1:].T
+    sums = [np.add.reduceat(x[order], starts) for x in (kern.t, kern.m)]
+    return [w] + sums
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [DomainSpec(1, "interval", (-1.0, 1.0), 0.125), _box(32.0, 32.0)],
+    ids=["interval16", "box32"],
+)
+def test_quotient_keeps_column_first_bits(spec):
+    # the symmetry orbits of a 16-cell interval and of the 32 x 32 box
+    # (1,024 cells, 136 orbits, several row blocks), and a seeded
+    # partition of each: W, T and M keep the bits of the former body
+    grid, kern, f = _problem(spec)
+    rng = np.random.default_rng(6)
+    draws = rng.integers(0, grid.ncells // 3, grid.ncells)
+    seeded = np.unique(draws, return_inverse=True)[1]
+    for orbit in (solver._symmetry_orbits(grid, kern, f), seeded):
+        quo = solver._Quotient(orbit, kern, load_from_array(np.ones(grid.ncells)))
+        got = [quo.kernel.w, quo.kernel.t, quo.kernel.m]
+        want = _column_first_quotient(orbit, kern)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+
 def test_orbits_report_the_loop_size(interval16):
     grid, kern = interval16
     ones = load_from_array(np.ones(grid.ncells))
