@@ -181,10 +181,9 @@ def coarea_decompose(u, f: LoadField, kernel: KernelSet) -> List[LevelSet]:
 
 def coarea_identity_gap(u, f: LoadField, kernel: KernelSet) -> float:
     """Max relative defect of the two coarea identities (0 for exact),
-    each relative to the larger magnitude of its two sides."""
+    each relative to the larger magnitude of its two sides; both sides of
+    each are 0 for the zero field, whose decomposition is empty."""
     decomp = coarea_decompose(u, f, kernel)
-    if not decomp:
-        return 0.0
     prev = 0.0
     per_sum = 0.0
     vol_sum = 0.0
