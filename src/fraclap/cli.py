@@ -292,14 +292,29 @@ def _cmd_certify(args) -> int:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("i,j,z\n")
         # each row's upper entries go straight to the file: all the lines of
-        # a 1024-cell field at once would hold tens of MB of strings
+        # a 1024-cell field at once would hold tens of MB of strings. Most
+        # entries are +-1, whose line tails "j,1.0" and "j,-1.0" are
+        # formatted once per column; only the other nonzero entries meet
+        # "%r", and zeros (-0.0 included) are not written
+        cols = range(cert.z.shape[0])
+        plus = np.array(["%d,1.0\n" % j for j in cols], dtype=object)
+        minus = np.array(["%d,-1.0\n" % j for j in cols], dtype=object)
         for i, row in enumerate(cert.z):
             upper = row[i + 1:]
-            (jj,) = np.nonzero(upper)
-            fh.writelines(
-                "%d,%d,%r\n" % (i, i + 1 + j, z)
-                for j, z in zip(jj.tolist(), upper[jj].tolist())
-            )
+            pieces = np.where(upper > 0, plus[i + 1:], minus[i + 1:])
+            odd = np.abs(upper) != 1.0
+            if odd.any():
+                nz = upper != 0
+                (kk,) = np.nonzero(odd & nz)
+                pieces[kk] = [
+                    "%d,%r\n" % (i + 1 + k, z)
+                    for k, z in zip(kk.tolist(), upper[kk].tolist())
+                ]
+                pieces = pieces[nz]
+            pieces = pieces.tolist()
+            if pieces:
+                pre = "%d," % i
+                fh.write(pre + pre.join(pieces))
         (kk,) = np.nonzero(cert.zbar)
         fh.writelines("%d,-1,%r\n" % row for row in zip(kk.tolist(), cert.zbar[kk].tolist()))
     report = {

@@ -76,7 +76,7 @@ def _as_field(u, kernel: KernelSet) -> np.ndarray:
             "field length %d does not match grid size %d"
             % (vals.size, kernel.m.size)
         )
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise ValueError("field must be finite")
     return vals
 
@@ -119,8 +119,8 @@ def _pair_tail(vals: np.ndarray, kernel: KernelSet, p: float):
         np.abs(blk, out=blk)
         blk **= p
 
-    pair = float(np.sum(_mirrored_pairs(vals, kernel.w, entry)))
-    tail = float(np.sum(kernel.t * np.abs(vals) ** p))
+    pair = float(_mirrored_pairs(vals, kernel.w, entry).sum())
+    tail = float((kernel.t * np.abs(vals) ** p).sum())
     return pair, tail
 
 
@@ -142,7 +142,7 @@ def total_energy(u, f: LoadField, kernel: KernelSet, p: float) -> EnergyBreakdow
     power = pair + 2.0 * tail
     semi = power ** (1.0 / p)
     kinetic = power / (2.0 * p)
-    load = float(np.sum(f.values * vals * kernel.m))
+    load = float((f.values * vals * kernel.m).sum())
     return EnergyBreakdown(
         pair=pair,
         tail=tail,
@@ -173,7 +173,7 @@ def gradient(u, f: LoadField, kernel: KernelSet, p: float) -> np.ndarray:
         np.copysign(phi, blk, out=blk)
 
     phi = _mirrored_pairs(vals, kernel.w, entry, odd=True)
-    pair_term = np.sum(phi, axis=1)
+    pair_term = phi.sum(axis=1)
     tail_term = kernel.t * np.sign(vals) * np.abs(vals) ** (p - 1.0)
     return pair_term + tail_term - f.values * kernel.m
 

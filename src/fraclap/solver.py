@@ -51,7 +51,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import get_lapack_funcs
 
 from fraclap.domain_grid import KernelSet, kernel_exponent
 from fraclap.energy import (
@@ -72,6 +73,7 @@ _EPS_E = 1e-12  # relative energy decrement below which a step may be stagnant
 _PAIRWISE_BLOCK = 8  # numpy sums at least this many entries pairwise
 _METRIC_BLOCK = 1 << 16  # entries per block of the metric's scaling pass
 _ORBIT_ROWS = 128  # cells per row block of the symmetry checks
+_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.empty(0),))  # float64
 
 
 @dataclass(frozen=True)
@@ -226,6 +228,38 @@ def _snap_pass(u, f_cur, f, kernel, p):
     return u, f_cur
 
 
+def cho_factor(a, overwrite_a=False, check_finite=True):
+    """scipy.linalg.cho_factor of a float64 matrix, upper factor: LAPACK
+    potrf with the arguments scipy passes it (lower=False, clean=False),
+    so the factor has its bits, without scipy's per-call dispatch. Raises
+    LinAlgError where a is not positive definite, as scipy does."""
+    if check_finite:
+        a = np.asarray_chkfinite(a)
+    c, info = _POTRF(a, lower=False, overwrite_a=overwrite_a, clean=False)
+    if info > 0:
+        raise LinAlgError(
+            "%d-th leading minor of the array is not positive definite" % info
+        )
+    if info < 0:
+        raise ValueError(
+            "LAPACK reported an illegal value in %d-th argument of potrf" % -info
+        )
+    return c, False
+
+
+def cho_solve(c_and_lower, b, overwrite_b=False, check_finite=True):
+    """scipy.linalg.cho_solve of a float64 vector from a cho_factor
+    factor: LAPACK potrs with scipy's arguments, so x has its bits."""
+    c, lower = c_and_lower
+    if check_finite:
+        b = np.asarray_chkfinite(b)
+        c = np.asarray_chkfinite(c)
+    x, info = _POTRS(c, b, lower=lower, overwrite_b=overwrite_b)
+    if info != 0:
+        raise ValueError("illegal value in %d-th argument of potrs" % -info)
+    return x
+
+
 def _metric_init(f, kernel):
     """Stationary field of the p = 2 surrogate with identical weights."""
     big = np.diag(kernel.w.sum(axis=1) + kernel.t) - kernel.w
@@ -247,7 +281,7 @@ def _metric_weights(u, kernel, p):
     diag(diag) - om. hd is finite and positive exactly when its square
     root is.
     """
-    delta = 1e-10 * max(float(np.max(np.abs(u))), 1e-300)
+    delta = 1e-10 * max(float(np.abs(u).max()), 1e-300)
 
     def entry(blk):
         blk *= blk
@@ -257,9 +291,9 @@ def _metric_weights(u, kernel, p):
     om = _mirrored_pairs(u, kernel.w, entry)
     omb = kernel.t * (u * u + delta * delta) ** ((p - 2.0) / 2.0)
     hd = om.sum(axis=1) + omb
-    hd -= om[np.diag_indices_from(om)]
+    hd -= om.reshape(-1)[:: hd.size + 1]
     hd *= p - 1.0
-    if not (np.all(np.isfinite(hd)) and np.all(hd > 0)):
+    if not (np.isfinite(hd).all() and (hd > 0).all()):
         return None
     return om, hd
 
@@ -273,7 +307,7 @@ def _full_metric(u, kernel, p):
     om, hd = pairs
     hess = np.subtract(0.0, om, out=om)
     hess *= p - 1.0
-    hess[np.diag_indices_from(hess)] = hd
+    hess.reshape(-1)[:: hd.size + 1] = hd
     return hess
 
 
@@ -304,17 +338,19 @@ def _newton_direction(u, g, kernel, p):
     _METRIC_BLOCK entries at most, so its four products stay in cache; a
     matrix of at most that size is one block.
 
-    The factorization and the solve skip scipy's finite scans, two O(N^2)
-    passes over their inputs. The scan of the scaled metric can never
-    fire: hd is finite, and each diagonal entry is a float row sum of the
-    nonnegative om terms, which bounds each of them, so
-    |hess_ij| <= min(hess_ii, hess_jj), every product hess_ij * scale_j
-    is at most sqrt(hd_j) and |hs_ij| <= 1. The scan of g * scale fires
-    only where that product overflows: scale is at most 1 / sqrt(5e-324)
-    and solve_p has checked that g is finite, but a |g_i| above about
-    1.8e308 * sqrt(hd_i) still overflows. There the solve returns a d
-    that is not finite, and solve_p's gd check takes the steepest step
-    where the scan raised ValueError.
+    The factorization and the solve (LAPACK potrf and potrs, through
+    this module's cho_factor and cho_solve) skip the finite scans, two
+    O(N^2) passes over their inputs, and the solve overwrites its own
+    g * scale. The scan of the scaled metric can never fire: hd is
+    finite, and each diagonal entry is a float row sum of the nonnegative
+    om terms, which bounds each of them, so |hess_ij| <= min(hess_ii,
+    hess_jj), every product hess_ij * scale_j is at most sqrt(hd_j) and
+    |hs_ij| <= 1. The scan of g * scale would fire only where that
+    product overflows: scale is at most 1 / sqrt(5e-324) and solve_p has
+    checked that g is finite, but a |g_i| above about 1.8e308 * sqrt(hd_i)
+    still overflows. There the solve returns a d that is not finite, and
+    solve_p's gd check takes the steepest step where the scan would raise
+    ValueError.
     """
     pairs = _metric_weights(u, kernel, p)
     if pairs is None:
@@ -330,12 +366,13 @@ def _newton_direction(u, g, kernel, p):
         blk *= p - 1.0
         blk *= scale[:r1]
         blk *= scale[r0:r1, None]
-    om[np.diag_indices_from(om)] = hd * scale * scale
+    om.reshape(-1)[:: n + 1] = hd * scale * scale
     try:
         factor = cho_factor(om.T, overwrite_a=True, check_finite=False)
     except LinAlgError:
         return None
-    return -scale * cho_solve(factor, g * scale, check_finite=False)
+    x = cho_solve(factor, g * scale, overwrite_b=True, check_finite=False)
+    return -scale * x
 
 
 class _BackoffBound:

@@ -11,7 +11,7 @@ import pytest
 
 import fraclap
 from fraclap.certify import build_certificate
-from fraclap.cli import _field_csv_text, main
+from fraclap.cli import _field_csv_text, _instance, _read_field_csv, main
 from fraclap.constants import calibrable_radius, sharp_constants
 from fraclap.domain_grid import DomainSpec, build_grid, build_kernel
 from fraclap.experiments import CSV_COLUMNS, make_load, read_config
@@ -348,6 +348,36 @@ def test_certify_round_trip(tmp_path, small_cfg, capsys):
     assert len(sign_lines) > 1
 
 
+def _elementwise_signfield(cert):
+    """The sign-field CSV formatted one entry at a time: every nonzero
+    upper z_ij as "i,j,z", then every nonzero zbar_i as "i,-1,z". The
+    byte reference of fraclap certify's row writer."""
+    n = cert.zbar.size
+    lines = ["i,j,z\n"]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if cert.z[i, j] != 0.0:
+                lines.append("%d,%d,%r\n" % (i, j, float(cert.z[i, j])))
+    for i in range(n):
+        if cert.zbar[i] != 0.0:
+            lines.append("%d,-1,%r\n" % (i, float(cert.zbar[i])))
+    return "".join(lines).encode("utf-8")
+
+
+def _solve_and_certify(cfg_path, label, out):
+    """fraclap solve, then fraclap certify of the written field, and the
+    certificate of that field built directly."""
+    assert main(["solve", "--config", str(cfg_path), "--out", str(out)]) == 0
+    field = out / ("%s_field.csv" % label)
+    code = main(
+        ["certify", "--config", str(cfg_path), "--field", str(field), "--out", str(out)]
+    )
+    assert code == 0
+    cfg = read_config(str(cfg_path))
+    grid, kern, f = _instance(cfg, 1.0)
+    return build_certificate(_read_field_csv(str(field), grid), f, kern)
+
+
 def test_certify_signfield_rows_match_elementwise_formatting(tmp_path, capsys):
     # the zero field leaves every z_ij and zbar_i free, so the rows carry
     # general floats; the reference is the old per-element formatting loop
@@ -384,6 +414,33 @@ def test_certify_signfield_rows_match_elementwise_formatting(tmp_path, capsys):
     assert np.any(cert.zbar != 0.0)
     expected = ("\n".join(lines) + "\n").encode("utf-8")
     assert (out / "zero_signfield.csv").read_bytes() == expected
+    assert expected == _elementwise_signfield(cert)
+
+
+def test_certify_signfield_of_solved_box_matches_elementwise_formatting(
+    tmp_path, capsys
+):
+    # the 8 x 8 box field ties across its D4 orbits; the certificate LP
+    # sets most ties to +-1, some to fractions and one to -0.0, which the
+    # CSV drops like any zero
+    cfg_path = tmp_path / "box8.cfg"
+    cfg_path.write_text(BOX8_CFG, encoding="utf-8")
+    out = tmp_path / "out"
+    cert = _solve_and_certify(cfg_path, "box8", out)
+    upper = cert.z[np.triu_indices(cert.zbar.size, 1)]
+    assert np.any(upper == 1.0) and np.any(upper == -1.0)
+    assert np.any((upper != 0.0) & (np.abs(upper) != 1.0))
+    assert np.any((upper == 0.0) & np.signbit(upper))
+    assert (out / "box8_signfield.csv").read_bytes() == _elementwise_signfield(cert)
+
+
+def test_certify_signfield_of_one_cell_is_header_and_zbar(tmp_path, capsys, onecell_cfg):
+    # one cell has no pairs: the CSV is the header and the zbar line
+    out = tmp_path / "out"
+    cert = _solve_and_certify(onecell_cfg, "cell", out)
+    written = (out / "cell_signfield.csv").read_bytes()
+    assert written == _elementwise_signfield(cert)
+    assert written.decode("utf-8") == "i,j,z\n0,-1,%r\n" % float(cert.zbar[0])
 
 
 def test_sweep_beyond_physical_memory_exits_2(tmp_path, capsys):

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from fraclap.domain_grid import DomainSpec, build_grid, build_kernel, kernel_exponent
+from fraclap.domain_grid import (
+    DomainSpec,
+    KernelSet,
+    build_grid,
+    build_kernel,
+    kernel_exponent,
+)
 from fraclap import solver
 from fraclap.energy import LoadField, gradient, load_from_array, total_energy
 from fraclap.solver import (
@@ -593,6 +599,131 @@ def test_newton_direction_overflowing_rhs_returns_nonfinite_d(interval16):
         d = solver._newton_direction(u, g, kern, 1.02)
         assert np.all(np.isfinite(g)) and d is not None
         assert not math.isfinite(float(g @ d))
+
+
+def _random_spd(rng, n, order):
+    b = rng.normal(size=(n, n))
+    a = b @ b.T + n * np.eye(n)
+    a = np.minimum(a, a.T)  # bitwise symmetric
+    return np.asarray(a, order=order)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_lapack_cholesky_keeps_scipy_bits(order):
+    # solver.cho_factor and cho_solve call potrf and potrs with scipy's
+    # arguments, so factor and solution keep scipy's bits
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 5, 33, 136):
+        a = _random_spd(rng, n, order)
+        b = rng.normal(size=n)
+        want_c, want_lower = cho_factor(a)
+        c, lower = solver.cho_factor(a)
+        assert lower is want_lower is False
+        assert _same_bits(c, want_c)
+        want_x = cho_solve((want_c, want_lower), b)
+        assert _same_bits(solver.cho_solve((c, lower), b), want_x)
+        assert _same_bits(solver.cho_solve((c, lower), b.copy(), overwrite_b=True), want_x)
+
+
+def test_newton_direction_keeps_scipy_cholesky_bits(mirror_case, monkeypatch):
+    # the direct LAPACK route gives the bits of scipy's cho_factor and
+    # cho_solve, called with the same arguments, on every metric
+    kern, fields = mirror_case
+    f = load_from_array(np.linspace(-1.0, 2.0, kern.m.size))
+    rng = np.random.default_rng(11)
+    fields = fields[:-1] + [rng.normal(size=kern.m.size) for _ in range(3)]
+    solved = 0
+    for u in fields:
+        for p in (1.02, 1.1, 2.0):
+            g = gradient(u, f, kern, p)
+            # a zero field has no metric (see the full-fill test above)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                d = solver._newton_direction(u, g, kern, p)
+                with monkeypatch.context() as m:
+                    m.setattr(solver, "cho_factor", cho_factor)
+                    m.setattr(solver, "cho_solve", cho_solve)
+                    want = solver._newton_direction(u, g, kern, p)
+            assert _same_bits(d, want), p
+            solved += want is not None
+    assert solved >= 9
+
+
+def test_newton_direction_is_none_where_potrf_fails():
+    # two cells with a negative pair weight and a tail that keeps the
+    # metric's diagonal positive: at p = 2 the scaled metric is
+    # [[1, 2], [2, 1]], and potrf stops at its second pivot
+    kern = KernelSet(
+        exponent=2.5, n=1, h=1.0,
+        w=np.array([[0.0, -1.0], [-1.0, 0.0]]),
+        t=np.array([1.5, 1.5]),
+        m=np.ones(2),
+    )
+    u, g = np.array([0.25, 1.0]), np.array([1.0, -1.0])
+    hess = solver._full_metric(u, kern, 2.0)
+    assert np.all(np.diag(hess) > 0)
+    _, info = solver._POTRF(hess.copy(), lower=False, clean=False)
+    assert info > 0
+    with pytest.raises(LinAlgError):
+        cho_factor(hess)
+    with pytest.raises(LinAlgError):
+        solver.cho_factor(hess)
+    assert solver._newton_direction(u, g, kern, 2.0) is None
+
+
+def test_cholesky_illegal_argument_raises(monkeypatch):
+    # potrf's info < 0 (an illegal argument) raises ValueError, as in scipy
+    monkeypatch.setattr(solver, "_POTRF", lambda a, **kw: (a, -4))
+    with pytest.raises(ValueError, match="illegal value"):
+        solver.cho_factor(np.eye(3))
+    monkeypatch.setattr(solver, "_POTRS", lambda c, b, **kw: (b, -2))
+    with pytest.raises(ValueError, match="illegal value"):
+        solver.cho_solve((np.eye(3), False), np.ones(3))
+
+
+def test_cholesky_checks_finite_unless_told_not_to():
+    a = np.eye(3)
+    a[2, 0] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        solver.cho_factor(a)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        solver.cho_solve((np.eye(3), False), np.array([1.0, np.inf, 0.0]))
+    c, _ = solver.cho_factor(a, check_finite=False)  # potrf reads the upper half
+    assert np.isnan(c[2, 0])
+
+
+def test_metric_calls_go_through_solver_cholesky(interval16, monkeypatch):
+    # the factorizations and solves go through the module's cho_factor and
+    # cho_solve, the names the benchmark trace wraps: one pair of calls
+    # for the start field and one per Newton direction
+    grid, kern = interval16
+    calls = {"cho_factor": 0, "cho_solve": 0}
+    for name in calls:
+        orig = getattr(solver, name)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(solver, name, counted)
+    f = load_from_array(np.ones(grid.ncells))
+    u = np.linspace(0.5, 1.5, grid.ncells)
+    g = gradient(u, f, kern, 1.2)
+    assert solver._newton_direction(u, g, kern, 1.2) is not None
+    assert calls == {"cho_factor": 1, "cho_solve": 1}
+    directions = []
+    newton = solver._newton_direction
+
+    def recorded(*args):
+        d = newton(*args)
+        directions.append(d is not None)
+        return d
+
+    monkeypatch.setattr(solver, "_newton_direction", recorded)
+    solve_p(grid, kern, f, SolveConfig(p=1.2, s=0.5))
+    assert calls == {
+        "cho_factor": 2 + len(directions),
+        "cho_solve": 2 + sum(directions),
+    }
 
 
 def _refuse_factor(*args, **kwargs):
