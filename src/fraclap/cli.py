@@ -302,16 +302,13 @@ def _cmd_certify(args) -> int:
         for i, row in enumerate(cert.z):
             upper = row[i + 1:]
             pieces = np.where(upper > 0, plus[i + 1:], minus[i + 1:])
-            odd = np.abs(upper) != 1.0
-            if odd.any():
-                nz = upper != 0
-                (kk,) = np.nonzero(odd & nz)
-                pieces[kk] = [
-                    "%d,%r\n" % (i + 1 + k, z)
-                    for k, z in zip(kk.tolist(), upper[kk].tolist())
-                ]
-                pieces = pieces[nz]
-            pieces = pieces.tolist()
+            nz = upper != 0
+            (kk,) = np.nonzero(nz & (np.abs(upper) != 1.0))
+            pieces[kk] = [
+                "%d,%r\n" % (i + 1 + k, z)
+                for k, z in zip(kk.tolist(), upper[kk].tolist())
+            ]
+            pieces = pieces[nz].tolist()
             if pieces:
                 pre = "%d," % i
                 fh.write(pre + pre.join(pieces))
