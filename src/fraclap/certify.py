@@ -79,15 +79,18 @@ def _balance(z, zbar, fm, kernel, out=None):
     return np.sum(np.multiply(kernel.w, z, out=out), axis=1) + kernel.t * zbar - fm
 
 
-def _check_lp_fits(vals) -> None:
-    """Reject a field whose certificate LP would exceed physical memory.
+def _check_lp_fits(vals):
+    """Reject a field whose certificate LP would exceed physical memory,
+    else return (group, sizes): the index of each cell's value among the
+    sorted distinct values, and how many cells share each value.
 
     The free entries are the tied pairs, g(g - 1)/2 for each group of g
     equal values, plus the zero cells; they are counted from the sorted
-    field, before any N x N tie array exists.
+    field, and _tied_pairs lists the pairs from the same groups, so no
+    N x N tie array is built.
     """
-    _, groups = np.unique(vals, return_counts=True)
-    nfree = int(np.sum(groups * (groups - 1) // 2) + np.count_nonzero(vals == 0.0))
+    _, group, sizes = np.unique(vals, return_inverse=True, return_counts=True)
+    nfree = int(np.sum(sizes * (sizes - 1) // 2) + np.count_nonzero(vals == 0.0))
     need = nfree * _LP_BYTES_PER_FREE
     have = _physical_memory()
     if have is not None and need > have:
@@ -96,13 +99,33 @@ def _check_lp_fits(vals) -> None:
             "(%d bytes each), more than the %.3g GB of physical memory"
             % (nfree, need / 1e9, _LP_BYTES_PER_FREE, have / 1e9)
         )
+    return group, sizes
 
 
-def _fixed_parts(vals):
-    """Sign-determined entries and the index lists of the free ones."""
-    z = _pair_signs(vals)
-    pi, pj = np.nonzero(np.triu(z == 0.0, 1))  # ties i < j, in row-major order
-    return z, np.sign(vals), pi, pj, np.flatnonzero(vals == 0.0)
+def _tied_pairs(group, sizes):
+    """Index arrays (pi, pj) of the pairs i < j of equal values, in
+    row-major order, from _check_lp_fits' grouping.
+
+    A pair is tied exactly when sign(u_i - u_j) is 0: for finite floats
+    the difference is 0 only between equal values (-0.0 equals 0.0, and
+    np.unique groups them). Each cell pairs with the later cells of its
+    group, in the cells' stable order by group, which is ascending index
+    within a group; lexsort then puts the pairs in row-major order.
+    """
+    order = np.argsort(group, kind="stable")
+    later = np.cumsum(sizes)[group[order]] - np.arange(order.size) - 1
+    first = np.repeat(np.arange(order.size), later)
+    step = np.arange(first.size) - np.repeat(np.cumsum(later) - later, later) + 1
+    pi, pj = order[first], order[first + step]
+    row_major = np.lexsort((pj, pi))
+    return pi[row_major], pj[row_major]
+
+
+def _fixed_parts(vals, groups):
+    """Sign-determined entries and the index lists of the free ones;
+    groups is _check_lp_fits(vals)."""
+    pi, pj = _tied_pairs(*groups)
+    return _pair_signs(vals), np.sign(vals), pi, pj, np.flatnonzero(vals == 0.0)
 
 
 def build_certificate(
@@ -118,8 +141,7 @@ def build_certificate(
     if not (math.isfinite(eps_feas) and eps_feas > 0.0):
         raise ValueError("feasibility tolerance must be finite and positive")
     vals = _as_field(u, kernel)
-    _check_lp_fits(vals)
-    z, zbar, pi, pj, ci = _fixed_parts(vals)
+    z, zbar, pi, pj, ci = _fixed_parts(vals, _check_lp_fits(vals))
     fm = f.values * kernel.m
     scale = _scale(fm, kernel)
 

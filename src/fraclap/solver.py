@@ -42,16 +42,24 @@ orbits and the tails, measures and load sums over each orbit; the loop
 minimizes it unchanged and expands the result. That restriction is exact
 for any partition, so an asymmetric problem, whose partition is one cell
 per orbit, passes its own kernel and load through and keeps every bit.
+
+scipy's OpenBLAS runs each solve on one thread (_one_blas_thread): its
+threaded potrf rounds differently, so with more threads the iterates,
+and every output, would depend on the thread count.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError
+from scipy.linalg import LinAlgError, _fblas
 from scipy.linalg.lapack import get_lapack_funcs
 
 from fraclap.domain_grid import KernelSet, kernel_exponent
@@ -226,6 +234,58 @@ def _snap_pass(u, f_cur, f, kernel, p):
             u, f_cur, snap_ties(u, tau_rel * umax), f, kernel, p
         )
     return u, f_cur
+
+
+@functools.cache
+def _openblas_thread_calls():
+    """(get, set) of scipy's OpenBLAS thread count as ctypes functions, or
+    None where its library does not export them. scipy links its own
+    OpenBLAS, apart from numpy's, and LAPACK reaches it through _fblas."""
+    try:
+        lib = ctypes.CDLL(_fblas.__file__)
+        get = lib.scipy_openblas_get_num_threads
+        put = lib.scipy_openblas_set_num_threads
+    except (OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+class _OneBlasThread(contextlib.ContextDecorator):
+    """Runs its body with scipy's OpenBLAS on one thread, so the LAPACK
+    calls inside round as they do under OPENBLAS_NUM_THREADS=1.
+
+    The thread count is process-wide: the first caller to enter saves it
+    and sets 1, the last to leave restores it, and a lock keeps the depth,
+    so run_sweeps' pool threads never restore it while another solve is
+    inside. Where the library lacks the calls, the body runs unpinned.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._calls = None
+        self._saved = None
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                self._calls = _openblas_thread_calls()
+                if self._calls is not None:
+                    get, put = self._calls
+                    self._saved = get()
+                    put(1)
+            self._depth += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and self._calls is not None:
+                self._calls[1](self._saved)
+
+
+_one_blas_thread = _OneBlasThread()
 
 
 def cho_factor(a, overwrite_a=False, check_finite=True):
@@ -627,6 +687,7 @@ class _Quotient(Partition):
         )
 
 
+@_one_blas_thread
 def solve_p(
     grid,
     kernel: KernelSet,
@@ -647,6 +708,10 @@ def solve_p(
     ends at the first iteration that leaves u and the next search's start
     unchanged, and raises SolverError only when each of maxit iterations
     changed one of them without meeting a stopping test.
+
+    The whole solve, its start field and every metric factorization, runs
+    with scipy's OpenBLAS on one thread (_one_blas_thread), so its bytes
+    are the same at any OPENBLAS_NUM_THREADS.
     """
     cfg.validate_for(kernel.n)
     want = kernel_exponent(kernel.n, cfg.s, cfg.p)

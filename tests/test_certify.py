@@ -7,7 +7,9 @@ import pytest
 
 from fraclap.certify import (
     _LP_BYTES_PER_FREE,
+    _check_lp_fits,
     _fixed_parts,
+    _pair_signs,
     build_certificate,
     equal_pair_mass,
     plateau_measure,
@@ -16,6 +18,7 @@ from fraclap.certify import (
 from fraclap.domain_grid import DomainSpec, build_grid, build_kernel
 from fraclap.energy import LoadField, load_from_array
 from fraclap.geometry import brute_force_cheeger
+from fraclap.solver import SolveConfig, solve_p
 
 
 @pytest.fixture(scope="module")
@@ -244,7 +247,7 @@ def test_lp_guard_counts_the_free_entries(interval16, monkeypatch):
     grid, kern = interval16
     u = np.array([0.5, 0.5, 0.5, 0.2, 0.2, 0.0, 0.0, 0.0, 0.0]
                  + [1.0 + k for k in range(7)])
-    z, _, pi, pj, ci = _fixed_parts(u)
+    z, _, pi, pj, ci = _fixed_parts(u, _check_lp_fits(u))
     assert pi.size + ci.size == 14
     assert np.all(pi < pj) and np.all(z[pi, pj] == 0.0)
     # physical memory one byte short of the LP's estimate, then exactly it
@@ -255,6 +258,35 @@ def test_lp_guard_counts_the_free_entries(interval16, monkeypatch):
         build_certificate(u, f, kern)
     pages["SC_PHYS_PAGES"] += 1
     build_certificate(u, f, kern)
+
+
+def _scanned_ties(vals):
+    # the tie list from the full N x N sign array, row-major
+    return np.nonzero(np.triu(_pair_signs(vals) == 0.0, 1))
+
+
+def test_tied_pairs_match_the_pair_scan():
+    # the pairs come from the value groups; they must be the scan's, same
+    # order and dtype, on a solved box field (orbit ties), the zero field,
+    # +-0.0 mixes, heavily tied and tie-free fields, one cell and none
+    grid = build_grid(DomainSpec(2, "box", (0.0, 0.0, 8.0, 8.0), 1.0))
+    sol = solve_p(grid, build_kernel(grid, 2.75),
+                  load_from_array(np.ones(grid.ncells)), SolveConfig(p=1.1, s=0.5))
+    rng = np.random.default_rng(3)
+    signed_zeros = np.where(rng.random(40) < 0.5, 0.0, -0.0)
+    signed_zeros[::7] = 1.5
+    fields = [
+        sol.u, np.zeros(64), signed_zeros,
+        rng.integers(-3, 4, size=200).astype(float),
+        rng.normal(size=50), np.array([2.0]), np.zeros(0),
+    ]
+    assert np.unique(sol.u).size < sol.u.size
+    for u in fields:
+        z, _, pi, pj, _ = _fixed_parts(u, _check_lp_fits(u))
+        want_i, want_j = _scanned_ties(u)
+        assert pi.dtype == want_i.dtype and pj.dtype == want_j.dtype
+        assert np.array_equal(pi, want_i) and np.array_equal(pj, want_j)
+        assert np.array_equal(z, _pair_signs(u))
 
 
 # ---------------------------------------------------------------------------

@@ -507,24 +507,42 @@ schedule = 1.1
 """
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_box_field_is_d4_invariant_at_any_blas_thread_count(tmp_path, threads):
-    # the solve runs on the box's D4 orbits, so its field keeps every bit
-    # under both reflections and the transpose, whatever BLAS thread count
-    # the process starts with
-    cfg_path = tmp_path / "box8.cfg"
-    cfg_path.write_text(BOX8_CFG, encoding="utf-8")
-    out = tmp_path / "out"
+def _cli_bytes(cwd, threads, out, *argv):
+    """Run fraclap argv --out out in a fresh process under
+    OPENBLAS_NUM_THREADS=threads, in cwd, so its paths are relative; return
+    its stdout and every file it wrote, as bytes keyed by path in out."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(fraclap.__file__)))
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
-    subprocess.run(
-        [sys.executable, "-m", "fraclap.cli", "solve", "--config", str(cfg_path),
-         "--out", str(out)],
-        env=env, check=True, capture_output=True, timeout=300,
+    proc = subprocess.run(
+        [sys.executable, "-m", "fraclap.cli", *argv, "--out", out],
+        cwd=cwd, env=env, check=True, capture_output=True, timeout=300,
     )
-    report = json.loads((out / "box8_solution.json").read_text(encoding="utf-8"))
+    out = cwd / out
+    files = {p.relative_to(out).as_posix(): p.read_bytes()
+             for p in sorted(out.rglob("*")) if p.is_file()}
+    return proc.stdout, files
+
+
+@pytest.fixture(scope="module")
+def box8_one_thread(tmp_path_factory):
+    """The box8 solve's stdout and files under one BLAS thread."""
+    cwd = tmp_path_factory.mktemp("box8_one_thread")
+    (cwd / "box8.cfg").write_text(BOX8_CFG, encoding="utf-8")
+    return _cli_bytes(cwd, "1", "out", "solve", "--config", "box8.cfg")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_box_field_is_d4_invariant_at_any_blas_thread_count(tmp_path, threads,
+                                                            box8_one_thread):
+    # the solve runs on the box's D4 orbits, so its field keeps every bit
+    # under both reflections and the transpose, whatever BLAS thread count
+    # the process starts with, and every output byte is the one-thread one
+    (tmp_path / "box8.cfg").write_text(BOX8_CFG, encoding="utf-8")
+    got = _cli_bytes(tmp_path, threads, "out", "solve", "--config", "box8.cfg")
+    assert got == box8_one_thread
+    report = json.loads(got[1]["box8_solution.json"])
     assert report["orbits"] == 10  # 6 orbits of 8, 4 of 4 on the diagonals
-    lines = (out / "box8_field.csv").read_text(encoding="utf-8").splitlines()[1:]
+    lines = got[1]["box8_field.csv"].decode("utf-8").splitlines()[1:]
     field = np.zeros((8, 8))
     for line in lines:
         _, x, y, value = line.split(",")
@@ -532,6 +550,42 @@ def test_box_field_is_d4_invariant_at_any_blas_thread_count(tmp_path, threads):
     assert np.all(field > 0.0)
     for image in (field[::-1, :], field[:, ::-1], field.T):
         assert image.tobytes() == field.tobytes()
+
+
+# asymmetric problems of 130 and 144 variables: LAPACK's potrf runs
+# threaded from 128 rows on, where two BLAS threads round differently
+THREAD_CFGS = {
+    "ramp.cfg": "config_version = 1\nlabel = ramp\nn = 1\nshape = interval\n"
+                "params = 0 130\nh = 1\ns = 0.5\nload = indicator\n"
+                "load_params = 10 50\nload_scale = 1.5\nschedule = 1.3 1.1\n",
+    "gap.cfg": "config_version = 1\nlabel = gap\nn = 1\nshape = union\n"
+               "params = 0 90 95 135\nh = 1\ns = 0.5\nschedule = 1.3 1.1\n",
+    "ind12.cfg": "config_version = 1\nlabel = ind12\nn = 2\nshape = box\n"
+                 "params = 0 0 12 12\nh = 1\ns = 0.5\nload = indicator\n"
+                 "load_params = 1 2 6 5\nload_scale = 2.0\nschedule = 1.1\n",
+}
+
+
+def test_outputs_are_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
+    # a pooled sweep over two configs and an off-centre indicator solve on
+    # a 12 x 12 box write the same bytes under one and two BLAS threads
+    got = {}
+    for threads in ("1", "2"):
+        cwd = tmp_path / threads
+        cwd.mkdir()
+        for name, text in THREAD_CFGS.items():
+            (cwd / name).write_text(text, encoding="utf-8")
+        sweep = _cli_bytes(cwd, threads, "sweeps", "sweep", "--config", "ramp.cfg",
+                           "--config", "gap.cfg", "--threads", "2")
+        solve = _cli_bytes(cwd, threads, "solve", "solve", "--config", "ind12.cfg")
+        got[threads] = (sweep, solve)
+    assert got["1"] == got["2"]
+    sweep_files, solve_files = got["1"][0][1], got["1"][1][1]
+    assert set(sweep_files) == {"ramp.csv", "ramp.json", "gap.csv", "gap.json"}
+    for label in ("ramp", "gap"):
+        report = json.loads(sweep_files[label + ".json"])
+        assert [rec["orbits"] for rec in report["records"]] == [130, 130]
+    assert json.loads(solve_files["ind12_solution.json"])["orbits"] == 144
 
 
 @pytest.mark.parametrize(

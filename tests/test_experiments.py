@@ -8,6 +8,7 @@ the assertion messages and the README.
 import numpy as np
 import pytest
 
+from fraclap import solver
 from fraclap.constants import ball_cheeger, sharp_constants
 from fraclap.domain_grid import DomainSpec, build_grid, build_kernel
 from fraclap.energy import load_from_array
@@ -237,6 +238,22 @@ def test_run_sweeps_thread_count_does_not_change_bytes():
     threaded = run_sweeps(configs, threads=4)
     for a, b in zip(serial, threaded):
         assert csv_text(a.records) == csv_text(b.records)
+
+
+@pytest.mark.parametrize("blas_threads", [1, 2])
+def test_pooled_sweeps_restore_the_blas_thread_count(blas_threads):
+    # each pool thread's solves pin scipy's OpenBLAS to one thread; the
+    # count the process had is back once the pool is done
+    get, put = solver._openblas_thread_calls()
+    start = get()
+    put(blas_threads)
+    try:
+        configs = [small_config(), small_config(load_scale=2.0, label="twice")]
+        tables = run_sweeps(configs, threads=2)
+        assert get() == blas_threads
+    finally:
+        put(start)
+    assert [len(t.records) for t in tables] == [len(c.schedule) for c in configs]
 
 
 # ---------------------------------------------------------------------------

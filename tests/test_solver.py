@@ -1,7 +1,11 @@
 """Solver checks: admissibility, closed-form oracles, invariants, honesty."""
 
+import contextlib
 import dataclasses
+import itertools
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -543,6 +547,12 @@ def _newton_direction_full(u, g, kernel, p):
     return d, hess
 
 
+# the scipy-bits checks run subject and reference alike unpinned and under
+# the one-thread pin that solve_p runs them in, so they stay strict at any
+# BLAS thread count
+_BLAS_PINS = (contextlib.nullcontext(), solver._one_blas_thread)
+
+
 def _same_bits(a, b):
     if a is None or b is None:
         return a is None and b is None
@@ -555,7 +565,7 @@ def test_newton_direction_keeps_full_fill_bits(mirror_case, monkeypatch):
     kern, fields = mirror_case
     cells = kern.m.size
     f = load_from_array(np.linspace(-1.0, 2.0, cells))
-    for rows in (None, 1, 7):
+    for rows, pin in itertools.product((None, 1, 7), _BLAS_PINS):
         if rows is not None:
             monkeypatch.setattr(solver, "_METRIC_BLOCK", rows * cells)
         for u in fields:
@@ -563,7 +573,7 @@ def test_newton_direction_keeps_full_fill_bits(mirror_case, monkeypatch):
                 g = gradient(u, f, kern, p)
                 # a zero field has no metric: 0.0 ** ((p - 2) / 2) is inf,
                 # and inf meets the zero diagonal of w
-                with np.errstate(divide="ignore", invalid="ignore"):
+                with np.errstate(divide="ignore", invalid="ignore"), pin:
                     d = solver._newton_direction(u, g, kern, p)
                     hess = solver._full_metric(u, kern, p)
                     want_d, want_hess = _newton_direction_full(u, g, kern, p)
@@ -613,16 +623,18 @@ def test_lapack_cholesky_keeps_scipy_bits(order):
     # solver.cho_factor and cho_solve call potrf and potrs with scipy's
     # arguments, so factor and solution keep scipy's bits
     rng = np.random.default_rng(7)
-    for n in (1, 2, 5, 33, 136):
+    for n, pin in itertools.product((1, 2, 5, 33, 136), _BLAS_PINS):
         a = _random_spd(rng, n, order)
         b = rng.normal(size=n)
-        want_c, want_lower = cho_factor(a)
-        c, lower = solver.cho_factor(a)
+        with pin:
+            want_c, want_lower = cho_factor(a)
+            c, lower = solver.cho_factor(a)
+            want_x = cho_solve((want_c, want_lower), b)
+            x = solver.cho_solve((c, lower), b)
+            x_over = solver.cho_solve((c, lower), b.copy(), overwrite_b=True)
         assert lower is want_lower is False
         assert _same_bits(c, want_c)
-        want_x = cho_solve((want_c, want_lower), b)
-        assert _same_bits(solver.cho_solve((c, lower), b), want_x)
-        assert _same_bits(solver.cho_solve((c, lower), b.copy(), overwrite_b=True), want_x)
+        assert _same_bits(x, want_x) and _same_bits(x_over, want_x)
 
 
 def test_newton_direction_keeps_scipy_cholesky_bits(mirror_case, monkeypatch):
@@ -633,11 +645,11 @@ def test_newton_direction_keeps_scipy_cholesky_bits(mirror_case, monkeypatch):
     rng = np.random.default_rng(11)
     fields = fields[:-1] + [rng.normal(size=kern.m.size) for _ in range(3)]
     solved = 0
-    for u in fields:
+    for u, pin in itertools.product(fields, _BLAS_PINS):
         for p in (1.02, 1.1, 2.0):
             g = gradient(u, f, kern, p)
             # a zero field has no metric (see the full-fill test above)
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore"), pin:
                 d = solver._newton_direction(u, g, kern, p)
                 with monkeypatch.context() as m:
                     m.setattr(solver, "cho_factor", cho_factor)
@@ -645,7 +657,7 @@ def test_newton_direction_keeps_scipy_cholesky_bits(mirror_case, monkeypatch):
                     want = solver._newton_direction(u, g, kern, p)
             assert _same_bits(d, want), p
             solved += want is not None
-    assert solved >= 9
+    assert solved >= 18
 
 
 def test_newton_direction_is_none_where_potrf_fails():
@@ -724,6 +736,149 @@ def test_metric_calls_go_through_solver_cholesky(interval16, monkeypatch):
         "cho_factor": 2 + len(directions),
         "cho_solve": 2 + sum(directions),
     }
+
+
+# ---------------------------------------------------------------------------
+# one BLAS thread per solve
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def blas_threads():
+    """(get, set) of scipy's OpenBLAS thread count; the process's count is
+    restored after the test."""
+    calls = solver._openblas_thread_calls()
+    assert calls is not None  # scipy's OpenBLAS exports both
+    get, put = calls
+    start = get()
+    yield get, put
+    put(start)
+
+
+def _record_threads(monkeypatch, get):
+    """The thread count each solver.cho_factor call sees, in call order."""
+    seen = []
+    factor = solver.cho_factor
+
+    def recorded(*args, **kwargs):
+        seen.append(get())
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "cho_factor", recorded)
+    return seen
+
+
+def test_one_blas_thread_nests_and_restores(blas_threads):
+    get, put = blas_threads
+    put(2)
+    with solver._one_blas_thread:
+        assert get() == 1
+        with solver._one_blas_thread:
+            assert get() == 1
+        assert get() == 1
+    assert get() == 2
+
+
+def test_one_blas_thread_restores_when_the_last_thread_leaves(blas_threads):
+    # two threads overlap inside the pin: the first to leave must not
+    # restore the count while the other is still inside
+    get, put = blas_threads
+    put(2)
+    seen = []
+    inside, first_left = threading.Event(), threading.Event()
+
+    def second():
+        with solver._one_blas_thread:
+            inside.set()
+            first_left.wait(timeout=60)
+            seen.append(get())
+
+    worker = threading.Thread(target=second)
+    with solver._one_blas_thread:
+        worker.start()
+        assert inside.wait(timeout=60)
+    first_left.set()
+    worker.join(timeout=60)
+    assert seen == [1]
+    assert get() == 2
+
+
+def test_one_blas_thread_holds_under_contention(blas_threads):
+    # four threads on two cores enter and leave the pin with a short switch
+    # interval: a lost update of the depth would let one restore the count
+    # while another is inside, or leave the pin set after all have left
+    get, put = blas_threads
+    put(2)
+    counts = []
+
+    def churn():
+        for _ in range(10000):
+            with solver._one_blas_thread:
+                counts.append(get())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=churn) for _ in range(4)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert len(counts) == 40000 and set(counts) == {1}
+    assert get() == 2
+
+
+def test_solve_runs_on_one_blas_thread(interval16, blas_threads, monkeypatch):
+    # every factorization of a solve, the start field's included, sees one
+    # thread, and the count is back after the solve, also after it raises
+    get, put = blas_threads
+    grid, kern = interval16
+    f = load_from_array(np.linspace(0.5, 1.5, grid.ncells))
+    put(2)
+    seen = _record_threads(monkeypatch, get)
+    solve_p(grid, kern, f, SolveConfig(p=1.2, s=0.5))
+    assert len(seen) > 1 and set(seen) == {1}
+    assert get() == 2
+    with pytest.raises(SolverError):
+        solve_p(grid, kern, f, SolveConfig(p=1.2, s=0.5, maxit=1))
+    assert get() == 2
+
+
+def test_solve_runs_unpinned_without_the_thread_calls(interval16, blas_threads,
+                                                      monkeypatch):
+    # a library without the calls gives no lookup, and the solve then runs
+    # unpinned: nothing raises, the count is never touched, and on 16
+    # variables (potrf runs one thread below 128 rows) every bit is the
+    # pinned solve's
+    get, put = blas_threads
+    lookup = solver._openblas_thread_calls.__wrapped__
+
+    def no_library(path):
+        raise OSError("cannot open " + path)
+
+    with monkeypatch.context() as m:
+        m.setattr(solver.ctypes, "CDLL", lambda path: object())
+        assert lookup() is None
+        m.setattr(solver.ctypes, "CDLL", no_library)
+        assert lookup() is None
+    grid, kern = interval16
+    f = load_from_array(np.linspace(0.5, 1.5, grid.ncells))
+    cfg = SolveConfig(p=1.2, s=0.5)
+    pinned = solve_p(grid, kern, f, cfg)
+    put(2)
+    monkeypatch.setattr(solver, "_openblas_thread_calls", lambda: None)
+    seen = _record_threads(monkeypatch, get)
+    unpinned = solve_p(grid, kern, f, cfg)
+    assert len(seen) > 1 and set(seen) == {2}
+    assert get() == 2
+    assert unpinned.orbits == pinned.orbits == grid.ncells
+    assert unpinned.iterations == pinned.iterations
+    assert unpinned.u.tobytes() == pinned.u.tobytes()
+    assert unpinned.energy_history == pinned.energy_history
+    assert unpinned.grad_norm == pinned.grad_norm
 
 
 def _refuse_factor(*args, **kwargs):
