@@ -35,7 +35,7 @@ def _validate(n: int, s: float, p: float) -> None:
         raise ValueError("dimension must be 1 or 2, got %r" % (n,))
     if not (0.0 < s < 1.0):
         raise ValueError("order s must lie in (0, 1)")
-    if p < 1.0:
+    if not p >= 1.0:  # NaN fails too
         raise ValueError("integrability p must satisfy p >= 1")
     if p * s >= min(1.0, float(n)):
         raise ValueError("parameters out of range: need p*s < 1 and p*s < n")
@@ -136,7 +136,7 @@ def ball_perimeter(n: int, s: float, radius: float) -> float:
     Per_s(B_1) = |B_1|^((n-s)/n) / (2 S_{n,s,1}), then scale by
     radius^(n-s).
     """
-    if radius <= 0:
+    if not radius > 0:  # NaN fails too
         raise ValueError("radius must be positive")
     unit = BALL_VOLUME[n] ** ((n - s) / n) / (2.0 * sobolev_constant(n, s, 1.0))
     return radius ** (n - s) * unit
@@ -144,7 +144,7 @@ def ball_perimeter(n: int, s: float, radius: float) -> float:
 
 def ball_cheeger(n: int, s: float, radius: float) -> float:
     """Weighted Cheeger constant of a ball: Per_s(B_R)/|B_R| = R^(-s) h_s(B_1)."""
-    if radius <= 0:
+    if not radius > 0:  # NaN fails too
         raise ValueError("radius must be positive")
     unit = BALL_VOLUME[n] ** (-s / n) / (2.0 * sobolev_constant(n, s, 1.0))
     return radius ** (-s) * unit

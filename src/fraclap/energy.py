@@ -23,9 +23,6 @@ import numpy as np
 
 from fraclap.domain_grid import KernelSet
 
-_MIRROR_ROWS = 64  # row-block height of the mirrored pair fills
-
-
 @dataclass(frozen=True)
 class LoadField:
     """Cell averages of the load f with a nonnegativity flag.
@@ -81,32 +78,12 @@ def _as_field(u, kernel: KernelSet) -> np.ndarray:
     return vals
 
 
-def _mirrored_pairs(vals: np.ndarray, w: np.ndarray, entry, odd=False):
-    """The N x N array of entry(vals_i - vals_j) * w_ij for a bitwise
-    symmetric w, computed on the upper block-triangle only.
-
-    entry maps a block of differences in place and is even, or odd when
-    odd is set. Row block [r0, r1) is filled against columns [r0, N) and
-    copied, transposed, into rows [r1, N) of columns [r0, r1), negated
-    for an odd entry. vals_j - vals_i is exactly -(vals_i - vals_j), so
-    every entry keeps the bits of the full fill, except that an odd entry
-    at an exact tie gives -0.0 below the diagonal where the full fill
-    gives +0.0. No reduction sees that: a sum holding the +0.0 diagonal
-    is never -0.0, and its other bits do not depend on signs of zeros.
-    """
-    n = vals.size
-    out = np.empty((n, n))
-    for r0 in range(0, n, _MIRROR_ROWS):
-        r1 = min(r0 + _MIRROR_ROWS, n)
-        blk = out[r0:r1, r0:]
-        np.subtract(vals[r0:r1, None], vals[None, r0:], out=blk)
-        entry(blk)
-        blk *= w[r0:r1, r0:]
-        upper = blk[:, r1 - r0:].T
-        if odd:
-            np.negative(upper, out=out[r1:, r0:r1])
-        else:
-            out[r1:, r0:r1] = upper
+def _pair_array(vals: np.ndarray, w: np.ndarray, entry):
+    """The N x N array of entry(vals_i - vals_j) * w_ij, with entry
+    mapping the array of differences in place."""
+    out = np.subtract.outer(vals, vals)
+    entry(out)
+    out *= w
     return out
 
 
@@ -115,11 +92,11 @@ def _pair_tail(vals: np.ndarray, kernel: KernelSet, p: float):
     if p < 1:
         raise ValueError("integrability p must satisfy p >= 1")
 
-    def entry(blk):
-        np.abs(blk, out=blk)
-        blk **= p
+    def entry(du):
+        np.abs(du, out=du)
+        du **= p
 
-    pair = float(_mirrored_pairs(vals, kernel.w, entry).sum())
+    pair = float(_pair_array(vals, kernel.w, entry).sum())
     tail = float((kernel.t * np.abs(vals) ** p).sum())
     return pair, tail
 
@@ -165,14 +142,14 @@ def gradient(u, f: LoadField, kernel: KernelSet, p: float) -> np.ndarray:
     vals = _as_field(u, kernel)
 
     # copysign differs from sign(du) * |du|^(p-1) only where du = -0.0
-    # (-0.0 instead of +0.0); like the mirror's -0.0 at ties, no row sum
-    # sees it, since each row's diagonal adds +0.0
-    def entry(blk):
-        phi = np.abs(blk)
+    # (-0.0 instead of +0.0); no row sum sees it, since each row's
+    # diagonal adds +0.0
+    def entry(du):
+        phi = np.abs(du)
         phi **= p - 1.0
-        np.copysign(phi, blk, out=blk)
+        np.copysign(phi, du, out=du)
 
-    phi = _mirrored_pairs(vals, kernel.w, entry, odd=True)
+    phi = _pair_array(vals, kernel.w, entry)
     pair_term = phi.sum(axis=1)
     tail_term = kernel.t * np.sign(vals) * np.abs(vals) ** (p - 1.0)
     return pair_term + tail_term - f.values * kernel.m

@@ -13,25 +13,30 @@ of the solver's line search and of the coarea perimeters rest on it.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 _BLOCK = 1 << 17  # entries of w per row block of the part-pair sums
 
 
+@functools.cache
 def pairwise_depth(n):
     """The most roundings any entry meets in numpy's pairwise sum of n
-    contiguous entries: halvings (the larger part keeps n - n2 entries,
-    n2 = n // 2 rounded down to a multiple of 8) down to a leaf of at most
-    128, where eight accumulators take up to 15 adds each, a 3-level tree
-    joins them and up to 7 trailing entries are added one by one; below 8
-    entries the leaf adds them one by one."""
-    depth = 0
-    while n > 128:
-        n -= n // 2 - (n // 2) % 8
-        depth += 1
+    contiguous entries. Above 128 entries the sum splits into its first
+    n2 entries, n2 = n // 2 rounded down to a multiple of 8, and the other
+    n - n2, and adds the two part sums; either part can be the deeper, so
+    both are followed. A leaf of at most 128 entries takes eight
+    accumulators of up to 15 adds each, a 3-level tree joining them and up
+    to 7 trailing entries added one by one; below 8 entries the leaf adds
+    them one by one. Each level of the split holds only a few distinct
+    sizes, so with the cache a large n costs O(log n) calls."""
     if n < 8:
-        return depth + n
-    return depth + n // 8 + 2 + n % 8
+        return n
+    if n <= 128:
+        return n // 8 + 2 + n % 8
+    n2 = n // 2 - (n // 2) % 8
+    return 1 + max(pairwise_depth(n2), pairwise_depth(n - n2))
 
 
 class Partition:

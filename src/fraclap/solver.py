@@ -66,7 +66,7 @@ from fraclap.domain_grid import KernelSet, kernel_exponent
 from fraclap.energy import (
     EnergyBreakdown,
     LoadField,
-    _mirrored_pairs,
+    _pair_array,
     gradient,
     seminorm_power,
     total_energy,
@@ -79,7 +79,6 @@ _STAGNANT_LIMIT = 25
 _SNAP_LADDER = (1e-12, 1e-9)
 _EPS_E = 1e-12  # relative energy decrement below which a step may be stagnant
 _PAIRWISE_BLOCK = 8  # numpy sums at least this many entries pairwise
-_METRIC_BLOCK = 1 << 16  # entries per block of the metric's scaling pass
 _ORBIT_ROWS = 128  # cells per row block of the symmetry checks
 _POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.empty(0),))  # float64
 
@@ -330,41 +329,32 @@ def _metric_init(f, kernel):
         return rhs.copy()
 
 
-def _metric_weights(u, kernel, p):
-    """(om, hd) for the variable metric at u, or None when the metric has
-    no finite positive diagonal.
+def _full_metric(u, kernel, p):
+    """The N x N variable metric at u, or None when it has no finite
+    positive diagonal.
 
-    om is the N x N array of the second variation's pair weights, with a
-    tiny curvature floor inside the metric only, and hd is the metric's
-    diagonal. The metric itself is (p - 1) * (0.0 - om) off the diagonal
-    and hd on it; 0.0 - om (not -om) keeps the bits of
-    diag(diag) - om. hd is finite and positive exactly when its square
-    root is.
+    Its pair weights are the second variation's, with a tiny curvature
+    floor inside the metric only: om_ij = w_ij ((u_i - u_j)^2 +
+    delta^2)^((p-2)/2). The metric is (0.0 - om) * (p - 1) off the
+    diagonal, where 0.0 - om (not -om) keeps the bits of diag(hd) - om,
+    and hd, the row sums of om without the diagonal plus the tail's
+    curvature, times (p - 1), on it. hd is finite and positive exactly
+    when its square root is.
     """
     delta = 1e-10 * max(float(np.abs(u).max()), 1e-300)
 
-    def entry(blk):
-        blk *= blk
-        blk += delta * delta
-        blk **= (p - 2.0) / 2.0
+    def entry(du):
+        du *= du
+        du += delta * delta
+        du **= (p - 2.0) / 2.0
 
-    om = _mirrored_pairs(u, kernel.w, entry)
+    om = _pair_array(u, kernel.w, entry)
     omb = kernel.t * (u * u + delta * delta) ** ((p - 2.0) / 2.0)
     hd = om.sum(axis=1) + omb
-    hd -= om.reshape(-1)[:: hd.size + 1]
+    hd -= om.diagonal()
     hd *= p - 1.0
     if not (np.isfinite(hd).all() and (hd > 0).all()):
         return None
-    return om, hd
-
-
-def _full_metric(u, kernel, p):
-    """The whole N x N variable metric at u, or None when it has no finite
-    positive diagonal; only the steepest fallback's curvature needs it."""
-    pairs = _metric_weights(u, kernel, p)
-    if pairs is None:
-        return None
-    om, hd = pairs
     hess = np.subtract(0.0, om, out=om)
     hess *= p - 1.0
     hess.reshape(-1)[:: hd.size + 1] = hd
@@ -388,47 +378,33 @@ def _newton_direction(u, g, kernel, p):
     factorization is unusable.
 
     The scaled metric hs = D^-1/2 hess D^-1/2, D = diag(hess), is built
-    in the pair fill's own buffer by one row-blocked pass over the lower
-    triangle: negate, times (p - 1), times the column scales, then the
-    row scales, the order of _full_metric followed by the column and row
-    products, so every entry keeps those bits. The diagonal comes from hd.
-    In C order that lower triangle is the upper triangle of the Fortran
-    view om.T, the only one cho_factor reads (hess is bitwise symmetric),
-    so the factorization overwrites it without a copy. A block spans
-    _METRIC_BLOCK entries at most, so its four products stay in cache; a
-    matrix of at most that size is one block.
+    in the metric's own buffer: times the column scales, then the row
+    scales. hess is bitwise symmetric, so the Fortran view hess.T holds
+    entry (a, b) as (hess_ab * scale_a) * scale_b, and cho_factor, which
+    reads its upper triangle, factors it in place without a copy.
 
     The factorization and the solve (LAPACK potrf and potrs, through
     this module's cho_factor and cho_solve) skip the finite scans, two
     O(N^2) passes over their inputs, and the solve overwrites its own
-    g * scale. The scan of the scaled metric can never fire: hd is
-    finite, and each diagonal entry is a float row sum of the nonnegative
-    om terms, which bounds each of them, so |hess_ij| <= min(hess_ii,
-    hess_jj), every product hess_ij * scale_j is at most sqrt(hd_j) and
-    |hs_ij| <= 1. The scan of g * scale would fire only where that
-    product overflows: scale is at most 1 / sqrt(5e-324) and solve_p has
-    checked that g is finite, but a |g_i| above about 1.8e308 * sqrt(hd_i)
-    still overflows. There the solve returns a d that is not finite, and
-    solve_p's gd check takes the steepest step where the scan would raise
-    ValueError.
+    g * scale. The scan of the scaled metric can never fire: the diagonal
+    is finite, and each diagonal entry is a float row sum of the
+    nonnegative om terms, which bounds each of them, so |hess_ij| <=
+    min(hess_ii, hess_jj), every product hess_ij * scale_j is at most
+    sqrt(hess_jj) and |hs_ij| <= 1. The scan of g * scale would fire only
+    where that product overflows: scale is at most 1 / sqrt(5e-324) and
+    solve_p has checked that g is finite, but a |g_i| above about 1.8e308
+    * sqrt(hess_ii) still overflows. There the solve returns a d that is
+    not finite, and solve_p's gd check takes the steepest step where the
+    scan would raise ValueError.
     """
-    pairs = _metric_weights(u, kernel, p)
-    if pairs is None:
+    hess = _full_metric(u, kernel, p)
+    if hess is None:
         return None
-    om, hd = pairs
-    scale = 1.0 / np.sqrt(hd)
-    n = hd.size
-    rows = max(1, _METRIC_BLOCK // n)
-    for r0 in range(0, n, rows):
-        r1 = min(r0 + rows, n)
-        blk = om[r0:r1, :r1]
-        np.subtract(0.0, blk, out=blk)
-        blk *= p - 1.0
-        blk *= scale[:r1]
-        blk *= scale[r0:r1, None]
-    om.reshape(-1)[:: n + 1] = hd * scale * scale
+    scale = 1.0 / np.sqrt(hess.diagonal())
+    hess *= scale
+    hess *= scale[:, None]
     try:
-        factor = cho_factor(om.T, overwrite_a=True, check_finite=False)
+        factor = cho_factor(hess.T, overwrite_a=True, check_finite=False)
     except LinAlgError:
         return None
     x = cho_solve(factor, g * scale, overwrite_b=True, check_finite=False)

@@ -1,5 +1,5 @@
 """Session fixtures: the three 256-cell reference sweeps, and the small
-grids that exercise the mirrored pair fills.
+grids that exercise the pair fills.
 
 The sweeps are the expensive shared instances (a few seconds each);
 everything that needs a full warm-started schedule reads them from here so
@@ -48,9 +48,10 @@ def blow64():
     return SweepCase(64.0, 0.5, "blow64")
 
 
-# cell counts around the pair fills' 64-row blocks: one cell, one partial
-# block, one full block, a full block and a single row, and three blocks
-# with a partial last one; the 2-D grids are boxes of these many unit cells
+# cell counts from one cell to 130, around the 32 to 136 variables of the
+# solver's orbit loops, on which the pair fills and the metric are checked
+# bit for bit against their whole-square references; the 2-D grids are
+# boxes of these many unit cells
 MIRROR_BOXES = {1: (1, 1), 63: (7, 9), 64: (8, 8), 65: (5, 13), 130: (10, 13)}
 
 

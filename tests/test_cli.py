@@ -98,6 +98,12 @@ def test_solve_rejects_inadmissible_override(tmp_path, small_cfg, capsys):
     assert code == 2
 
 
+def test_constants_nan_p_exits_2(capsys):
+    assert main(["constants", "--p", "nan"]) == 2
+    err = capsys.readouterr().err
+    assert "integrability p must satisfy p >= 1" in err
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     assert main(["solve", "--config", str(tmp_path / "nope.cfg")]) == 2
 

@@ -144,6 +144,19 @@ def test_parameter_validation():
         c_constant(3, 0.5, 1.0)
 
 
+def test_nan_exponent_and_radius_are_rejected():
+    # NaN fails the range checks, with a message naming p or the radius,
+    # instead of failing inside the quadrature or returning NaN
+    nan = float("nan")
+    for call in (sharp_constants, c_constant, sobolev_constant):
+        with pytest.raises(ValueError, match="p must satisfy p >= 1"):
+            call(1, 0.5, nan)
+    for call in (ball_cheeger, ball_perimeter):
+        for n in (1, 2):
+            with pytest.raises(ValueError, match="radius must be positive"):
+                call(n, 0.5, nan)
+
+
 # ---------------------------------------------------------------------------
 # ball geometry chain
 # ---------------------------------------------------------------------------

@@ -343,7 +343,7 @@ def test_field_length_mismatch(interval16):
 
 
 # ---------------------------------------------------------------------------
-# mirrored pair fills
+# pair fills
 # ---------------------------------------------------------------------------
 
 

@@ -1,8 +1,10 @@
-"""Import layering: fraclap's modules import each other one way only, and
-only at module level, so every dependency is visible at the top of a file.
-Every exported name has a caller outside its own unit tests."""
+"""Import layering: fraclap's modules import each other one way only, in
+the order the package docstring lists them, and only at module level, so
+every dependency is visible at the top of a file. Every exported name has a
+caller outside its own unit tests."""
 
 import ast
+import re
 from pathlib import Path
 
 import fraclap
@@ -54,6 +56,28 @@ def test_no_function_level_fraclap_imports():
         "%s.py:%d" % (module, line)
         for module in MODULES
         for line in _imports(module)[1]
+    ]
+    assert found == []
+
+
+def _listed_modules():
+    """The submodules in the order the package docstring lists them."""
+    block = fraclap.__doc__.partition("Submodules:\n")[2].partition("\n\n")[0]
+    return re.findall(r"^  (\w+) ", block, re.M)
+
+
+def test_docstring_lists_every_module_once():
+    listed = _listed_modules()
+    assert sorted(listed) == [module for module in MODULES if module != "__init__"]
+
+
+def test_modules_import_only_modules_listed_above():
+    listed = _listed_modules()
+    found = [
+        "%s imports %s" % (module, dep)
+        for k, module in enumerate(listed)
+        for dep in sorted(_imports(module)[0] - {module})
+        if dep not in listed[:k]
     ]
     assert found == []
 

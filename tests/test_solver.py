@@ -513,7 +513,7 @@ def test_backoff_gradient_is_not_recomputed(interval16, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# mirrored metric
+# variable metric
 # ---------------------------------------------------------------------------
 
 
@@ -559,15 +559,10 @@ def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def test_newton_direction_keeps_full_fill_bits(mirror_case, monkeypatch):
-    # the scaling pass runs in one block, in single rows, and in blocks of
-    # 7 rows with a partial last one
+def test_newton_direction_keeps_full_fill_bits(mirror_case):
     kern, fields = mirror_case
-    cells = kern.m.size
-    f = load_from_array(np.linspace(-1.0, 2.0, cells))
-    for rows, pin in itertools.product((None, 1, 7), _BLAS_PINS):
-        if rows is not None:
-            monkeypatch.setattr(solver, "_METRIC_BLOCK", rows * cells)
+    f = load_from_array(np.linspace(-1.0, 2.0, kern.m.size))
+    for pin in _BLAS_PINS:
         for u in fields:
             for p in (1.02, 1.1, 2.0):
                 g = gradient(u, f, kern, p)
@@ -577,8 +572,8 @@ def test_newton_direction_keeps_full_fill_bits(mirror_case, monkeypatch):
                     d = solver._newton_direction(u, g, kern, p)
                     hess = solver._full_metric(u, kern, p)
                     want_d, want_hess = _newton_direction_full(u, g, kern, p)
-                assert _same_bits(hess, want_hess), (rows, p)
-                assert _same_bits(d, want_d), (rows, p)
+                assert _same_bits(hess, want_hess), p
+                assert _same_bits(d, want_d), p
 
 
 def test_newton_direction_is_absent_or_finite_at_any_scale(mirror_case):
