@@ -14,7 +14,14 @@ cell loses nothing. Deciding whether such signs exist is a linear
 feasibility problem in the free entries (exact ties and zero cells), solved
 as one linear program: minimize the largest balance residual over the box.
 A zero optimum is a certificate; a positive one is the least residual any
-sign field achieves, up to the LP solver's tolerances.
+sign field achieves, up to the LP solver's tolerances and the tie
+partition's bound (build_certificate).
+
+The LP runs on a partition of the tied cells (_tie_parts) into parts whose
+cells see the same balance data: one free entry per pair of parts that
+holds a tie and one per part of zero cells. On a symmetric field the parts
+are the symmetry orbits, found from the data alone; a field without such
+parts keeps one free entry per tied pair and per zero cell.
 """
 
 from __future__ import annotations
@@ -36,6 +43,18 @@ DEFAULT_EPS_FEAS = 1e-8
 #: rose 1.35 KB per free entry on the 12 x 12 box and 1.23 KB on the 16 x 16
 #: box, in peak RSS over the kernel already built
 _LP_BYTES_PER_FREE = 1400
+
+#: tolerance, relative to scale, within which cells of one level are put in
+#: one part of the tie partition; each part's defect delta_a must stay
+#: within it too. It sits five orders below HiGHS's primal and dual
+#: feasibility tolerances (1e-7, relative to the same residuals), so the
+#: reduced optimum's distance from the full one is below what the solver
+#: resolves, while a field whose cells differ by rounding alone (1e-16
+#: relative) still forms its parts
+_TIE_TOL = 1e-12
+
+_BLOCK = 1 << 17  # entries of an N x N array per row block of a pass
+_TILE = 128  # side of the square tiles of the antisymmetry check
 
 
 @dataclass(frozen=True)
@@ -61,22 +80,23 @@ class VerifyReport:
     scale: float
 
 
-def _pair_signs(vals, out=None):
-    """sign(u_i - u_j) as an (N, N) array, in out or one new allocation."""
-    z = np.subtract.outer(vals, vals, out=out)
+def _pair_signs(rows, vals, out=None):
+    """sign(rows_i - vals_j) as a (rows, N) array, in out or one new
+    allocation."""
+    z = np.subtract.outer(rows, vals, out=out)
     return np.sign(z, out=z)
+
+
+def _row_blocks(n):
+    """(lo, hi) row ranges of about _BLOCK entries of an n x n array."""
+    step = max(1, _BLOCK // max(n, 1))
+    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 def _scale(fm, kernel):
     """Residual normalization max(max |f m|, max t), or 1 when both vanish."""
     scale = max(float(np.max(np.abs(fm))), float(np.max(kernel.t)))
     return scale if scale != 0.0 else 1.0
-
-
-def _balance(z, zbar, fm, kernel, out=None):
-    """Per-cell residual sum_j w_ij z_ij + t_i zbar_i - f_i m_i; the
-    products w_ij z_ij go to out when it is given."""
-    return np.sum(np.multiply(kernel.w, z, out=out), axis=1) + kernel.t * zbar - fm
 
 
 def _check_lp_fits(vals):
@@ -87,7 +107,8 @@ def _check_lp_fits(vals):
     The free entries are the tied pairs, g(g - 1)/2 for each group of g
     equal values, plus the zero cells; they are counted from the sorted
     field, and _tied_pairs lists the pairs from the same groups, so no
-    N x N tie array is built.
+    N x N tie array is built. The tie partition usually leaves far fewer
+    LP columns, but a level it cannot reduce needs every one of them.
     """
     _, group, sizes = np.unique(vals, return_inverse=True, return_counts=True)
     nfree = int(np.sum(sizes * (sizes - 1) // 2) + np.count_nonzero(vals == 0.0))
@@ -121,11 +142,131 @@ def _tied_pairs(group, sizes):
     return pi[row_major], pj[row_major]
 
 
-def _fixed_parts(vals, groups):
-    """Sign-determined entries and the index lists of the free ones;
-    groups is _check_lp_fits(vals)."""
-    pi, pj = _tied_pairs(*groups)
-    return _pair_signs(vals), np.sign(vals), pi, pj, np.flatnonzero(vals == 0.0)
+def _runs(label, x, tol):
+    """Split each part of label where x, sorted within the part, steps by
+    more than tol; returns the new labels, numbered in sorted order, with
+    the order that sorts them and the start of each part in it."""
+    order = np.lexsort((x, label))
+    lab, xs = label[order], x[order]
+    new = np.r_[True, (lab[1:] != lab[:-1]) | (xs[1:] - xs[:-1] > tol)]
+    out = np.empty_like(label)
+    out[order] = np.cumsum(new) - 1
+    return out, order, np.flatnonzero(new)
+
+
+def _spread(x, order, starts):
+    """max - min of x over each part (order, starts from _runs)."""
+    xs = x[order]
+    return np.maximum.reduceat(xs, starts) - np.minimum.reduceat(xs, starts)
+
+
+def _tie_parts(group, base, tz, w, pi, pj, tol):
+    """The tie partition: a part index for every cell, the parts numbered
+    by their first cell.
+
+    Candidate parts are the runs of one level of u (group) in which base,
+    and then tz (the tails t at the zero level, 0 elsewhere), step by at
+    most tol when sorted. Part a's defect is
+
+        delta_a = spread_a(base) + spread_a(tz)
+                  + sum over the other parts b of its level of
+                    spread_a(S_i(b)),  S_i(b) = sum_{j in b} w_ij,
+
+    with spread_a the max minus the min over the cells i of a (0 for a
+    single cell); the S_i(b) come from one bincount over the ends i of the
+    tied pairs (pi, pj) across two parts that lie in a part of two cells
+    or more, so the cost is O(tied pairs). A level with a part whose delta
+    exceeds tol is split into single cells, which reproduces the LP with
+    one free entry per tied pair there.
+    """
+    n = group.size
+    if pi.size == 0:  # no level holds two cells
+        return np.arange(n)
+    label, _, _ = _runs(group, base, tol)
+    label, order, starts = _runs(label, tz, tol)
+    delta = _spread(base, order, starts) + _spread(tz, order, starts)
+    size = np.diff(np.r_[starts, n])
+    la, lb = label[pi], label[pj]
+    cross = la != lb
+    rows = np.r_[pi[cross], pj[cross]]
+    other = np.r_[lb[cross], la[cross]]
+    wc = w[pi[cross], pj[cross]]
+    keep = size[label[rows]] > 1
+    if np.any(keep):
+        nparts = starts.size
+        key, inv = np.unique(rows[keep] * nparts + other[keep], return_inverse=True)
+        s = np.bincount(inv, weights=np.r_[wc, wc][keep])
+        block, binv = np.unique(label[key // nparts] * nparts + key % nparts,
+                                return_inverse=True)
+        hi = np.full(block.size, -np.inf)
+        lo = np.full(block.size, np.inf)
+        np.maximum.at(hi, binv, s)
+        np.minimum.at(lo, binv, s)
+        np.add.at(delta, block // nparts, hi - lo)
+    bad = np.isin(group, group[order[starts[delta > tol]]])
+    label[bad] = label.max() + 1 + np.arange(np.count_nonzero(bad))
+    _, first, inv = np.unique(label, return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inv]
+
+
+def _lp_columns(part, pi, pj, ci, kernel):
+    """The reduced LP's columns on the tie partition part: returns
+    (a, cross, col, sign, zcol), with a the CSC matrix of the columns'
+    shares of every cell's balance, cross the indices of the tied pairs
+    across two parts, col and sign the column and orientation of each of
+    them (-1 if it ties the block's parts the other way round), and zcol
+    the column of each zero cell.
+
+    A block is a pair of parts a, b holding a tie; its column is z_ij for
+    i in a and j in b, with (a, b) the parts of the block's first tied
+    pair in row-major order, and the columns follow those first pairs.
+    Column (a, b) enters row i of a with S_i(b) and row j of b with
+    -S_j(a); the zero parts follow, in part order, entering row i with
+    t_i. With every part a single cell this is one column per tied pair
+    (w_ij in row i, -w_ij in row j) and per zero cell, in that order.
+    """
+    n = part.size
+    pa, pb = part[pi], part[pj]
+    cross = np.flatnonzero(pa != pb)
+    pa, pb = pa[cross], pb[cross]
+    _, first, inv = np.unique(np.minimum(pa, pb) * n + np.maximum(pa, pb),
+                              return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(first.size)
+    col = rank[inv]
+    sign = np.where(pa == pa[first][inv], 1.0, -1.0)
+    zparts, zinv = np.unique(part[ci], return_inverse=True)
+    zcol = first.size + zinv
+    sw = sign * kernel.w[pi[cross], pj[cross]]
+    a = sparse.csc_matrix(
+        (np.r_[sw, -sw, kernel.t[ci]],
+         (np.r_[pi[cross], pj[cross], ci], np.r_[col, col, zcol])),
+        shape=(n, first.size + zparts.size),
+    )
+    a.sum_duplicates()
+    return a, cross, col, sign, zcol
+
+
+def _lp_matrix(a):
+    """[[A, -1], [-A, -1]] in canonical CSC, from A in canonical CSC: the
+    constraints -tau <= base + A x <= tau as A_ub (x, tau) <= (-base, base).
+    Column k holds A's column, then its negation shifted down by the N
+    rows of A; the last column is -1 in every row."""
+    n, ncol = a.shape
+    nnz = a.nnz
+    ptr = a.indptr
+    at = np.repeat(ptr[:-1], np.diff(ptr)) + np.arange(nnz)
+    below = at + np.repeat(np.diff(ptr), np.diff(ptr))
+    indices = np.empty(2 * nnz + 2 * n, dtype=a.indices.dtype)
+    data = np.empty(2 * nnz + 2 * n)
+    indices[at], indices[below] = a.indices, a.indices + n
+    data[at], data[below] = a.data, -a.data
+    indices[2 * nnz:] = np.arange(2 * n)
+    data[2 * nnz:] = -1.0
+    indptr = np.r_[2 * ptr, 2 * nnz + 2 * n].astype(a.indptr.dtype)
+    return sparse.csc_matrix((data, indices, indptr), shape=(2 * n, ncol + 1))
 
 
 def build_certificate(
@@ -137,42 +278,79 @@ def build_certificate(
     """Certificate for u, or the least max residual when none exists.
 
     Feasibility is reported, not raised.
+
+    The LP minimizes tau = max_i |r_i| over the free entries, with
+    r_i = base_i + sum over tied j of w_ij z_ij + t_i zbar_i (zbar_i free
+    at zero cells only) and base_i the balance of the determined signs. It
+    runs on the tie partition (_tie_parts): z is constant, X_ab / W_ab,
+    on each block of two parts of a level and 0 inside a part, and zbar is
+    constant on each part of zero cells. That restriction loses at most
+    max_a delta_a: averaging any full solution over the blocks with
+    weights w (X_ab = sum_{i in a, j in b} w_ij z_ij over W_ab, the sum of
+    those w_ij) and zbar over each zero part with weights t gives every
+    cell of a part the mean of the part's old residuals (X_aa = 0 by
+    antisymmetry) up to delta_a, since |X_ab / W_ab| <= 1 and
+    |zbar| <= 1. So the reduced optimum is at most the full one plus
+    max_a delta_a <= _TIE_TOL * scale, and every reduced solution is a
+    sign field of every cell. The returned residual is recomputed from
+    the lifted z and zbar.
     """
     if not (math.isfinite(eps_feas) and eps_feas > 0.0):
         raise ValueError("feasibility tolerance must be finite and positive")
     vals = _as_field(u, kernel)
-    z, zbar, pi, pj, ci = _fixed_parts(vals, _check_lp_fits(vals))
+    groups = _check_lp_fits(vals)
+    pi, pj = _tied_pairs(*groups)
+    ci = np.flatnonzero(vals == 0.0)
     fm = f.values * kernel.m
     scale = _scale(fm, kernel)
 
-    base = _balance(z, zbar, fm, kernel)
-    wf = kernel.w[pi, pj]
-    tc = kernel.t[ci]
-    npair, nfree = pi.size, pi.size + ci.size
-    # A maps the free entries to their share of every cell's balance
-    cols = np.r_[np.arange(npair), np.arange(nfree)]  # pair k enters rows i and j
-    a = sparse.csr_matrix(
-        (np.r_[wf, -wf, tc], (np.r_[pi, pj, ci], cols)), shape=(base.size, nfree)
-    )
-    x = np.zeros(nfree)
+    # the determined signs and their row sums of w_ij z_ij, one row block
+    # of products at a time, with the bits of np.sum(w * z, axis=1)
+    n = vals.size
+    z = np.empty((n, n))
+    zbar = np.sign(vals)
+    rowsum = np.empty(n)
+    blocks = _row_blocks(n)
+    work = np.empty((blocks[0][1], n))
+    for lo, hi in blocks:
+        zb = _pair_signs(vals[lo:hi], vals, out=z[lo:hi])
+        rowsum[lo:hi] = np.multiply(kernel.w[lo:hi], zb, out=work[:hi - lo]).sum(axis=1)
+    base = rowsum + kernel.t * zbar - fm
+
+    tz = np.where(vals == 0.0, kernel.t, 0.0)
+    part = _tie_parts(groups[0], base, tz, kernel.w, pi, pj, _TIE_TOL * scale)
+    a, cross, col, sign, zcol = _lp_columns(part, pi, pj, ci, kernel)
+    ncol = a.shape[1]
+    y = np.zeros(ncol)
     iters = 0
-    if nfree > 0 and np.max(np.abs(base)) > eps_feas * scale:
-        # min tau over |x| <= 1, tau >= 0 subject to -tau <= base + A x <= tau
-        tau = sparse.csr_matrix(np.ones((base.size, 1)))
-        bounds = np.tile([-1.0, 1.0], (nfree + 1, 1))
+    if ncol > 0 and np.max(np.abs(base)) > eps_feas * scale:
+        # min tau over |y| <= 1, tau >= 0 subject to -tau <= base + A y <= tau
+        bounds = np.tile([-1.0, 1.0], (ncol + 1, 1))
         bounds[-1] = (0.0, np.inf)
         res = linprog(
-            np.r_[np.zeros(nfree), 1.0],
-            A_ub=sparse.bmat([[a, -tau], [-a, -tau]], format="csc"),
+            np.r_[np.zeros(ncol), 1.0],
+            A_ub=_lp_matrix(a),
             b_ub=np.r_[-base, base],
             bounds=bounds,
             method="highs",
         )
         iters = int(res.nit)
         if res.x is not None:
-            x = np.clip(res.x[:nfree], -1.0, 1.0)
+            y = np.clip(res.x[:ncol], -1.0, 1.0)
 
-    r = base + a @ x
+    # lift: every tied pair across two parts takes its block's entry, ties
+    # inside a part 0; A maps them to every cell's balance
+    npair, nfree = pi.size, pi.size + ci.size
+    x = np.zeros(nfree)
+    x[cross] = sign * y[col]
+    x[npair:] = y[zcol]
+    wf = kernel.w[pi, pj]
+    full = sparse.csr_matrix(
+        (np.r_[wf, -wf, kernel.t[ci]],
+         (np.r_[pi, pj, ci], np.r_[np.arange(npair), np.arange(nfree)])),
+        shape=(n, nfree),
+    )
+    r = base + full @ x
     z[pi, pj] = x[:npair]
     z[pj, pi] = -x[:npair]
     zbar[ci] = x[npair:]
@@ -188,6 +366,22 @@ def build_certificate(
     )
 
 
+def _antisymmetry(z):
+    """max |z_ij + z_ji|, over pairs of _TILE x _TILE tiles (i, j) and
+    (j, i) of z, each sum formed in one tile buffer."""
+    n = z.shape[0]
+    side = min(_TILE, n)
+    tile = np.empty((side, side))
+    worst = []
+    for i0 in range(0, n, _TILE):
+        for j0 in range(i0, n, _TILE):
+            zij = z[i0:i0 + _TILE, j0:j0 + _TILE]
+            out = tile[:zij.shape[0], :zij.shape[1]]
+            np.add(zij, z[j0:j0 + _TILE, i0:i0 + _TILE].T, out=out)
+            worst.append(np.max(np.abs(out, out=out)))
+    return float(np.max(worst))
+
+
 def verify_certificate(
     u,
     cert: SignField,
@@ -195,23 +389,31 @@ def verify_certificate(
     kernel: KernelSet,
     eps_feas: float = DEFAULT_EPS_FEAS,
 ) -> VerifyReport:
-    """Check box, antisymmetry, sign consistency, and the balance."""
+    """Check box, antisymmetry, sign consistency, and the balance on every
+    cell and pair, whatever partition built the certificate."""
     vals = _as_field(u, kernel)
     z, zbar = cert.z, cert.zbar
     box = max(float(z.max()), -float(z.min()), float(np.max(np.abs(zbar)))) - 1.0
     box = max(box, 0.0)
-    # one C-ordered N x N buffer serves every pairwise check in turn, so the
-    # balance's row sums add w_ij z_ij in the order np.sum(w * z, 1) does
-    work = np.add(z, z.T, out=np.empty(z.shape))
-    antisym = float(np.max(np.abs(work, out=work)))
+    antisym = _antisymmetry(z)
 
-    # |z_ij - sign(u_i - u_j)| where that sign is determined, 0 at ties
-    _pair_signs(vals, out=work)
-    ties = work == 0.0
-    np.subtract(z, work, out=work)
-    np.abs(work, out=work)
-    work[ties] = 0.0
-    sign_gap = float(np.max(work))
+    # one C-ordered block buffer serves the row passes: |z_ij - sign(u_i -
+    # u_j)| where that sign is determined (0 at ties), then w_ij z_ij, whose
+    # row sums have the bits of np.sum(w * z, axis=1)
+    n = vals.size
+    pair_sum = np.empty(n)
+    gaps = []
+    blocks = _row_blocks(n)
+    buf = np.empty((blocks[0][1], n))
+    for lo, hi in blocks:
+        work = _pair_signs(vals[lo:hi], vals, out=buf[:hi - lo])
+        ties = work == 0.0
+        np.subtract(z[lo:hi], work, out=work)
+        np.abs(work, out=work)
+        work[ties] = 0.0
+        gaps.append(np.max(work))
+        pair_sum[lo:hi] = np.multiply(kernel.w[lo:hi], z[lo:hi], out=work).sum(axis=1)
+    sign_gap = float(np.max(gaps))
     nz = vals != 0.0
     if np.any(nz):
         sign_gap = max(
@@ -220,7 +422,7 @@ def verify_certificate(
 
     fm = f.values * kernel.m
     scale = _scale(fm, kernel)
-    r = _balance(z, zbar, fm, kernel, out=work)
+    r = pair_sum + kernel.t * zbar - fm
     balance = float(np.max(np.abs(r))) / scale
 
     passed = (

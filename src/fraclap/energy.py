@@ -89,7 +89,7 @@ def _pair_array(vals: np.ndarray, w: np.ndarray, entry):
 
 def _pair_tail(vals: np.ndarray, kernel: KernelSet, p: float):
     """(ordered pair sum of w |du|^p, tail sum of t |u|^p) of a checked field."""
-    if p < 1:
+    if not p >= 1.0:  # NaN fails too
         raise ValueError("integrability p must satisfy p >= 1")
 
     def entry(du):
@@ -137,7 +137,7 @@ def gradient(u, f: LoadField, kernel: KernelSet, p: float) -> np.ndarray:
 
     with phi_p(t) = sign(t) |t|^(p-1).
     """
-    if p <= 1:
+    if not p > 1.0:  # NaN fails too
         raise ValueError("nonsmooth regime: use certify module")
     vals = _as_field(u, kernel)
 
@@ -162,7 +162,7 @@ def hoelder_embedding_factor(kernel_1: KernelSet, kernel_p: KernelSet, p: float)
     the p-kernel term to the 1/p and the weight ratio, then sum the ratios
     to the conjugate power p' = p/(p-1).
     """
-    if p <= 1:
+    if not p > 1.0:  # NaN fails too
         raise ValueError("embedding factor needs p > 1")
     pc = p / (p - 1.0)
     off = ~np.eye(kernel_1.m.size, dtype=bool)

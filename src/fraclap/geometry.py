@@ -33,6 +33,8 @@ BRUTE_FORCE_CELL_CAP = 20
 # times every low-half subset; up to BRUTE_FORCE_CELL_CAP cells the
 # per-half tables are smaller
 _ENUM_CHUNK = 1 << 16
+# levels per block of masks in the coarea decomposition's weighted volumes
+_VOLUME_LEVELS = 64
 
 
 @dataclass(frozen=True)
@@ -160,7 +162,8 @@ def coarea_decompose(u, f: LoadField, kernel: KernelSet) -> List[LevelSet]:
     from one pass over w that sums it by pairs of levels
     (_level_perimeters), O(N^2 + L^2) for L levels, within
     _layer_rounding of perimeter({u >= t}). Each weighted volume has the
-    bits of weighted_volume({u >= t}).
+    bits of weighted_volume({u >= t}); they are summed for blocks of
+    levels at once (_layer_volumes).
     """
     vals = _as_field(u, kernel)
     if np.any(vals < 0):
@@ -171,12 +174,24 @@ def coarea_decompose(u, f: LoadField, kernel: KernelSet) -> List[LevelSet]:
         return []
     per = _level_perimeters(Partition(label), kernel)
     return [
-        LevelSet(
-            level=t, perimeter=p,
-            weighted_volume=weighted_volume(vals >= t, f, kernel),
-        )
-        for t, p in zip(levels[first:].tolist(), per[first:].tolist())
+        LevelSet(level=t, perimeter=p, weighted_volume=v)
+        for t, p, v in zip(levels[first:].tolist(), per[first:].tolist(),
+                           _layer_volumes(vals, levels[first:], f, kernel).tolist())
     ]
+
+
+def _layer_volumes(vals, levels, f: LoadField, kernel: KernelSet) -> np.ndarray:
+    """weighted_volume({vals >= t}) for every t in levels, with its bits:
+    each row of a block of _VOLUME_LEVELS masks is the product
+    weighted_volume forms, (f * mask) * m, and a row sum of a C-ordered
+    block adds a row in the order np.sum adds the same N entries."""
+    out = np.empty(levels.size)
+    for lo in range(0, levels.size, _VOLUME_LEVELS):
+        masks = vals >= levels[lo:lo + _VOLUME_LEVELS, None]
+        out[lo:lo + masks.shape[0]] = (
+            (f.values * masks.astype(float)) * kernel.m
+        ).sum(axis=1)
+    return out
 
 
 def coarea_identity_gap(u, f: LoadField, kernel: KernelSet) -> float:

@@ -5,11 +5,17 @@ import os
 import numpy as np
 import pytest
 
+from certify_reference import reference_certificate, reference_lp
 from fraclap.certify import (
     _LP_BYTES_PER_FREE,
+    _TIE_TOL,
     _check_lp_fits,
-    _fixed_parts,
+    _lp_columns,
+    _lp_matrix,
     _pair_signs,
+    _scale,
+    _tie_parts,
+    _tied_pairs,
     build_certificate,
     equal_pair_mass,
     plateau_measure,
@@ -17,7 +23,7 @@ from fraclap.certify import (
 )
 from fraclap.domain_grid import DomainSpec, build_grid, build_kernel
 from fraclap.energy import LoadField, load_from_array
-from fraclap.geometry import brute_force_cheeger
+from fraclap.geometry import brute_force_cheeger, perimeter, weighted_volume
 from fraclap.solver import SolveConfig, solve_p
 
 
@@ -211,15 +217,41 @@ def _verify_fields_reference(u, cert, f, kern):
     return [box, antisym, sign_gap, float(np.max(np.abs(r))) / scale, scale]
 
 
-@pytest.mark.parametrize("n, upper", [(1, (200.0,)), (2, (12.0, 11.0))], ids=["1d", "2d"])
-def test_verify_work_buffer_keeps_report_bits(n, upper):
+def _random_tied_case(n, upper, seed):
+    """A rounded random field (ties) with about a fifth of its cells 0,
+    and a random load, on a box of the given dimension and upper corner."""
     grid = build_grid(DomainSpec(n, "box", (0.0,) * n + upper, 1.0))
     kern = build_kernel(grid, n + 0.5)
-    rng = np.random.default_rng(5)
+    rng = np.random.default_rng(seed)
     u = rng.normal(size=grid.ncells).round(1)  # rounding forces ties
     u[rng.random(grid.ncells) < 0.2] = 0.0
     f = load_from_array(rng.uniform(0.5, 1.5, size=grid.ncells))
+    return kern, u, f, rng
+
+
+def _same_bits(a, b):
+    return all(
+        np.asarray(getattr(a, k)).tobytes() == np.asarray(getattr(b, k)).tobytes()
+        for k in ("z", "zbar", "residual", "max_residual", "scale", "feasible",
+                  "iterations")
+    )
+
+
+# 1 cell, 128 and 129 cells (one tile, one tile and one cell), and 400
+# cells, whose row passes run in two blocks of unequal height
+@pytest.mark.parametrize(
+    "n, upper",
+    [(1, (200.0,)), (2, (12.0, 11.0)), (1, (1.0,)), (1, (128.0,)), (1, (129.0,)),
+     (1, (400.0,))],
+    ids=["1d", "2d", "1cell", "128", "129", "400"],
+)
+def test_verify_work_buffer_keeps_report_bits(n, upper):
+    kern, u, f, rng = _random_tied_case(n, upper, 5)
+    if u.size == 1:
+        u[0] = 0.5
     cert = build_certificate(u, f, kern)
+    # the random field leaves every part a single cell: the former LP's bits
+    assert _same_bits(cert, reference_certificate(u, f, kern))
     # a tampered copy makes every violation nonzero
     z = cert.z + rng.normal(scale=0.1, size=cert.z.shape)
     tampered = cert.__class__(
@@ -231,7 +263,8 @@ def test_verify_work_buffer_keeps_report_bits(n, upper):
         feasible=cert.feasible,
         iterations=cert.iterations,
     )
-    assert np.any(u == 0.0) and np.unique(u).size < u.size
+    if u.size > 1:
+        assert np.any(u == 0.0) and np.unique(u).size < u.size
     for sf in (cert, tampered):
         rep = verify_certificate(u, sf, f, kern)
         got = [rep.box_violation, rep.antisymmetry_violation, rep.sign_violation,
@@ -241,15 +274,109 @@ def test_verify_work_buffer_keeps_report_bits(n, upper):
     assert min(got[:4]) > 0.0
 
 
+@pytest.mark.parametrize("n, upper", [(1, (48.0,)), (2, (9.0, 7.0))], ids=["1d", "2d"])
+def test_single_cell_parts_keep_the_former_lp_bits(n, upper):
+    # random fields of four values: no two tied cells share their balance
+    # data, so every part is one cell and the certificate, the LP matrix
+    # and A are the former ones bit for bit; most unit loads make HiGHS
+    # iterate past its presolve
+    grid = build_grid(DomainSpec(n, "box", (0.0,) * n + upper, 1.0))
+    kern = build_kernel(grid, n + 0.5)
+    iterated = 0
+    for seed in range(6):
+        for load in (1.0, 4.0):
+            rng = np.random.default_rng(seed)
+            u = rng.integers(0, 4, grid.ncells) * 0.5
+            f = load_from_array(load * rng.uniform(0.5, 1.5, size=grid.ncells))
+            groups = _check_lp_fits(u)
+            pi, pj = _tied_pairs(*groups)
+            ci = np.flatnonzero(u == 0.0)
+            z, zbar, base, _, _, _, a_ref, lp_ref = reference_lp(u, f, kern)
+            tz = np.where(u == 0.0, kern.t, 0.0)
+            tol = _TIE_TOL * _scale(f.values * kern.m, kern)
+            part = _tie_parts(groups[0], base, tz, kern.w, pi, pj, tol)
+            assert np.array_equal(part, np.arange(u.size))
+            a = _lp_columns(part, pi, pj, ci, kern)[0]
+            lp = _lp_matrix(a)
+            for got, want in ((a, a_ref.tocsc()), (lp, lp_ref)):
+                assert got.shape == want.shape
+                for name in ("data", "indices", "indptr"):
+                    x, y = getattr(got, name), getattr(want, name)
+                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+            cert = build_certificate(u, f, kern)
+            assert _same_bits(cert, reference_certificate(u, f, kern))
+            iterated += cert.iterations > 0
+    assert iterated >= 3
+
+
+def test_zero_field_parts_are_mirror_pairs():
+    # the zero field on an interval under a constant load: base is equal
+    # and the tails pair up by the mirror, so 16 cells give 8 parts, 28
+    # blocks and 8 zero parts, 36 columns where the former LP had 136
+    grid = build_grid(DomainSpec(1, "interval", (0.0, 16.0), 1.0))
+    kern = build_kernel(grid, 1.5)
+    u = np.zeros(16)
+    f = load_from_array(np.full(16, 0.8))
+    groups = _check_lp_fits(u)
+    pi, pj = _tied_pairs(*groups)
+    base = -f.values * kern.m
+    tol = _TIE_TOL * _scale(f.values * kern.m, kern)
+    part = _tie_parts(groups[0], base, kern.t, kern.w, pi, pj, tol)
+    assert np.array_equal(part, np.minimum(np.arange(16), 15 - np.arange(16)))
+    assert _lp_columns(part, pi, pj, np.arange(16), kern)[0].shape == (16, 36)
+
+
+def test_tie_parts_need_equal_pair_sums():
+    # one level of four cells on a 6-cell interval, in two candidate parts
+    # of equal base. Mirror images {0, 5} and {2, 3} see the same pair sums
+    # (w depends on the offset only), so they stay parts; {0, 2} and
+    # {3, 5} do not (w(3) + w(5) against w(1) + w(3) from 3 and 5), so the
+    # level falls back to single cells
+    kern = build_kernel(build_grid(DomainSpec(1, "interval", (0.0, 6.0), 1.0)), 1.5)
+    u = np.array([1.0, 2.0, 1.0, 1.0, 3.0, 1.0])
+    groups = _check_lp_fits(u)
+    pi, pj = _tied_pairs(*groups)
+    tz = np.zeros(6)
+    mirror = np.array([0.5, 0.7, 0.6, 0.6, 0.9, 0.5])
+    part = _tie_parts(groups[0], mirror, tz, kern.w, pi, pj, 1e-12)
+    assert np.array_equal(part, [0, 1, 2, 2, 3, 0])
+    skew = np.array([0.5, 0.7, 0.5, 0.6, 0.9, 0.6])
+    part = _tie_parts(groups[0], skew, tz, kern.w, pi, pj, 1e-12)
+    assert np.array_equal(part, np.arange(6))
+    # a level that is one part needs no pair sums: its ties lift to 0
+    part = _tie_parts(groups[0], np.where(u == 1.0, 0.5, u), tz, kern.w, pi, pj, 1e-12)
+    assert np.array_equal(part, [0, 1, 0, 0, 2, 0])
+
+
+@pytest.mark.parametrize("cells", [16, 32, 64, 128])
+def test_zero_field_split_at_the_cheeger_constant(cells):
+    # on an interval the whole domain is the Cheeger set of the constant
+    # load (brute force agrees up to 20 cells); a sign field for u = 0
+    # exists exactly up to h, so the reduced LP must split at 0.999 h and
+    # 1.001 h, feasible certificates passing the full verification
+    grid = build_grid(DomainSpec(1, "interval", (0.0, float(cells)), 1.0))
+    kern = build_kernel(grid, 1.5)
+    ones = load_from_array(np.ones(cells))
+    h = perimeter(np.ones(cells, bool), kern) / weighted_volume(np.ones(cells, bool), ones, kern)
+    if cells <= 20:
+        assert brute_force_cheeger(grid, ones, kern).h == h
+    u = np.zeros(cells)
+    for ratio, feasible in ((0.999, True), (1.001, False)):
+        f = load_from_array(np.full(cells, ratio * h))
+        cert = build_certificate(u, f, kern)
+        assert cert.feasible is feasible
+        assert verify_certificate(u, cert, f, kern).passed is feasible
+
+
 def test_lp_guard_counts_the_free_entries(interval16, monkeypatch):
     # equal values in groups of 3, 2 and 4 (the 4 zero cells) beside 7
     # distinct ones: 3 + 1 + 6 tied pairs and 4 zero cells
     grid, kern = interval16
     u = np.array([0.5, 0.5, 0.5, 0.2, 0.2, 0.0, 0.0, 0.0, 0.0]
                  + [1.0 + k for k in range(7)])
-    z, _, pi, pj, ci = _fixed_parts(u, _check_lp_fits(u))
-    assert pi.size + ci.size == 14
-    assert np.all(pi < pj) and np.all(z[pi, pj] == 0.0)
+    pi, pj = _tied_pairs(*_check_lp_fits(u))
+    assert pi.size + np.count_nonzero(u == 0.0) == 14
+    assert np.all(pi < pj) and np.all(u[pi] == u[pj])
     # physical memory one byte short of the LP's estimate, then exactly it
     pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 14 * _LP_BYTES_PER_FREE - 1}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
@@ -262,7 +389,7 @@ def test_lp_guard_counts_the_free_entries(interval16, monkeypatch):
 
 def _scanned_ties(vals):
     # the tie list from the full N x N sign array, row-major
-    return np.nonzero(np.triu(_pair_signs(vals) == 0.0, 1))
+    return np.nonzero(np.triu(_pair_signs(vals, vals) == 0.0, 1))
 
 
 def test_tied_pairs_match_the_pair_scan():
@@ -282,11 +409,10 @@ def test_tied_pairs_match_the_pair_scan():
     ]
     assert np.unique(sol.u).size < sol.u.size
     for u in fields:
-        z, _, pi, pj, _ = _fixed_parts(u, _check_lp_fits(u))
+        pi, pj = _tied_pairs(*_check_lp_fits(u))
         want_i, want_j = _scanned_ties(u)
         assert pi.dtype == want_i.dtype and pj.dtype == want_j.dtype
         assert np.array_equal(pi, want_i) and np.array_equal(pj, want_j)
-        assert np.array_equal(z, _pair_signs(u))
 
 
 # ---------------------------------------------------------------------------

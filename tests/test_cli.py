@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import fraclap
-from fraclap.certify import build_certificate
+from certify_reference import reference_certificate
+from fraclap.certify import _TIE_TOL, build_certificate, verify_certificate
 from fraclap.cli import _field_csv_text, _instance, _read_field_csv, main
 from fraclap.constants import calibrable_radius, sharp_constants
 from fraclap.domain_grid import DomainSpec, build_grid, build_kernel
@@ -423,20 +424,82 @@ def test_certify_signfield_rows_match_elementwise_formatting(tmp_path, capsys):
     assert expected == _elementwise_signfield(cert)
 
 
-def test_certify_signfield_of_solved_box_matches_elementwise_formatting(
+def test_certify_signfield_of_asymmetric_field_matches_elementwise_formatting(
     tmp_path, capsys
 ):
-    # the 8 x 8 box field ties across its D4 orbits; the certificate LP
-    # sets most ties to +-1, some to fractions and one to -0.0, which the
-    # CSV drops like any zero
-    cfg_path = tmp_path / "box8.cfg"
-    cfg_path.write_text(BOX8_CFG, encoding="utf-8")
+    # a 12-cell step field with zero cells and no two tied cells of equal
+    # balance data: the certificate LP runs over single cells, as the
+    # former LP did, and sets ties to +-1, to fractions and one to -0.0,
+    # which the CSV drops like any zero
+    cfg_path = tmp_path / "steps.cfg"
+    cfg_path.write_text(
+        ONECELL_CFG.replace("label = cell", "label = steps")
+        .replace("params = 0 1", "params = 0 12")
+        + "load_scale = 4.0\n",
+        encoding="utf-8",
+    )
+    u = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1.5, 1.5, 1.0])
+    field = tmp_path / "steps_field.csv"
+    field.write_text(
+        "index,x0,value\n"
+        + "".join("%d,%r,%r\n" % (i, i + 0.5, v) for i, v in enumerate(u.tolist())),
+        encoding="utf-8",
+    )
     out = tmp_path / "out"
-    cert = _solve_and_certify(cfg_path, "box8", out)
+    code = main(
+        ["certify", "--config", str(cfg_path), "--field", str(field), "--out", str(out)]
+    )
+    assert code == 0
+    grid, kern, f = _instance(read_config(str(cfg_path)), 1.0)
+    cert = build_certificate(u, f, kern)
+    ref = reference_certificate(u, f, kern)
+    assert cert.z.tobytes() == ref.z.tobytes()
+    assert cert.zbar.tobytes() == ref.zbar.tobytes()
     upper = cert.z[np.triu_indices(cert.zbar.size, 1)]
     assert np.any(upper == 1.0) and np.any(upper == -1.0)
     assert np.any((upper != 0.0) & (np.abs(upper) != 1.0))
     assert np.any((upper == 0.0) & np.signbit(upper))
+    assert (out / "steps_signfield.csv").read_bytes() == _elementwise_signfield(cert)
+
+
+def _d4_orbits(grid):
+    """Orbit label of every cell of a square box under its reflections
+    and the swap of its axes."""
+    lat = grid.lattice
+    hi = lat.max(axis=0)
+    images = [lat, hi - lat, lat[:, ::-1], hi - lat[:, ::-1]]
+    images += [np.c_[img[:, 0], hi[1] - img[:, 1]] for img in images]
+    keys = np.min([img[:, 0] * (hi[1] + 1) + img[:, 1] for img in images], axis=0)
+    return np.unique(keys, return_inverse=True)[1]
+
+
+def test_certify_signfield_of_solved_box_matches_elementwise_formatting(
+    tmp_path, capsys
+):
+    # the 8 x 8 box field ties across its D4 orbits; the certificate LP
+    # runs on the orbits, so every tie inside an orbit is 0. Its residual
+    # and verdict agree with the LP over every tied pair, and the CSV is
+    # the element-wise loop's
+    cfg_path = tmp_path / "box8.cfg"
+    cfg_path.write_text(BOX8_CFG, encoding="utf-8")
+    out = tmp_path / "out"
+    cert = _solve_and_certify(cfg_path, "box8", out)
+    grid, kern, f = _instance(read_config(str(cfg_path)), 1.0)
+    u = _read_field_csv(str(out / "box8_field.csv"), grid)
+    orbit = _d4_orbits(grid)
+    ii, jj = np.triu_indices(u.size, 1)
+    inside = (u[ii] == u[jj]) & (orbit[ii] == orbit[jj])
+    assert np.count_nonzero(inside) > 0
+    assert np.all(cert.z[ii[inside], jj[inside]] == 0.0)
+    upper = cert.z[ii, jj]
+    assert np.any(upper == 1.0) and np.any(upper == -1.0)
+    ref = reference_certificate(u, f, kern)
+    assert cert.iterations < ref.iterations
+    assert cert.feasible == ref.feasible
+    assert abs(cert.max_residual - ref.max_residual) <= (_TIE_TOL + 1e-7) * cert.scale
+    rep, rep_ref = verify_certificate(u, cert, f, kern), verify_certificate(u, ref, f, kern)
+    assert rep.passed == rep_ref.passed
+    assert abs(rep.balance_violation - rep_ref.balance_violation) <= _TIE_TOL + 1e-7
     assert (out / "box8_signfield.csv").read_bytes() == _elementwise_signfield(cert)
 
 

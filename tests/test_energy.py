@@ -147,6 +147,23 @@ def test_gradient_rejects_p1(interval16):
         gradient(np.zeros(grid.ncells), f, kern, 1.0)
 
 
+def test_nan_exponent_is_rejected():
+    # NaN fails every comparison, so the range checks are written to fail
+    # it too: each entry raises instead of returning NaN
+    grid = build_grid(DomainSpec(1, "interval", (0.0, 4.0), 1.0))
+    kern = build_kernel(grid, 1.5)
+    u = np.array([0.0, 1.0, 2.0, 1.0])
+    f = load_from_array(np.ones(4))
+    with pytest.raises(ValueError, match="p >= 1"):
+        seminorm_power(u, kern, math.nan)
+    with pytest.raises(ValueError, match="p >= 1"):
+        total_energy(u, f, kern, math.nan)
+    with pytest.raises(ValueError, match="nonsmooth regime"):
+        gradient(u, f, kern, math.nan)
+    with pytest.raises(ValueError, match="p > 1"):
+        hoelder_embedding_factor(kern, kern, math.nan)
+
+
 @pytest.mark.parametrize("p", [1.2, 1.1])
 def test_gradient_matches_finite_differences(interval16, p):
     grid, kern = interval16

@@ -268,6 +268,29 @@ def test_coarea_allocates_no_pair_array():
     assert peak < kern.w.nbytes
 
 
+def test_coarea_volumes_keep_maskwise_bits():
+    # the layer volumes are summed for 64 levels at a time; each has the
+    # bits of weighted_volume of its mask, on a 1,024-level field, a
+    # rounded one and a box-like plateau field, under unit and random loads
+    grid = build_grid(DomainSpec(2, "box", (0.0, 0.0, 32.0, 32.0), 1.0))
+    kern = build_kernel(grid, 2.5)
+    rng = np.random.default_rng(11)
+    dist = np.max(np.abs(grid.centers - 16.0), axis=1)
+    fields = [
+        rng.permutation(grid.ncells) + 1.0,
+        np.abs(rng.normal(size=grid.ncells)).round(1),
+        np.minimum(16.0 - dist, 9.0) / 9.0,
+    ]
+    loads = [np.ones(grid.ncells), rng.uniform(0.1, 2.0, size=grid.ncells)]
+    for u in fields:
+        for values in loads:
+            f = load_from_array(values)
+            layers = coarea_decompose(u, f, kern)
+            want = [weighted_volume(u >= layer.level, f, kern) for layer in layers]
+            assert _bits([layer.weighted_volume for layer in layers]) == _bits(want)
+    assert len(coarea_decompose(fields[0], f, kern)) == grid.ncells
+
+
 def test_perimeter_keeps_maskwise_bits(interval16, box4, ball316):
     for seed, (grid, kern) in enumerate((interval16, box4, ball316)):
         n = grid.ncells

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fraclap import solver
-from fraclap.certify import build_certificate, verify_certificate
+from fraclap.certify import _TIE_TOL, build_certificate, verify_certificate
 from fraclap.domain_grid import DomainSpec, build_grid, build_kernel, kernel_exponent
 from fraclap.energy import gradient, load_from_array, seminorm_power, total_energy
 from fraclap.geometry import (
@@ -18,6 +18,7 @@ from fraclap.geometry import (
     weighted_volume,
 )
 
+from certify_reference import reference_certificate
 from coarea_walk import walk_threshold
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -307,6 +308,65 @@ def _box_isometries(grid):
         images.append(lat[:, ::-1])
     index = {tuple(c): i for i, c in enumerate(lat.tolist())}
     return [np.array([index[tuple(c)] for c in img.tolist()]) for img in images]
+
+
+_SYMMETRIC_CASES = {}
+
+
+def _symmetric_case(dims):
+    """(grid, p = 1 kernel, orbit label of every cell, Cheeger constant of
+    the unit load) on a mirror-symmetric interval or a square box."""
+    if dims not in _SYMMETRIC_CASES:
+        n = len(dims)
+        grid = build_grid(DomainSpec(n, "box", (0.0,) * n + tuple(map(float, dims)), 1.0))
+        kern = build_kernel(grid, n + 0.5)
+        orbit = np.arange(grid.ncells)
+        perms = _box_isometries(grid)
+        while True:
+            nxt = np.minimum.reduce([orbit] + [orbit[perm] for perm in perms])
+            if np.array_equal(nxt, orbit):
+                break
+            orbit = nxt
+        h = brute_force_cheeger(grid, load_from_array(np.ones(grid.ncells)), kern).h
+        _SYMMETRIC_CASES[dims] = grid, kern, orbit, h
+    return _SYMMETRIC_CASES[dims]
+
+
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@hypothesis.given(
+    dims=st.one_of(st.integers(4, 20).map(lambda c: (c,)),
+                   st.integers(2, 4).map(lambda c: (c, c))),
+    levels=st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.5]), min_size=20, max_size=20),
+    zero=st.booleans(),
+    ratio=st.sampled_from([0.5, 0.9, 0.99, 0.999, 1.001, 1.01, 1.1, 2.0]),
+    bump=st.booleans(),
+)
+@hypothesis.example(dims=(16,), levels=[0.0] * 20, zero=True, ratio=0.999, bump=False)
+@hypothesis.example(dims=(4, 4), levels=[0.0] * 20, zero=True, ratio=0.999, bump=False)
+@hypothesis.example(dims=(4, 4), levels=[0.0] * 20, zero=True, ratio=1.001, bump=False)
+def test_reduced_certificate_matches_the_full_lp(dims, levels, zero, ratio, bump):
+    # the zero field, or a field constant on the symmetry orbits of an
+    # interval or a square box, with ties across orbits and zero cells,
+    # under a symmetric load
+    # either side of the unit load's Cheeger constant h: the LP on the tie
+    # partition reaches the full LP's verdict and least residual within
+    # the partition's bound plus HiGHS's tolerance, and a feasible
+    # certificate passes the full verification
+    grid, kern, orbit, h = _symmetric_case(dims)
+    u = np.zeros(grid.ncells) if zero else np.array(levels)[orbit % len(levels)]
+    values = np.full(grid.ncells, ratio * h)
+    if bump:
+        r2 = np.sum((grid.centers - grid.centers.mean(axis=0)) ** 2, axis=1)
+        values *= 1.0 + 0.1 * np.exp(-r2)
+    f = load_from_array(values)
+    cert = build_certificate(u, f, kern)
+    ref = reference_certificate(u, f, kern)
+    hypothesis.event("%s field, %s" % ("zero" if zero else "orbit",
+                                       "feasible" if ref.feasible else "infeasible"))
+    assert cert.feasible == ref.feasible
+    assert abs(cert.max_residual - ref.max_residual) <= (_TIE_TOL + 1e-7) * cert.scale
+    if cert.feasible:
+        assert verify_certificate(u, cert, f, kern).passed
 
 
 @hypothesis.settings(max_examples=20, deadline=None, derandomize=True, database=None)
