@@ -36,6 +36,7 @@ from scipy.optimize import linprog
 
 from fraclap.domain_grid import KernelSet, _physical_memory
 from fraclap.energy import LoadField, _as_field
+from fraclap.quotient import first_seen
 
 DEFAULT_EPS_FEAS = 1e-8
 
@@ -205,10 +206,7 @@ def _tie_parts(group, base, tz, w, pi, pj, tol):
         np.add.at(delta, block // nparts, hi - lo)
     bad = np.isin(group, group[order[starts[delta > tol]]])
     label[bad] = label.max() + 1 + np.arange(np.count_nonzero(bad))
-    _, first, inv = np.unique(label, return_index=True, return_inverse=True)
-    rank = np.empty(first.size, dtype=np.intp)
-    rank[np.argsort(first)] = np.arange(first.size)
-    return rank[inv]
+    return first_seen(label)[0]
 
 
 def _lp_columns(part, pi, pj, ci, kernel):
@@ -231,12 +229,8 @@ def _lp_columns(part, pi, pj, ci, kernel):
     pa, pb = part[pi], part[pj]
     cross = np.flatnonzero(pa != pb)
     pa, pb = pa[cross], pb[cross]
-    _, first, inv = np.unique(np.minimum(pa, pb) * n + np.maximum(pa, pb),
-                              return_index=True, return_inverse=True)
-    rank = np.empty(first.size, dtype=np.intp)
-    rank[np.argsort(first)] = np.arange(first.size)
-    col = rank[inv]
-    sign = np.where(pa == pa[first][inv], 1.0, -1.0)
+    col, first = first_seen(np.minimum(pa, pb) * n + np.maximum(pa, pb))
+    sign = np.where(pa == pa[first][col], 1.0, -1.0)
     zparts, zinv = np.unique(part[ci], return_inverse=True)
     zcol = first.size + zinv
     sw = sign * kernel.w[pi[cross], pj[cross]]

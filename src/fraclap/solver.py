@@ -29,19 +29,11 @@ iteration that leaves the iterate, bit for bit, and the start of the next
 line search as they were. The next iteration is a function of those two
 alone, so every later one would repeat it.
 
-The loop runs on the orbits of the domain's lattice symmetries. A
-reflection of the cell lattice, or in 2-D the swap of its axes, is kept
-when it maps the cells onto themselves and leaves the load and w unchanged
-bit for bit. For p > 1 the functional is strictly convex, and each kept
-map leaves it invariant (t to within rounding), so its unique minimizer is
-invariant too and lies among the fields that are constant on each orbit
-(Palais, "The principle of symmetric criticality", Comm. Math. Phys. 69,
-1979). The functional restricted to those fields is again of the same
-form, with one variable per orbit, the pair weights summed over pairs of
-orbits and the tails, measures and load sums over each orbit; the loop
-minimizes it unchanged and expands the result. That restriction is exact
-for any partition, so an asymmetric problem, whose partition is one cell
-per orbit, passes its own kernel and load through and keeps every bit.
+The loop runs on one variable per orbit of the domain's lattice
+symmetries (fraclap.quotient.orbits): for p > 1 the minimizer is constant
+on each orbit, and the functional restricted to such fields
+(Partition.restrict) has the same form, so the loop minimizes it unchanged
+and expands the result.
 
 scipy's OpenBLAS runs each solve on one thread (_one_blas_thread): its
 threaded potrf rounds differently, so with more threads the iterates,
@@ -71,7 +63,7 @@ from fraclap.energy import (
     seminorm_power,
     total_energy,
 )
-from fraclap.quotient import Partition, pairwise_depth
+from fraclap.quotient import _same_bits, orbits, pairwise_depth
 
 _ARMIJO_C1 = 1e-4
 _MAX_HALVINGS = 60
@@ -79,7 +71,6 @@ _STAGNANT_LIMIT = 25
 _SNAP_LADDER = (1e-12, 1e-9)
 _EPS_E = 1e-12  # relative energy decrement below which a step may be stagnant
 _PAIRWISE_BLOCK = 8  # numpy sums at least this many entries pairwise
-_ORBIT_ROWS = 128  # cells per row block of the symmetry checks
 _POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.empty(0),))  # float64
 
 
@@ -192,10 +183,6 @@ def _ray_rescale(u, f, kernel, p):
         return u
     beta = (2.0 * b / a) ** (1.0 / (p - 1.0))
     return beta * u
-
-
-def _same_bits(a, b):
-    return np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def _keep_lower(u, f_cur, cand, f, kernel, p):
@@ -558,111 +545,6 @@ def _armijo_search(u, d, step, gd, f_cur, k, f, kernel, p, bound):
     return found
 
 
-def _lattice_images(lat):
-    """The cell lattice mapped by each candidate isometry of its bounding
-    box [0, hi]: the reflection x_k -> hi_k - x_k of each axis and, in
-    2-D with a square box, the swap of the two axes."""
-    hi = lat.max(axis=0)
-    images = []
-    for k in range(lat.shape[1]):
-        img = lat.copy()
-        img[:, k] = hi[k] - lat[:, k]
-        images.append(img)
-    if lat.shape[1] == 2 and hi[0] == hi[1]:
-        images.append(lat[:, ::-1])
-    return images
-
-
-def _fixes_weights(w, perm):
-    """True when w_{perm i, perm j} has the bits of w_ij for every pair,
-    compared one block of _ORBIT_ROWS rows at a time."""
-    n = perm.size
-    for r0 in range(0, n, _ORBIT_ROWS):
-        r1 = min(r0 + _ORBIT_ROWS, n)
-        if not _same_bits(w[np.ix_(perm[r0:r1], perm)], w[r0:r1]):
-            return False
-    return True
-
-
-def _symmetry_maps(grid, kernel, f):
-    """The candidates of _lattice_images that fix the problem, each as the
-    cell permutation it induces: a map is kept when it sends the cell set
-    onto itself and leaves f.values and w unchanged bit for bit.
-
-    t is not compared: its row sums round differently in mirrored cells,
-    so it is invariant only to within that rounding, and the quotient sums
-    it over each orbit.
-    """
-    lat = grid.lattice
-    ncells = kernel.m.size
-    if lat.shape[0] != ncells:
-        raise ValueError(
-            "grid has %d cells, kernel %d" % (lat.shape[0], ncells)
-        )
-    radix = np.cumprod(np.r_[1, lat.max(axis=0)[:0:-1] + 1])[::-1]
-    keys = lat @ radix  # ascending, as the lattice is in lexicographic order
-    perms = []
-    for img in _lattice_images(lat):
-        img_keys = img @ radix
-        perm = np.minimum(np.searchsorted(keys, img_keys), ncells - 1)
-        if (
-            np.array_equal(keys[perm], img_keys)
-            and _same_bits(f.values[perm], f.values)
-            and _fixes_weights(kernel.w, perm)
-        ):
-            perms.append(perm)
-    return perms
-
-
-def _symmetry_orbits(grid, kernel, f):
-    """Orbit index of each cell under the group the maps of _symmetry_maps
-    generate, numbered in the order of each orbit's first cell."""
-    perms = _symmetry_maps(grid, kernel, f)
-    # each cell takes the least index it reaches through the kept maps
-    label = np.arange(kernel.m.size)
-    while True:
-        low = label
-        for perm in perms:
-            low = np.minimum(low, low[perm])
-        if np.array_equal(low, label):
-            return np.unique(label, return_inverse=True)[1]
-        label = low
-
-
-class _Quotient(Partition):
-    """The functional on fields that are constant on each orbit of a cell
-    partition, as a kernel and a load with one variable per orbit.
-
-    For u_i = v_a on every cell i of orbit a, each sum of the functional
-    groups by orbits: the pair sum is sum_ab W_ab |v_a - v_b|^p with
-    W_ab = sum_{i in a, j in b} w_ij (pairs inside an orbit add
-    |0|^p = 0, so W_aa = 0), the tail sum is sum_a T_a |v_a|^p with
-    T_a = sum_{i in a} t_i, and the load is sum_a f_a v_a M_a with
-    M_a = sum_{i in a} m_i, f being constant on each orbit. So the
-    quotient is exactly F restricted to those fields, for any partition
-    on whose parts f is constant, and its gradient is the sum of F's over
-    each orbit.
-
-    W is Partition.pair_sums, bitwise symmetric. When every orbit is one
-    cell in cell order, kernel and f pass through as they are.
-    """
-
-    def __init__(self, orbit, kernel, f):
-        super().__init__(orbit)
-        # every orbit one cell, orbit a being cell a: all sums are identities
-        if np.array_equal(orbit, np.arange(orbit.size)):
-            self.kernel, self.f = kernel, f
-            return
-        self.kernel = KernelSet(
-            exponent=kernel.exponent, n=kernel.n, h=kernel.h,
-            w=self.pair_sums(kernel.w), t=self.sums(kernel.t),
-            m=self.sums(kernel.m),
-        )
-        self.f = LoadField(
-            values=f.values[self.order[self.starts]], nonnegative=f.nonnegative
-        )
-
-
 @_one_blas_thread
 def solve_p(
     grid,
@@ -674,7 +556,7 @@ def solve_p(
     """Minimize the order-(s_p, p) functional; unique minimizer for p > 1.
 
     The loop runs on one variable per orbit of the lattice symmetries
-    that fix grid, w and f (_symmetry_orbits), through _Quotient: u0,
+    that fix grid, kernel and f (orbits), through Partition.restrict: u0,
     when given, warm-starts it (used along p-sweeps) at its orbit means,
     and its gradient-norm test divides each orbit's gradient by the
     orbit's size, the gradient of F at any of its cells. The polish runs
@@ -713,8 +595,9 @@ def solve_p(
             % (np.shape(u0), kernel.m.size)
         )
 
-    quo = _Quotient(_symmetry_orbits(grid, kernel, f), kernel, f)
-    qk, qf, size = quo.kernel, quo.f, quo.size
+    quo = orbits(grid, kernel, f)
+    qk, qf = quo.restrict(kernel, f)
+    size = quo.size
     if u0 is not None:
         u = quo.sums(np.asarray(u0, dtype=float)) / size
     else:

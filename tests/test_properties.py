@@ -17,6 +17,7 @@ from fraclap.geometry import (
     threshold_cheeger,
     weighted_volume,
 )
+from fraclap.quotient import Partition
 
 from certify_reference import reference_certificate
 from coarea_walk import walk_threshold
@@ -400,7 +401,7 @@ def test_symmetric_solve_is_invariant_and_optimal(dims, p, bump):
         assert f.values[perm].tobytes() == f.values.tobytes()
         assert sol.u[perm].tobytes() == sol.u.tobytes()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "_symmetry_orbits", lambda g, k, f: np.arange(k.m.size))
+        mp.setattr(solver, "orbits", lambda g, k, f: Partition(np.arange(k.m.size)))
         full = solver.solve_p(grid, kern, f, cfg)
     assert full.orbits == grid.ncells
     e, e_full = sol.breakdown.total, full.breakdown.total

@@ -1,9 +1,10 @@
-"""Partition sums: the rounding depth of numpy's pairwise sum."""
+"""Partition sums: the rounding depth of numpy's pairwise sum, and the
+first-occurrence numbering of part labels."""
 
 import numpy as np
 import pytest
 
-from fraclap.quotient import pairwise_depth
+from fraclap.quotient import first_seen, pairwise_depth
 
 
 def _numpy_pairwise_sum(a):
@@ -76,3 +77,13 @@ def test_pairwise_depth_matches_numpy_recursion_up_to_20000():
 @pytest.mark.parametrize("n", [2304 ** 2, 10 ** 7 + 3])
 def test_pairwise_depth_matches_numpy_recursion_at_large_n(n):
     assert pairwise_depth(n) == _numpy_pairwise_roundings(n)
+
+
+def test_first_seen_numbers_keys_in_order_of_first_occurrence():
+    label, first = first_seen(np.array([7, 3, 7, -1, 3, 9, -1]))
+    assert label.tolist() == [0, 1, 0, 2, 1, 3, 2]
+    assert first.tolist() == [0, 1, 3, 5]
+    keys = np.random.default_rng(3).integers(0, 50, 400)
+    label, first = first_seen(keys)
+    assert np.array_equal(keys[first][label], keys)
+    assert np.all(np.diff(first) > 0) and label[first].tolist() == list(range(first.size))

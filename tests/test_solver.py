@@ -21,6 +21,7 @@ from fraclap.domain_grid import (
 )
 from fraclap import solver
 from fraclap.energy import LoadField, gradient, load_from_array, total_energy
+from fraclap.quotient import Partition, _symmetry_maps, orbits, pairwise_depth
 from fraclap.solver import (
     SolveConfig,
     SolverError,
@@ -941,8 +942,8 @@ def test_no_armijo_step_stops_with_honest_status(interval16, monkeypatch):
 
 
 def _one_cell_orbits(grid, kernel, f):
-    """_symmetry_orbits with no map kept: every cell is its own orbit."""
-    return np.arange(kernel.m.size)
+    """orbits with no map kept: every cell is its own orbit."""
+    return Partition(np.arange(kernel.m.size))
 
 
 @pytest.fixture
@@ -952,7 +953,7 @@ def unit32(monkeypatch):
     the bits it started iteration 34 with, and the stagnation stop alone
     would end it at iteration 54. On its 16 reflection orbits the same
     solve converges at iteration 14 and never meets a fixed point."""
-    monkeypatch.setattr(solver, "_symmetry_orbits", _one_cell_orbits)
+    monkeypatch.setattr(solver, "orbits", _one_cell_orbits)
     grid = build_grid(DomainSpec(1, "interval", (0.0, 32.0), 1.0))
     kern = build_kernel(grid, kernel_exponent(1, 0.5, 1.3))
     return grid, kern, load_from_array(np.full(grid.ncells, 0.5))
@@ -1073,7 +1074,7 @@ def _box(*upper):
 
 
 def _orbit_sizes(problem):
-    return np.bincount(solver._symmetry_orbits(*problem))
+    return np.bincount(orbits(*problem).label)
 
 
 def _isometry_images(lat):
@@ -1098,7 +1099,7 @@ def _permutation(lat, img):
 
 @pytest.mark.parametrize("cells", [16, 17, 64, 65])
 def test_interval_orbits_pair_mirrored_cells(cells):
-    orbit = solver._symmetry_orbits(*_problem(_box(float(cells))))
+    orbit = orbits(*_problem(_box(float(cells)))).label
     assert orbit.max() + 1 == (cells + 1) // 2
     assert np.array_equal(orbit, orbit[::-1])
 
@@ -1117,7 +1118,7 @@ def test_box4x6_has_six_orbits_of_four():
 
 def test_ball_orbits_are_d4_orbits():
     grid, kern, f = _problem(DomainSpec(2, "ball", (0.0, 0.0, 1.0), 0.125))
-    orbit = solver._symmetry_orbits(grid, kern, f)
+    orbit = orbits(grid, kern, f).label
     perms = [_permutation(grid.lattice, img) for img in _isometry_images(grid.lattice)]
     assert len(perms) == 8 and all(perm is not None for perm in perms)
     for i in range(grid.ncells):
@@ -1175,7 +1176,7 @@ def test_kept_maps_fix_w_bits_and_t_to_rounding(spec, kept, p):
     # sums' rounding only: at most 16 eps * max t per cell (measured: at
     # most 1.0e-15 * max t, up to 7.3e-13 of the cell's own t)
     grid, kern, f = _problem(spec, p=p)
-    perms = solver._symmetry_maps(grid, kern, f)
+    perms = _symmetry_maps(grid, kern, f)
     assert len(perms) == kept
     isometries = [_permutation(grid.lattice, img) for img in _isometry_images(grid.lattice)]
     eps = np.finfo(float).eps
@@ -1186,17 +1187,56 @@ def test_kept_maps_fix_w_bits_and_t_to_rounding(spec, kept, p):
         assert np.max(np.abs(kern.t[perm] - kern.t)) <= 16 * eps * np.max(kern.t)
 
 
-def test_map_that_moves_a_weight_bit_is_dropped():
-    # w is compared bit for bit: one pair weight one ulp off breaks the
-    # reflections that move that pair elsewhere, and only those
-    grid, kern, f = _problem(_box(4.0, 6.0))
-    w = kern.w.copy()
-    w[2, 3] = w[3, 2] = np.nextafter(w[2, 3], np.inf)  # cells (0, 2) and (0, 3)
-    bumped = dataclasses.replace(kern, w=w)
-    perms = solver._symmetry_maps(grid, bumped, f)
-    # the y-reflection swaps the two cells; the x-reflection moves them
+@pytest.mark.parametrize("entry", ["w", "t", "m"])
+def test_map_that_moves_a_weight_bit_is_dropped(entry):
+    # w and m are compared bit for bit, t within its rounding bound: one
+    # pair weight or one cell's m one ulp off, or one cell's t moved past
+    # the bound, breaks the reflections that move those cells elsewhere,
+    # and only those
+    grid, kern, f = _problem(_box(5.0, 6.0))
+    assert len(_symmetry_maps(grid, kern, f)) == 2
+    if entry == "w":
+        w = kern.w.copy()
+        w[2, 3] = w[3, 2] = np.nextafter(w[2, 3], np.inf)  # cells (0, 2) and (0, 3)
+        bumped = dataclasses.replace(kern, w=w)
+        fixed_axis = 0  # the y-reflection swaps the two cells; the x-reflection moves them
+    else:
+        x = getattr(kern, entry).copy()
+        if entry == "m":
+            x[12] = np.nextafter(x[12], np.inf)  # cell (2, 0)
+        else:
+            eps = np.finfo(float).eps
+            bound = (pairwise_depth(grid.ncells) + 2) * eps * (x + kern.w.sum(axis=1))
+            # half the bound is rounding: both maps stay
+            inside = x.copy()
+            inside[12] += 0.5 * bound[12]
+            assert len(_symmetry_maps(grid, dataclasses.replace(kern, t=inside), f)) == 2
+            x[12] += 2.0 * bound[12]
+        bumped = dataclasses.replace(kern, **{entry: x})
+        fixed_axis = 1  # the x-reflection fixes the cell; the y-reflection moves it
+    perms = _symmetry_maps(grid, bumped, f)
     assert len(perms) == 1
-    assert np.array_equal(grid.lattice[perms[0], 0], grid.lattice[:, 0])
+    assert np.array_equal(grid.lattice[perms[0], fixed_axis], grid.lattice[:, fixed_axis])
+
+
+@pytest.mark.parametrize("entry", ["t", "m"])
+def test_asymmetric_tail_or_measure_is_solved_on_every_cell(interval16, entry, monkeypatch):
+    # one end cell's t or m doubled: the reflection no longer fixes the
+    # problem, so the loop keeps all 16 cells and converges to the
+    # all-cell minimizer (averaged over 8 orbits it ended floored, with
+    # |g| = 0.20 for t and 0.0625 for m)
+    grid, kern = interval16
+    x = getattr(kern, entry).copy()
+    x[0] *= 2.0
+    kern = dataclasses.replace(kern, **{entry: x})
+    f = load_from_array(np.ones(grid.ncells))
+    cfg = SolveConfig(p=1.2, s=0.5)
+    sol = solve_p(grid, kern, f, cfg)
+    assert sol.orbits == 16 and sol.status == "converged"
+    monkeypatch.setattr(solver, "orbits", _one_cell_orbits)
+    full = solve_p(grid, kern, f, cfg)
+    assert full.status == "converged"
+    assert sol.breakdown.total == pytest.approx(full.breakdown.total, rel=1e-9)
 
 
 def test_gradient_test_is_per_cell(interval16):
@@ -1206,10 +1246,11 @@ def test_gradient_test_is_per_cell(interval16):
     grid, kern = interval16
     p = 1.2
     f = load_from_array(np.ones(grid.ncells))
-    quo = solver._Quotient(solver._symmetry_orbits(grid, kern, f), kern, f)
-    v = solver._ray_rescale(solver._metric_init(quo.f, quo.kernel), quo.f, quo.kernel, p)
+    quo = orbits(grid, kern, f)
+    qk, qf = quo.restrict(kern, f)
+    v = solver._ray_rescale(solver._metric_init(qf, qk), qf, qk, p)
     g_cell = kkt_residual(quo.expand(v), f, kern, p)
-    g_orbit = float(np.max(np.abs(gradient(v, quo.f, quo.kernel, p))))
+    g_orbit = float(np.max(np.abs(gradient(v, qf, qk, p))))
     assert g_orbit > 1.9 * g_cell
     sol = solve_p(grid, kern, f, SolveConfig(p=p, s=0.5, eps_g=1.5 * g_cell))
     assert sol.iterations == 1
@@ -1223,16 +1264,16 @@ def test_quotient_is_the_restricted_functional(interval16):
     rng = np.random.default_rng(5)
     orbit = np.unique(rng.integers(0, 4, 16), return_inverse=True)[1]
     f = load_from_array(rng.uniform(0.5, 1.5, 4)[orbit])
-    quo = solver._Quotient(orbit, kern, f)
-    qk = quo.kernel
+    quo = Partition(orbit)
+    qk, qf = quo.restrict(kern, f)
     assert np.array_equal(qk.w, qk.w.T) and np.all(np.diag(qk.w) == 0.0)
     v = rng.normal(size=quo.size.size)
     u = quo.expand(v)
-    assert total_energy(v, quo.f, qk, 1.2).total == pytest.approx(
+    assert total_energy(v, qf, qk, 1.2).total == pytest.approx(
         total_energy(u, f, kern, 1.2).total, rel=1e-13
     )
     np.testing.assert_allclose(
-        gradient(v, quo.f, qk, 1.2),
+        gradient(v, qf, qk, 1.2),
         np.bincount(orbit, weights=gradient(u, f, kern, 1.2)),
         rtol=1e-12,
     )
@@ -1241,10 +1282,10 @@ def test_quotient_is_the_restricted_functional(interval16):
 def test_trivial_partition_passes_the_problem_through(interval16):
     grid, kern = interval16
     f = load_from_array(np.linspace(0.5, 1.5, grid.ncells))
-    orbit = solver._symmetry_orbits(grid, kern, f)
-    assert np.array_equal(orbit, np.arange(grid.ncells))
-    quo = solver._Quotient(orbit, kern, f)
-    assert quo.kernel is kern and quo.f is f
+    quo = orbits(grid, kern, f)
+    assert np.array_equal(quo.label, np.arange(grid.ncells))
+    qk, qf = quo.restrict(kern, f)
+    assert qk is kern and qf is f
     u = np.random.default_rng(1).normal(size=grid.ncells)
     u[3] = -0.0
     assert quo.expand(u).tobytes() == u.tobytes()
@@ -1257,15 +1298,16 @@ def test_permuted_singleton_partition_is_summed(interval16):
     grid, kern = interval16
     label = np.random.default_rng(4).permutation(grid.ncells)
     f = load_from_array(np.ones(grid.ncells))
-    quo = solver._Quotient(label, kern, f)
+    quo = Partition(label)
+    qk, qf = quo.restrict(kern, f)
     order = np.argsort(label)
-    assert quo.kernel is not kern
-    assert quo.kernel.w.tobytes() == kern.w[np.ix_(order, order)].tobytes()
-    assert quo.kernel.t.tobytes() == kern.t[order].tobytes()
-    assert quo.kernel.m.tobytes() == kern.m[order].tobytes()
+    assert qk is not kern
+    assert qk.w.tobytes() == kern.w[np.ix_(order, order)].tobytes()
+    assert qk.t.tobytes() == kern.t[order].tobytes()
+    assert qk.m.tobytes() == kern.m[order].tobytes()
     u = np.random.default_rng(5).normal(size=grid.ncells)
     assert quo.expand(u)[order].tobytes() == u.tobytes()
-    assert total_energy(u, quo.f, quo.kernel, 1.2).total == pytest.approx(
+    assert total_energy(u, qf, qk, 1.2).total == pytest.approx(
         total_energy(quo.expand(u), f, kern, 1.2).total, rel=1e-13
     )
 
@@ -1308,9 +1350,9 @@ def test_quotient_keeps_column_first_bits(spec):
     rng = np.random.default_rng(6)
     draws = rng.integers(0, grid.ncells // 3, grid.ncells)
     seeded = np.unique(draws, return_inverse=True)[1]
-    for orbit in (solver._symmetry_orbits(grid, kern, f), seeded):
-        quo = solver._Quotient(orbit, kern, load_from_array(np.ones(grid.ncells)))
-        got = [quo.kernel.w, quo.kernel.t, quo.kernel.m]
+    for orbit in (orbits(grid, kern, f).label, seeded):
+        qk, _ = Partition(orbit).restrict(kern, load_from_array(np.ones(grid.ncells)))
+        got = [qk.w, qk.t, qk.m]
         want = _column_first_quotient(orbit, kern)
         assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
 
