@@ -13,7 +13,8 @@ Submodules:
   cli           the fraclap console command
 
 Each submodule imports only submodules listed above it, and only at module
-level.
+level. scipy's quadrature, LP, sparse and special functions are imported
+by the functions that call them, so a command loads only what it runs.
 """
 
 from fraclap.certify import (

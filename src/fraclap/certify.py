@@ -21,7 +21,9 @@ The LP runs on a partition of the tied cells (_tie_parts) into parts whose
 cells see the same balance data: one free entry per pair of parts that
 holds a tie and one per part of zero cells. On a symmetric field the parts
 are the symmetry orbits, found from the data alone; a field without such
-parts keeps one free entry per tied pair and per zero cell.
+parts keeps one free entry per tied pair and per zero cell. scipy's sparse
+matrices load with the first certificate and its LP solver with the first
+LP, so importing this module loads neither.
 """
 
 from __future__ import annotations
@@ -31,8 +33,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from fraclap.domain_grid import KernelSet, _physical_memory
 from fraclap.energy import LoadField, _as_field
@@ -225,6 +225,8 @@ def _lp_columns(part, pi, pj, ci, kernel):
     t_i. With every part a single cell this is one column per tied pair
     (w_ij in row i, -w_ij in row j) and per zero cell, in that order.
     """
+    from scipy import sparse
+
     n = part.size
     pa, pb = part[pi], part[pj]
     cross = np.flatnonzero(pa != pb)
@@ -248,6 +250,8 @@ def _lp_matrix(a):
     constraints -tau <= base + A x <= tau as A_ub (x, tau) <= (-base, base).
     Column k holds A's column, then its negation shifted down by the N
     rows of A; the last column is -1 in every row."""
+    from scipy import sparse
+
     n, ncol = a.shape
     nnz = a.nnz
     ptr = a.indptr
@@ -289,6 +293,8 @@ def build_certificate(
     sign field of every cell. The returned residual is recomputed from
     the lifted z and zbar.
     """
+    from scipy import sparse
+
     if not (math.isfinite(eps_feas) and eps_feas > 0.0):
         raise ValueError("feasibility tolerance must be finite and positive")
     vals = _as_field(u, kernel)
@@ -318,6 +324,8 @@ def build_certificate(
     y = np.zeros(ncol)
     iters = 0
     if ncol > 0 and np.max(np.abs(base)) > eps_feas * scale:
+        from scipy.optimize import linprog
+
         # min tau over |y| <= 1, tau >= 0 subject to -tau <= base + A y <= tau
         bounds = np.tile([-1.0, 1.0], (ncol + 1, 1))
         bounds[-1] = (0.0, np.inf)
@@ -384,16 +392,19 @@ def verify_certificate(
     eps_feas: float = DEFAULT_EPS_FEAS,
 ) -> VerifyReport:
     """Check box, antisymmetry, sign consistency, and the balance on every
-    cell and pair, whatever partition built the certificate."""
+    cell and pair, whatever partition built the certificate. The maxima
+    are numpy's, which keep a NaN, and the sign pass masks free entries by
+    a product, so a NaN anywhere in z or zbar makes both the box and the
+    sign violation NaN."""
     vals = _as_field(u, kernel)
     z, zbar = cert.z, cert.zbar
-    box = max(float(z.max()), -float(z.min()), float(np.max(np.abs(zbar)))) - 1.0
-    box = max(box, 0.0)
+    box = np.max([z.max(), -z.min(), np.max(np.abs(zbar))]) - 1.0
+    box = float(np.maximum(box, 0.0))
     antisym = _antisymmetry(z)
 
     # one C-ordered block buffer serves the row passes: |z_ij - sign(u_i -
-    # u_j)| where that sign is determined (0 at ties), then w_ij z_ij, whose
-    # row sums have the bits of np.sum(w * z, axis=1)
+    # u_j)| times 1 where that sign is determined and 0 at ties, then
+    # w_ij z_ij, whose row sums have the bits of np.sum(w * z, axis=1)
     n = vals.size
     pair_sum = np.empty(n)
     gaps = []
@@ -401,18 +412,14 @@ def verify_certificate(
     buf = np.empty((blocks[0][1], n))
     for lo, hi in blocks:
         work = _pair_signs(vals[lo:hi], vals, out=buf[:hi - lo])
-        ties = work == 0.0
+        fixed = work != 0.0
         np.subtract(z[lo:hi], work, out=work)
         np.abs(work, out=work)
-        work[ties] = 0.0
+        work *= fixed
         gaps.append(np.max(work))
         pair_sum[lo:hi] = np.multiply(kernel.w[lo:hi], z[lo:hi], out=work).sum(axis=1)
+    gaps.append(np.max(np.abs(zbar - np.sign(vals)) * (vals != 0.0)))
     sign_gap = float(np.max(gaps))
-    nz = vals != 0.0
-    if np.any(nz):
-        sign_gap = max(
-            sign_gap, float(np.max(np.abs(zbar[nz] - np.sign(vals[nz]))))
-        )
 
     fm = f.values * kernel.m
     scale = _scale(fm, kernel)
@@ -445,7 +452,7 @@ def plateau_measure(u, kernel: KernelSet, tau_rel: float = 0.01) -> PlateauMeasu
     """Measure of the near-extremal set {|u| >= (1 - tau_rel) * max |u|}."""
     if not (0.0 < tau_rel < 1.0):
         raise ValueError("relative tolerance must lie in (0, 1)")
-    vals = np.asarray(u, dtype=float)
+    vals = _as_field(u, kernel)
     total = float(np.sum(kernel.m))
     top = float(np.max(np.abs(vals)))
     if top == 0.0:
@@ -470,7 +477,7 @@ def equal_pair_mass(u, kernel: KernelSet) -> EqualPairMass:
     1e-9 * max|u|, so exterior pairs are near-equal when the cell value
     itself is that close to zero (the exterior value).
     """
-    vals = np.asarray(u, dtype=float)
+    vals = _as_field(u, kernel)
     tol = 1e-9 * float(np.max(np.abs(vals)))
     m = kernel.m
     total = float(np.sum(m))

@@ -24,7 +24,13 @@ from fraclap.constants import (
     calibrable_radius,
     sharp_constants,
 )
-from fraclap.domain_grid import DomainSpec, build_grid, build_kernel, kernel_exponent
+from fraclap.domain_grid import (
+    BALL_VOLUME,
+    DomainSpec,
+    build_grid,
+    build_kernel,
+    kernel_exponent,
+)
 from fraclap.energy import load_from_array
 from fraclap.experiments import (
     RunConfig,
@@ -69,10 +75,14 @@ def _write(path, text) -> None:
 def _reference_cheeger(cfg: RunConfig):
     """(h_ref, kind): closed form on balls and intervals, volume bound else.
 
-    Both are values for the unit load, divided by the peak |load_scale|:
-    the closed form assumes the constant load, and for other loads the
-    volume lower bound over the peak is itself a lower bound for the
-    weighted constant. A zero load carries no set, so its h_ref is inf.
+    Both are the closed-form constant of a ball under the unit load
+    (ball_cheeger), divided by the peak |load_scale|. The closed form takes
+    the domain's own ball and assumes the constant load. The volume bound
+    takes the ball of the grid's volume, |Omega|^(-s/n) Per_s(B_1) /
+    |B_1|^((n-s)/n): by the fractional isoperimetric inequality it bounds
+    the unit-load constant from below, and over the peak it is a lower
+    bound for the weighted constant of any other load. A zero load carries
+    no set, so its h_ref is inf.
     """
     spec = cfg.domain
     if cfg.load == "constant" and spec.shape in ("interval", "ball"):
@@ -80,11 +90,11 @@ def _reference_cheeger(cfg: RunConfig):
             radius = 0.5 * (spec.params[1] - spec.params[0])
         else:
             radius = float(spec.params[-1])
-        unit, kind = ball_cheeger(spec.n, cfg.s, radius), "closed-form"
+        kind = "closed-form"
     else:
-        sobolev = sharp_constants(spec.n, cfg.s, 1.0).sobolev
-        unit = build_grid(spec).measure ** (-cfg.s / spec.n) / (2.0 * sobolev)
+        radius = (build_grid(spec).measure / BALL_VOLUME[spec.n]) ** (1.0 / spec.n)
         kind = "volume-bound"
+    unit = ball_cheeger(spec.n, cfg.s, radius)
     peak = abs(cfg.load_scale)
     return (unit / peak if peak > 0 else math.inf), kind
 

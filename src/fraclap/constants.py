@@ -4,16 +4,15 @@ Everything here is continuum arithmetic: the profile function phi, the
 one-dimensional r-integral C_{n,s,p}, the sharp constant S_{n,s,p}, and the
 closed-form chain for ball perimeters, ball Cheeger constants, and the
 calibrable critical radius. Quadrature is adaptive Gauss-Kronrod with
-substitutions that absorb both endpoint singularities.
+substitutions that absorb both endpoint singularities. scipy's quad and
+hyp2f1 are imported by the functions that call them, so the ball
+constants, which are closed forms, load neither.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.integrate import quad
-from scipy.special import hyp2f1
 
 from fraclap.domain_grid import BALL_VOLUME, OMEGA_N
 
@@ -54,6 +53,8 @@ def phi(n: int, s: float, p: float, r: float) -> float:
     ps = p * s
     if n == 1:
         return (1.0 - r) ** (-1.0 - ps) + (1.0 + r) ** (-1.0 - ps)
+    from scipy.special import hyp2f1
+
     r2 = r * r
     return 2.0 * math.pi * (1.0 - r2) ** (-1.0 - ps) * float(
         hyp2f1(-ps / 2.0, -ps / 2.0, 1.0, r2)
@@ -73,6 +74,8 @@ def _bounded_profile(n: int, ps: float, q: float) -> float:
             * math.gamma(1.0 + ps)
             / math.gamma(1.0 + ps / 2.0) ** 2
         )
+    from scipy.special import hyp2f1
+
     omq = 1.0 - q
     return 2.0 * math.pi * (2.0 - q) ** (-1.0 - ps) * float(
         hyp2f1(-ps / 2.0, -ps / 2.0, 1.0, omq * omq)
@@ -91,6 +94,8 @@ def c_constant(n: int, s: float, p: float) -> float:
     accurate down to q near machine zero.
     """
     _validate(n, s, p)
+    from scipy.integrate import quad
+
     ps = p * s
     beta = (n - ps) / p
     phi0 = OMEGA_N[n]  # phi(0): the unit sphere's boundary measure
@@ -130,31 +135,45 @@ def sobolev_constant(n: int, s: float, p: float) -> float:
     return sharp_constants(n, s, p).sobolev
 
 
-def ball_perimeter(n: int, s: float, radius: float) -> float:
-    """Fractional s-perimeter of the ball B_radius.
+def _unit_ball_perimeter(n: int, s: float) -> float:
+    """Per_s(B_1) in closed form:
 
-    Per_s(B_1) = |B_1|^((n-s)/n) / (2 S_{n,s,1}), then scale by
-    radius^(n-s).
+        2^(1-s) pi^((n-1)/2) Gamma((1-s)/2) omega_n / (s (n-s) Gamma((n-s)/2)),
+
+    with omega_n = OMEGA_N[n]. It equals |B_1|^((n-s)/n) / (2 S_{n,s,1}),
+    the quadrature route, which calibrable_radius checks it against.
     """
+    _validate(n, s, 1.0)
+    return (
+        2.0 ** (1.0 - s)
+        * math.pi ** ((n - 1) / 2.0)
+        * math.gamma((1.0 - s) / 2.0)
+        * OMEGA_N[n]
+        / (s * (n - s) * math.gamma((n - s) / 2.0))
+    )
+
+
+def ball_perimeter(n: int, s: float, radius: float) -> float:
+    """Fractional s-perimeter of the ball B_radius: radius^(n-s) Per_s(B_1)."""
     if not radius > 0:  # NaN fails too
         raise ValueError("radius must be positive")
-    unit = BALL_VOLUME[n] ** ((n - s) / n) / (2.0 * sobolev_constant(n, s, 1.0))
-    return radius ** (n - s) * unit
+    return radius ** (n - s) * _unit_ball_perimeter(n, s)
 
 
 def ball_cheeger(n: int, s: float, radius: float) -> float:
-    """Weighted Cheeger constant of a ball: Per_s(B_R)/|B_R| = R^(-s) h_s(B_1)."""
+    """Weighted Cheeger constant of a ball under the unit load:
+    Per_s(B_R)/|B_R| = R^(-s) Per_s(B_1)/|B_1|."""
     if not radius > 0:  # NaN fails too
         raise ValueError("radius must be positive")
-    unit = BALL_VOLUME[n] ** (-s / n) / (2.0 * sobolev_constant(n, s, 1.0))
-    return radius ** (-s) * unit
+    return radius ** (-s) * _unit_ball_perimeter(n, s) / BALL_VOLUME[n]
 
 
 def calibrable_radius(n: int, s: float) -> float:
     """Radius R* with h_s(B_{R*}) = 1.
 
-    Two algebraically equal routes are computed and cross-checked:
-    h_s(B_1)^(1/s) and (2 S_{n,s,1})^(-1/s) |B_1|^(-1/n).
+    Two algebraically equal routes are computed and cross-checked: the
+    closed form h_s(B_1)^(1/s) and the quadrature route
+    (2 S_{n,s,1})^(-1/s) |B_1|^(-1/n).
     """
     h1 = ball_cheeger(n, s, 1.0)
     r_a = h1 ** (1.0 / s)

@@ -19,7 +19,6 @@ from functools import lru_cache, reduce
 from itertools import product
 
 import numpy as np
-from scipy.integrate import quad
 
 #: subcells per axis of the near-pair rule behind the pair weights w
 NEAR_SUBCELLS = 4
@@ -291,6 +290,8 @@ def _k2d_exact(a: int, b: int, alpha: float) -> float:
     angular integral is smooth between lattice-corner directions and is done
     panel by panel with adaptive quadrature. Valid for alpha in (2, 3).
     """
+    from scipy.integrate import quad
+
     a, b = abs(int(a)), abs(int(b))
     if a < b:
         a, b = b, a

@@ -1,5 +1,7 @@
 """Certificate construction and verification for the nonsmooth problem."""
 
+import dataclasses
+import math
 import os
 
 import numpy as np
@@ -195,6 +197,34 @@ def test_verify_flags_box_violation(interval16):
     rep = verify_certificate(u, bad, f, kern)
     assert not rep.passed
     assert abs(rep.box_violation - 0.5) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "field, entry, at",
+    [("zero", "zbar", 2), ("zero", "z", (2, 3)), ("step", "zbar", 2),
+     ("step", "zbar", 6), ("step", "z", (2, 3)), ("step", "z", (2, 5))],
+    ids=["zero-zbar", "zero-z", "step-free-zbar", "step-fixed-zbar",
+         "step-tied-z", "step-fixed-z"],
+)
+def test_verify_reports_nan_in_the_certificate(field, entry, at):
+    # a NaN anywhere in z or zbar, at a free entry or a determined one,
+    # makes both the box and the sign violation NaN; Python's max dropped a
+    # NaN that was not its first argument and reported 0.0
+    grid = build_grid(DomainSpec(1, "interval", (0.0, 8.0), 1.0))
+    kern = build_kernel(grid, 1.5)
+    u = np.zeros(8) if field == "zero" else np.repeat([0.0, 1.0], 4)
+    f = load_from_array(np.full(8, 0.5))
+    cert = build_certificate(u, f, kern)
+    z, zbar = cert.z.copy(), cert.zbar.copy()
+    if entry == "zbar":
+        zbar[at] = np.nan
+    else:
+        z[at] = z[at[::-1]] = np.nan
+    rep = verify_certificate(u, dataclasses.replace(cert, z=z, zbar=zbar), f, kern)
+    assert not rep.passed
+    assert math.isnan(rep.box_violation) and math.isnan(rep.sign_violation)
+    clean = verify_certificate(u, cert, f, kern)
+    assert clean.box_violation == 0.0 and clean.sign_violation == 0.0
 
 
 def _verify_fields_reference(u, cert, f, kern):
@@ -448,6 +478,18 @@ def test_plateau_rejects_bad_tolerance(interval16):
     grid, kern = interval16
     with pytest.raises(ValueError, match="relative tolerance"):
         plateau_measure(np.ones(grid.ncells), kern, tau_rel=1.0)
+
+
+@pytest.mark.parametrize("measure", [plateau_measure, equal_pair_mass])
+def test_flatness_measures_check_the_field(interval16, measure):
+    # as every other entry point: a non-finite field or one of the wrong
+    # length raises, where an all-NaN field used to give zeros
+    grid, kern = interval16
+    for bad in (np.full(grid.ncells, np.nan), np.r_[np.inf, np.ones(grid.ncells - 1)]):
+        with pytest.raises(ValueError, match="field must be finite"):
+            measure(bad, kern)
+    with pytest.raises(ValueError, match="does not match grid size"):
+        measure(np.ones(grid.ncells + 1), kern)
 
 
 def test_equal_pair_mass_constant(interval16):

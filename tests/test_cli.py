@@ -12,8 +12,14 @@ import pytest
 import fraclap
 from certify_reference import reference_certificate
 from fraclap.certify import _TIE_TOL, build_certificate, verify_certificate
-from fraclap.cli import _field_csv_text, _instance, _read_field_csv, main
-from fraclap.constants import calibrable_radius, sharp_constants
+from fraclap.cli import (
+    _field_csv_text,
+    _instance,
+    _read_field_csv,
+    _reference_cheeger,
+    main,
+)
+from fraclap.constants import ball_cheeger, calibrable_radius, sharp_constants
 from fraclap.domain_grid import DomainSpec, build_grid, build_kernel
 from fraclap.experiments import CSV_COLUMNS, make_load, read_config
 from fraclap.geometry import threshold_cheeger
@@ -199,6 +205,52 @@ def test_sweep_reference_of_nonpositive_constant_load(tmp_path, capsys, scale):
     assert report["h_ref"] == (math.inf if scale == "0" else reports["1"]["h_ref"])
     assert report["h_ref_kind"] == "closed-form"
     assert report["classification"] == "vanishing"
+
+
+_HEAD = "config_version = 1\nlabel = ref\n"
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "n = 1\nshape = interval\nparams = -16 16\nh = 0.5\ns = 0.3\n"
+        "load = indicator\nload_params = 0 1\n",
+        "n = 1\nshape = union\nparams = 0 1 3 5\nh = 0.5\ns = 0.5\nload = bump\n",
+        "n = 2\nshape = box\nparams = 0 0 32 32\nh = 1\ns = 0.5\nschedule = 1.1\n",
+        "n = 2\nshape = ball\nparams = 0 0 8\nh = 1\ns = 0.7\nschedule = 1.1\n"
+        "load = bump\nload_scale = -2.5\n",
+    ],
+    ids=["interval", "union", "box", "ball"],
+)
+def test_volume_bound_equals_the_sobolev_form(tmp_path, body):
+    # the closed-form volume bound is the former quadrature expression
+    # |Omega|^(-s/n) / (2 S_{n,s,1}) over the peak |load_scale|
+    path = tmp_path / "ref.cfg"
+    path.write_text(_HEAD + body, encoding="utf-8")
+    cfg = read_config(str(path))
+    h_ref, kind = _reference_cheeger(cfg)
+    assert kind == "volume-bound"
+    n, s = cfg.domain.n, cfg.s
+    sobolev = sharp_constants(n, s, 1.0).sobolev
+    former = build_grid(cfg.domain).measure ** (-s / n) / (2.0 * sobolev)
+    assert h_ref == pytest.approx(former / abs(cfg.load_scale), rel=1e-13)
+
+
+@pytest.mark.parametrize("s", ["0.3", "0.5"])
+def test_volume_bound_of_an_interval_is_its_closed_form(tmp_path, s):
+    # the ball of an interval's length is the interval itself, so both
+    # branches read ball_cheeger at the same radius, with the same bits
+    refs = []
+    for load in ("constant", "indicator\nload_params = 0 1"):
+        path = tmp_path / "ref.cfg"
+        path.write_text(
+            _HEAD + "n = 1\nshape = interval\nparams = -16 16\nh = 0.5\n"
+            "s = %s\nload = %s\n" % (s, load),
+            encoding="utf-8",
+        )
+        refs.append(_reference_cheeger(read_config(str(path))))
+    assert [kind for _, kind in refs] == ["closed-form", "volume-bound"]
+    assert refs[0][0] == refs[1][0] == ball_cheeger(1, float(s), 16.0)
 
 
 def test_sweep_duplicate_labels_exit_2(tmp_path, small_cfg, capsys):
@@ -858,3 +910,78 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# import footprint: scipy's quadrature, LP, sparse and special functions load
+# in the functions that call them, so a command that never calls them never
+# pays for them
+# ---------------------------------------------------------------------------
+
+_LAZY = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.special")
+
+_FOOTPRINT = """\
+import contextlib, io, json, sys
+from fraclap import cli
+
+def loaded():
+    return [name for name in %r if name in sys.modules]
+
+steps = [["import", 0, loaded()]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    steps.append([argv[0], code, loaded()])
+print(json.dumps(steps))
+""" % (_LAZY,)
+
+
+def _footprint(cwd, *argvs):
+    """[command, exit code, the _LAZY subpackages loaded after it] for
+    `import fraclap.cli` and then each argv in turn, in one fresh
+    interpreter started in cwd."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fraclap.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT, json.dumps(argvs)],
+        cwd=cwd, env=env, check=True, capture_output=True, text=True, timeout=300,
+    )
+    return json.loads(proc.stdout)
+
+
+def test_import_loads_no_lazy_scipy_subpackage(tmp_path):
+    assert _footprint(tmp_path) == [["import", 0, []]]
+
+
+def test_one_dimensional_commands_load_no_lazy_scipy_subpackage(tmp_path, small_cfg):
+    # the sweep's h_ref is the ball's closed form, so no quadrature runs
+    cfg = str(small_cfg)
+    steps = _footprint(
+        tmp_path,
+        ["solve", "--config", cfg, "--out", "out"],
+        ["sweep", "--config", cfg, "--out", "out"],
+        ["cheeger", "--config", cfg, "--out", "out"],
+        ["cheeger", "--config", cfg, "--field", "out/tiny_field.csv", "--out", "out"],
+    )
+    assert steps == [[cmd, 0, []] for cmd in ("import", "solve", "sweep", "cheeger", "cheeger")]
+    report = json.loads((tmp_path / "out" / "tiny.json").read_text(encoding="utf-8"))
+    assert report["h_ref_kind"] == "closed-form"
+
+
+def test_certify_loads_the_lp_on_first_use(tmp_path, small_cfg):
+    # the zero field leaves every exterior sign free, so the LP runs
+    grid = build_grid(read_config(str(small_cfg)).domain)
+    (tmp_path / "zero.csv").write_text(
+        _field_csv_text(grid, np.zeros(grid.ncells)), encoding="utf-8"
+    )
+    steps = _footprint(
+        tmp_path,
+        ["certify", "--config", str(small_cfg), "--field", "zero.csv", "--out", "out"],
+    )
+    assert steps[0] == ["import", 0, []]
+    command, code, loaded = steps[1]
+    assert (command, code) == ("certify", 0)
+    assert {"scipy.optimize", "scipy.sparse"} <= set(loaded)
+    assert "scipy.integrate" not in loaded
+    report = json.loads((tmp_path / "out" / "tiny_certificate.json").read_text(encoding="utf-8"))
+    assert report["iterations"] > 0 and report["verified"]

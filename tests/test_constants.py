@@ -25,6 +25,7 @@ from fraclap.constants import (
     sharp_constants,
     sobolev_constant,
 )
+from fraclap.domain_grid import BALL_VOLUME
 
 # frozen closed-form arithmetic: (1/2)^(-3/2) + (3/2)^(-3/2)
 PHI_1D_HALF = 2.0 ** 1.5 + (2.0 / 3.0) ** 1.5  # 3.3727581786...
@@ -205,12 +206,32 @@ def test_calibrable_radius_finite_positive():
 
 
 def test_isoperimetric_identity():
-    from fraclap.domain_grid import BALL_VOLUME
-
+    # the closed-form ball perimeter against the quadrature route
+    # |B_1|^((n-s)/n) / (2 S_{n,s,1}); the largest gap on this grid is
+    # 1.8e-14 relative, at s = 0.65 in 2-D
     for n in (1, 2):
-        s = 0.5
-        lhs = BALL_VOLUME[n] ** ((n - s) / n) / (2.0 * ball_perimeter(n, s, 1.0))
-        assert lhs == pytest.approx(sobolev_constant(n, s, 1.0), rel=1e-6)
+        for s in np.linspace(0.05, 0.95, 19)[1:-1]:
+            quadrature = BALL_VOLUME[n] ** ((n - s) / n) / (2.0 * sobolev_constant(n, s, 1.0))
+            assert ball_perimeter(n, s, 1.0) == pytest.approx(quadrature, rel=1e-13)
+            assert ball_cheeger(n, s, 1.0) == pytest.approx(
+                quadrature / BALL_VOLUME[n], rel=1e-13
+            )
+
+
+@pytest.mark.parametrize("call", [ball_perimeter, ball_cheeger])
+def test_ball_constants_reject_bad_arguments(call):
+    nan = float("nan")
+    for n, s, radius, message in (
+        (3, 0.5, 1.0, "dimension must be 1 or 2"),
+        (0, 0.5, 1.0, "dimension must be 1 or 2"),
+        (1, 0.0, 1.0, "order s must lie in"),
+        (2, 1.0, 1.0, "order s must lie in"),
+        (1, nan, 1.0, "order s must lie in"),
+        (1, 0.5, 0.0, "radius must be positive"),
+        (2, 0.5, -2.0, "radius must be positive"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call(n, s, radius)
 
 
 # ---------------------------------------------------------------------------
