@@ -15,6 +15,9 @@ Submodules:
 Each submodule imports only submodules listed above it, and only at module
 level. scipy's quadrature, LP, sparse and special functions are imported
 by the functions that call them, so a command loads only what it runs.
+The solver loads scipy's LAPACK wrapper on its own, not through
+scipy.linalg, so importing fraclap loads numpy and scipy's top-level
+package only.
 """
 
 from fraclap.certify import (

@@ -130,8 +130,12 @@ _OPTIONAL_KEYS = {
 _ALL_KEYS = _REQUIRED_KEYS + tuple(_OPTIONAL_KEYS)
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse the flat `key = value` run-config format (version 1)."""
+def parse_config(text: str, schedule: Optional[Sequence[float]] = None) -> RunConfig:
+    """Parse the flat `key = value` run-config format (version 1).
+
+    A schedule given here replaces the text's (its `schedule` line or the
+    default), so only its p values are checked against the window.
+    """
     seen: Dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -161,12 +165,15 @@ def parse_config(text: str) -> RunConfig:
         for key, convert in _OPTIONAL_KEYS.items()
         if key in seen
     }
+    if schedule is not None:
+        options["schedule"] = tuple(schedule)
     return RunConfig(domain=spec, s=s, **options)
 
 
-def read_config(path) -> RunConfig:
+def read_config(path, schedule: Optional[Sequence[float]] = None) -> RunConfig:
+    """parse_config of the file at path."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        return parse_config(fh.read(), schedule)
 
 
 # ---------------------------------------------------------------------------

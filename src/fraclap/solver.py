@@ -35,9 +35,13 @@ on each orbit, and the functional restricted to such fields
 (Partition.restrict) has the same form, so the loop minimizes it unchanged
 and expands the result.
 
-scipy's OpenBLAS runs each solve on one thread (_one_blas_thread): its
-threaded potrf rounds differently, so with more threads the iterates,
-and every output, would depend on the thread count.
+The metric's Cholesky factor and solve are LAPACK potrf and potrs from
+scipy's own f2py wrapper, _flapack, loaded straight from scipy's linalg
+directory (_load_scipy_linalg_extension): the very routines
+scipy.linalg.lapack hands out, without the cost of importing
+scipy.linalg. scipy's OpenBLAS runs each solve on one thread
+(_one_blas_thread): its threaded potrf rounds differently, so with more
+threads the iterates, and every output, would depend on the thread count.
 """
 
 from __future__ import annotations
@@ -45,14 +49,17 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 import threading
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError, _fblas
-from scipy.linalg.lapack import get_lapack_funcs
+import scipy  # its _distributor_init may set up the libraries _flapack links
+from numpy.linalg import LinAlgError
 
 from fraclap.domain_grid import KernelSet, kernel_exponent
 from fraclap.energy import (
@@ -71,7 +78,36 @@ _STAGNANT_LIMIT = 25
 _SNAP_LADDER = (1e-12, 1e-9)
 _EPS_E = 1e-12  # relative energy decrement below which a step may be stagnant
 _PAIRWISE_BLOCK = 8  # numpy sums at least this many entries pairwise
-_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.empty(0),))  # float64
+
+
+def _scipy_linalg_spec(name):
+    """The import spec of scipy's extension module scipy/linalg/<name>,
+    found without importing scipy.linalg."""
+    spec = importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(os.path.dirname(scipy.__file__), "linalg")]
+    )
+    if spec is None:
+        raise ImportError(
+            "fraclap.solver needs scipy's LAPACK wrapper: scipy %s at %s has "
+            "no linalg/%s extension" % (scipy.__version__, scipy.__file__, name)
+        )
+    return spec
+
+
+def _load_scipy_linalg_extension(name):
+    """scipy's extension module scipy/linalg/<name>, loaded on its own:
+    only the extension's init runs, which needs numpy and nothing of
+    scipy.linalg. The module stays out of sys.modules."""
+    spec = _scipy_linalg_spec(name)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+# float64 potrf and potrs: the routines get_lapack_funcs(("potrf", "potrs"),
+# (np.empty(0),)) returns, with the same C function pointers
+_flapack = _load_scipy_linalg_extension("_flapack")
+_POTRF, _POTRS = _flapack.dpotrf, _flapack.dpotrs
 
 
 @dataclass(frozen=True)
@@ -104,7 +140,7 @@ class SolveConfig:
         """
         sp_p = kernel_exponent(n, self.s, self.p) - n
         if not sp_p < 1.0:
-            raise ValueError("s_p * p = %g must stay below 1" % sp_p)
+            raise ValueError("s_p * p = %g must stay below 1 (p = %g)" % (sp_p, self.p))
 
 
 @dataclass(frozen=True)
@@ -226,9 +262,10 @@ def _snap_pass(u, f_cur, f, kernel, p):
 def _openblas_thread_calls():
     """(get, set) of scipy's OpenBLAS thread count as ctypes functions, or
     None where its library does not export them. scipy links its own
-    OpenBLAS, apart from numpy's, and LAPACK reaches it through _fblas."""
+    OpenBLAS, apart from numpy's; _flapack's LAPACK runs on it, and scipy's
+    BLAS extension _fblas, opened here as a shared library, links it."""
     try:
-        lib = ctypes.CDLL(_fblas.__file__)
+        lib = ctypes.CDLL(_scipy_linalg_spec("_fblas").origin)
         get = lib.scipy_openblas_get_num_threads
         put = lib.scipy_openblas_set_num_threads
     except (OSError, AttributeError):

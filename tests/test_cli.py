@@ -105,6 +105,27 @@ def test_solve_rejects_inadmissible_override(tmp_path, small_cfg, capsys):
     assert code == 2
 
 
+def test_solve_checks_only_the_p_it_runs(tmp_path, capsys):
+    # no schedule line: the default schedule's p = 1.3 leaves the window at
+    # n = 2, s = 0.5 (s_p * p = 1.25), and --p 1.1 lies inside it
+    path = tmp_path / "box.cfg"
+    path.write_text(
+        "config_version = 1\nlabel = box\nn = 2\nshape = box\n"
+        "params = 0 0 8 8\nh = 1\ns = 0.5\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(path), "--p", "1.1", "--out", str(out)]) == 0
+    report = json.loads((out / "box_solution.json").read_text(encoding="utf-8"))
+    assert report["p"] == 1.1
+    capsys.readouterr()
+    assert main(["solve", "--config", str(path), "--p", "1.5", "--out", str(out)]) == 2
+    assert "s_p * p = 1.75 must stay below 1 (p = 1.5)" in capsys.readouterr().err
+    # without --p the config's own (default) schedule is checked
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
+    assert "s_p * p = 1.25 must stay below 1 (p = 1.3)" in capsys.readouterr().err
+
+
 def test_constants_nan_p_exits_2(capsys):
     assert main(["constants", "--p", "nan"]) == 2
     err = capsys.readouterr().err
@@ -918,7 +939,9 @@ def test_unknown_subcommand_exits_2():
 # pays for them
 # ---------------------------------------------------------------------------
 
-_LAZY = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.special")
+_LAZY = (
+    "scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.sparse", "scipy.special",
+)
 
 _FOOTPRINT = """\
 import contextlib, io, json, sys

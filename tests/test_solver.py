@@ -1,9 +1,12 @@
 """Solver checks: admissibility, closed-form oracles, invariants, honesty."""
 
 import contextlib
+import ctypes
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -11,6 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.lapack import get_lapack_funcs
 
 from fraclap.domain_grid import (
     DomainSpec,
@@ -631,6 +635,79 @@ def test_lapack_cholesky_keeps_scipy_bits(order):
         assert lower is want_lower is False
         assert _same_bits(c, want_c)
         assert _same_bits(x, want_x) and _same_bits(x_over, want_x)
+
+
+_CAPSULE_NAME = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi)
+)
+_CAPSULE_POINTER = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi)
+)
+
+
+def _c_function(routine):
+    """The address of the Fortran routine behind an f2py function."""
+    capsule = routine._cpointer
+    return _CAPSULE_POINTER(capsule, _CAPSULE_NAME(capsule))
+
+
+def test_lapack_routines_are_scipys():
+    # the solver loads _flapack on its own, not through scipy.linalg, and
+    # holds the very routines scipy's dispatch picks for float64
+    want = get_lapack_funcs(("potrf", "potrs"), (np.empty(0),))
+    got = (solver._POTRF, solver._POTRS)
+    assert [_c_function(r) for r in got] == [_c_function(r) for r in want]
+    assert all(_c_function(r) for r in got)
+
+
+def test_missing_lapack_extension_raises_import_error():
+    with pytest.raises(ImportError, match="no linalg/_nolapack extension"):
+        solver._scipy_linalg_spec("_nolapack")
+
+
+_LOAD_ORDER = """\
+import hashlib
+import sys
+import numpy as np
+if sys.argv[1] == "scipy.linalg first":
+    import scipy.linalg
+    from fraclap import solver
+else:
+    from fraclap import solver
+    assert "scipy.linalg" not in sys.modules
+    import scipy.linalg
+rng = np.random.default_rng(2801)
+for n in (16, 136):
+    b = rng.normal(size=(n, n))
+    a = b @ b.T + n * np.eye(n)
+    a = np.minimum(a, a.T)  # bitwise symmetric
+    rhs = rng.normal(size=n)
+    with solver._one_blas_thread:
+        want = scipy.linalg.cho_factor(a)
+        got = solver.cho_factor(a)
+        want_x = scipy.linalg.cho_solve(want, rhs)
+        x = solver.cho_solve(got, rhs)
+    assert got[1] is want[1] is False
+    assert got[0].tobytes() == want[0].tobytes(), n
+    assert x.tobytes() == want_x.tobytes(), n
+    print(n, hashlib.sha256(got[0].tobytes() + x.tobytes()).hexdigest())
+"""
+
+
+def test_cholesky_keeps_scipy_bits_in_either_load_order():
+    # _flapack initializes a second time, under its own name, in a process
+    # that also imports scipy.linalg: either way round, solver.cho_factor
+    # and cho_solve give scipy's bits on seeded SPD matrices
+    src = os.path.dirname(os.path.dirname(os.path.abspath(solver.__file__)))
+    outputs = []
+    for order in ("scipy.linalg first", "fraclap.solver first"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _LOAD_ORDER, order],
+            env=dict(os.environ, PYTHONPATH=src), check=True,
+            capture_output=True, text=True, timeout=120,
+        )
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 2
 
 
 def test_newton_direction_keeps_scipy_cholesky_bits(mirror_case, monkeypatch):
