@@ -34,9 +34,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from fraclap.domain_grid import KernelSet, _physical_memory
+from fraclap.domain_grid import KernelSet, _check_memory
 from fraclap.energy import LoadField, _as_field
-from fraclap.quotient import first_seen
+from fraclap.quotient import _BLOCK, first_seen
 
 DEFAULT_EPS_FEAS = 1e-8
 
@@ -54,7 +54,6 @@ _LP_BYTES_PER_FREE = 1400
 #: relative) still forms its parts
 _TIE_TOL = 1e-12
 
-_BLOCK = 1 << 17  # entries of an N x N array per row block of a pass
 _TILE = 128  # side of the square tiles of the antisymmetry check
 
 
@@ -113,14 +112,11 @@ def _check_lp_fits(vals):
     """
     _, group, sizes = np.unique(vals, return_inverse=True, return_counts=True)
     nfree = int(np.sum(sizes * (sizes - 1) // 2) + np.count_nonzero(vals == 0.0))
-    need = nfree * _LP_BYTES_PER_FREE
-    have = _physical_memory()
-    if have is not None and need > have:
-        raise ValueError(
-            "the certificate LP has %d free entries and needs about %.3g GB "
-            "(%d bytes each), more than the %.3g GB of physical memory"
-            % (nfree, need / 1e9, _LP_BYTES_PER_FREE, have / 1e9)
-        )
+    _check_memory(
+        nfree * _LP_BYTES_PER_FREE,
+        "the certificate LP has %d free entries and needs" % nfree,
+        "(%d bytes each)" % _LP_BYTES_PER_FREE,
+    )
     return group, sizes
 
 

@@ -128,9 +128,8 @@ def _instance(cfg: RunConfig, p: float):
 
 
 def _cmd_solve(args) -> int:
-    # --p replaces the schedule, so the config checks only the p solved
-    cfg = read_config(args.config, schedule=None if args.p is None else (args.p,))
-    p = max(cfg.schedule)
+    cfg = read_config(args.config)
+    p = max(cfg.schedule) if args.p is None else args.p
     scfg = cfg.solve_config(p)
     grid, kern, f = _instance(cfg, p)
     sol = solve_p(grid, kern, f, scfg)
@@ -168,6 +167,11 @@ def _cmd_sweep(args) -> int:
     labels = [cfg.label for cfg in configs]
     if len(set(labels)) != len(labels):
         raise ValueError("duplicate labels %s" % labels)
+    if args.threads < 1:
+        raise ValueError("--threads must be positive")
+    for cfg in configs:  # every p in its window before any output or solve
+        for p in cfg.schedule:
+            cfg.solve_config(p)
     os.makedirs(args.out, exist_ok=True)
     tables = run_sweeps(configs, threads=args.threads)
     failed = False

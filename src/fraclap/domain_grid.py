@@ -424,26 +424,28 @@ def _near_offsets(n):
 # ---------------------------------------------------------------------------
 
 
-def _physical_memory():
-    """Bytes of physical memory, or None where sysconf cannot tell."""
+def _check_memory(need, subject: str, detail: str) -> None:
+    """Reject a working set of need bytes beyond physical memory, saying
+    "<subject> about <need> GB <detail>"; pass where sysconf cannot tell."""
     try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError):  # no sysconf on this platform
-        return None
+        return
+    if need > have:
+        # a need too large for a float still gets a message
+        gb = need / 1e9 if need < 1e300 else math.inf
+        raise ValueError(
+            "%s about %.3g GB %s, more than the %.3g GB of physical memory"
+            % (subject, gb, detail, have / 1e9)
+        )
 
 
 def _check_dense_fits(ncells: int) -> None:
     """Reject a grid whose dense working set exceeds physical memory."""
-    need = _DENSE_ARRAYS * ncells * ncells * 8
-    have = _physical_memory()
-    if have is not None and need > have:
-        # a grid fine enough for need to overflow a float still gets a message
-        gb = need / 1e9 if need < 1e300 else math.inf
-        raise ValueError(
-            "%d cells need about %.3g GB of dense pair arrays (%d x N^2 x 8 "
-            "bytes), more than the %.3g GB of physical memory"
-            % (ncells, gb, _DENSE_ARRAYS, have / 1e9)
-        )
+    _check_memory(
+        _DENSE_ARRAYS * ncells * ncells * 8, "%d cells need" % ncells,
+        "of dense pair arrays (%d x N^2 x 8 bytes)" % _DENSE_ARRAYS,
+    )
 
 
 def _check_offsets_fit(n: int, kmax: int, hi) -> None:
@@ -456,16 +458,13 @@ def _check_offsets_fit(n: int, kmax: int, hi) -> None:
     """
     lattice = kmax if n == 1 else (2 * kmax + 1) ** n
     table = math.prod(2 * int(k) + 1 for k in hi)
-    need = max(_LATTICE_BYTES[n] * lattice, _TABLE_BYTES * table)
-    have = _physical_memory()
-    if have is not None and need > have:
-        raise ValueError(
-            "a domain whose bounding box spans %s cells needs about %.3g GB "
-            "for its exterior lattice sum (%d cells out) and its per-offset "
-            "tables, more than the %.3g GB of physical memory"
-            % (" x ".join(str(int(k) + 1) for k in hi), need / 1e9, kmax,
-               have / 1e9)
-        )
+    _check_memory(
+        max(_LATTICE_BYTES[n] * lattice, _TABLE_BYTES * table),
+        "a domain whose bounding box spans %s cells needs"
+        % " x ".join(str(int(k) + 1) for k in hi),
+        "for its exterior lattice sum (%d cells out) and its per-offset "
+        "tables" % kmax,
+    )
 
 
 def build_kernel(grid: Grid, exponent: float) -> KernelSet:

@@ -74,12 +74,14 @@ class RunConfig:
             )
         if not self.schedule:
             raise ValueError("empty p schedule")
-        for p in self.schedule:
-            self.solve_config(p).validate_for(self.domain.n)
+        for p in self.schedule:  # its form; solve_config checks its window
+            SolveConfig(p=p, s=self.s, eps_g=self.eps_g, maxit=self.maxit)
 
     def solve_config(self, p: float) -> SolveConfig:
-        """Solver settings of this run at exponent p."""
-        return SolveConfig(p=p, s=self.s, eps_g=self.eps_g, maxit=self.maxit)
+        """Solver settings of this run at exponent p, inside its window."""
+        scfg = SolveConfig(p=p, s=self.s, eps_g=self.eps_g, maxit=self.maxit)
+        scfg.validate_for(self.domain.n)
+        return scfg
 
 
 @dataclass(frozen=True)
@@ -130,12 +132,8 @@ _OPTIONAL_KEYS = {
 _ALL_KEYS = _REQUIRED_KEYS + tuple(_OPTIONAL_KEYS)
 
 
-def parse_config(text: str, schedule: Optional[Sequence[float]] = None) -> RunConfig:
-    """Parse the flat `key = value` run-config format (version 1).
-
-    A schedule given here replaces the text's (its `schedule` line or the
-    default), so only its p values are checked against the window.
-    """
+def parse_config(text: str) -> RunConfig:
+    """Parse the flat `key = value` run-config format (version 1)."""
     seen: Dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -165,15 +163,13 @@ def parse_config(text: str, schedule: Optional[Sequence[float]] = None) -> RunCo
         for key, convert in _OPTIONAL_KEYS.items()
         if key in seen
     }
-    if schedule is not None:
-        options["schedule"] = tuple(schedule)
     return RunConfig(domain=spec, s=s, **options)
 
 
-def read_config(path, schedule: Optional[Sequence[float]] = None) -> RunConfig:
+def read_config(path) -> RunConfig:
     """parse_config of the file at path."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), schedule)
+        return parse_config(fh.read())
 
 
 # ---------------------------------------------------------------------------

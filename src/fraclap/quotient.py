@@ -30,7 +30,7 @@ import numpy as np
 from fraclap.domain_grid import KernelSet
 from fraclap.energy import LoadField
 
-_BLOCK = 1 << 17  # entries of w per row block of the part-pair sums
+_BLOCK = 1 << 17  # entries of an N x N array per row block of a pass
 _ORBIT_ROWS = 128  # cells per row block of the symmetry checks
 
 

@@ -11,6 +11,7 @@ import pytest
 
 import fraclap
 from certify_reference import reference_certificate
+from fraclap import experiments
 from fraclap.certify import _TIE_TOL, build_certificate, verify_certificate
 from fraclap.cli import (
     _field_csv_text,
@@ -126,6 +127,63 @@ def test_solve_checks_only_the_p_it_runs(tmp_path, capsys):
     assert "s_p * p = 1.25 must stay below 1 (p = 1.3)" in capsys.readouterr().err
 
 
+def _box_without_schedule(tmp_path, side):
+    """A side x side box at s = 1/2 with no schedule line: the default
+    schedule's p = 1.3 leaves the window at n = 2 (s_p * p = 1.25)."""
+    path = tmp_path / ("box%d.cfg" % side)
+    path.write_text(
+        "config_version = 1\nlabel = box\nn = 2\nshape = box\n"
+        "params = 0 0 %d %d\nh = 1\ns = 0.5\n" % (side, side),
+        encoding="utf-8",
+    )
+    return path
+
+
+def test_p_one_commands_ignore_the_schedule(tmp_path, capsys):
+    # cheeger and certify work at p = 1 and never run the schedule, so its
+    # p = 1.3 does not stop them
+    cfg = str(_box_without_schedule(tmp_path, 8))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--p", "1.1", "--out", str(out)]) == 0
+    field = str(out / "box_field.csv")
+    assert main(["cheeger", "--config", cfg, "--field", field, "--out", str(out)]) == 0
+    assert main(["certify", "--config", cfg, "--field", field, "--out", str(out)]) == 0
+    for name in ("box_cheeger.json", "box_witness.csv", "box_signfield.csv",
+                 "box_certificate.json"):
+        assert (out / name).exists()
+    assert "configuration error" not in capsys.readouterr().err
+
+
+def test_brute_force_cheeger_ignores_the_schedule(tmp_path, capsys):
+    cfg = str(_box_without_schedule(tmp_path, 4))
+    out = tmp_path / "out"
+    assert main(["cheeger", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "box_cheeger.json").read_text(encoding="utf-8"))
+    assert report["method"] == "brute-force" and report["ncells"] == 16
+
+
+def test_energy_limit_probe_ignores_the_config_schedule(tmp_path, capsys):
+    # the probe runs its own --p list; a failed gate exits 3, not 2
+    cfg = str(_box_without_schedule(tmp_path, 8))
+    code = main(["probe", "energy-limit", "--config", cfg, "--p", "1.1", "--p", "1.05"])
+    assert code in (0, 3)
+    captured = capsys.readouterr()
+    assert "configuration error" not in captured.err
+    assert json.loads(captured.out)["ncells"] == 64
+
+
+def test_solve_checks_the_form_of_a_schedule_it_does_not_run(tmp_path, capsys):
+    path = tmp_path / "nan.cfg"
+    path.write_text(
+        SMALL_CFG.replace("schedule = 1.3 1.2 1.1", "schedule = 1.3 nan 1.1"),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(path), "--p", "1.1", "--out", str(out)]) == 2
+    assert "configuration error: need p > 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_constants_nan_p_exits_2(capsys):
     assert main(["constants", "--p", "nan"]) == 2
     err = capsys.readouterr().err
@@ -189,6 +247,31 @@ def test_sweep_window_edge_exits_2_before_output(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
     assert "s_p * p = 1 must stay below 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_checks_every_config_before_output_or_solve(tmp_path, small_cfg,
+                                                         capsys, monkeypatch):
+    # the first config is admissible; the second runs the default schedule,
+    # whose p = 1.3 leaves the window of a 2-D box
+    calls = []
+    monkeypatch.setattr(experiments, "solve_p", lambda *args, **kw: calls.append(args))
+    box = str(_box_without_schedule(tmp_path, 8))
+    out = tmp_path / "out"
+    argv = ["sweep", "--config", str(small_cfg), "--config", box, "--out", str(out)]
+    assert main(argv) == 2
+    assert "s_p * p = 1.25 must stay below 1 (p = 1.3)" in capsys.readouterr().err
+    assert not out.exists()
+    assert calls == []
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_sweep_threads_below_one_exit_2_before_output(tmp_path, small_cfg, capsys,
+                                                      threads):
+    out = tmp_path / "out"
+    argv = ["sweep", "--config", str(small_cfg), "--threads", threads, "--out", str(out)]
+    assert main(argv) == 2
+    assert "configuration error: --threads must be positive" in capsys.readouterr().err
     assert not out.exists()
 
 

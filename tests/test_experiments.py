@@ -8,7 +8,7 @@ the assertion messages and the README.
 import numpy as np
 import pytest
 
-from fraclap import solver
+from fraclap import experiments, solver
 from fraclap.constants import ball_cheeger, sharp_constants
 from fraclap.domain_grid import DomainSpec, build_grid, build_kernel
 from fraclap.energy import load_from_array
@@ -123,10 +123,26 @@ def test_runconfig_rejects_indicator_without_region():
         small_config(load="indicator")
 
 
-def test_runconfig_rejects_inadmissible_schedule():
-    # s_p * p crosses 1 at p = 4/3 for s = 0.5
-    with pytest.raises(ValueError, match=r"s_p \* p = 1.25 must stay below 1"):
-        small_config(schedule=(1.5, 1.2))
+def test_runconfig_rejects_inadmissible_schedule(monkeypatch):
+    # s_p * p crosses 1 at p = 4/3 for s = 0.5. The window depends on n, so
+    # a config holds any p > 1 and the window is checked where a p runs:
+    # solve_config, which run_sweep calls at its largest p before any solve
+    cfg = small_config(schedule=(1.5, 1.2))
+    message = r"s_p \* p = 1.25 must stay below 1 \(p = 1.5\)"
+    with pytest.raises(ValueError, match=message):
+        cfg.solve_config(1.5)
+    assert cfg.solve_config(1.2).p == 1.2
+    calls = []
+    monkeypatch.setattr(experiments, "solve_p", lambda *args, **kw: calls.append(args))
+    with pytest.raises(ValueError, match=message):
+        run_sweep(cfg)
+    assert calls == []
+
+
+@pytest.mark.parametrize("p", [1.0, float("nan")])
+def test_runconfig_rejects_schedule_entry_not_above_one(p):
+    with pytest.raises(ValueError, match="need p > 1"):
+        small_config(schedule=(1.3, p))
 
 
 def test_runconfig_rejects_empty_schedule():
