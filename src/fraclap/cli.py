@@ -20,12 +20,11 @@ from fraclap.certify import build_certificate, verify_certificate
 from fraclap.constants import (
     QuadratureError,
     ball_perimeter,
-    ball_cheeger,
     calibrable_radius,
+    faber_krahn_bound,
     sharp_constants,
 )
 from fraclap.domain_grid import (
-    BALL_VOLUME,
     DomainSpec,
     build_grid,
     build_kernel,
@@ -72,31 +71,18 @@ def _write(path, text) -> None:
         fh.write(text)
 
 
-def _reference_cheeger(cfg: RunConfig):
-    """(h_ref, kind): closed form on balls and intervals, volume bound else.
+def _reference_cheeger(cfg: RunConfig) -> float:
+    """h_ref: the Faber-Krahn bound at the grid's volume over |load_scale|.
 
-    Both are the closed-form constant of a ball under the unit load
-    (ball_cheeger), divided by the peak |load_scale|. The closed form takes
-    the domain's own ball and assumes the constant load. The volume bound
-    takes the ball of the grid's volume, |Omega|^(-s/n) Per_s(B_1) /
-    |B_1|^((n-s)/n): by the fractional isoperimetric inequality it bounds
-    the unit-load constant from below, and over the peak it is a lower
-    bound for the weighted constant of any other load. A zero load carries
-    no set, so its h_ref is inf.
+    The bound is the unit-load constant of the ball with the grid's volume.
+    It bounds the grid domain's unit-load constant from below and equals it
+    on an interval; over the peak it bounds the weighted constant of any
+    other load from below. A zero load carries no set, so its h_ref is inf.
     """
-    spec = cfg.domain
-    if cfg.load == "constant" and spec.shape in ("interval", "ball"):
-        if spec.shape == "interval":
-            radius = 0.5 * (spec.params[1] - spec.params[0])
-        else:
-            radius = float(spec.params[-1])
-        kind = "closed-form"
-    else:
-        radius = (build_grid(spec).measure / BALL_VOLUME[spec.n]) ** (1.0 / spec.n)
-        kind = "volume-bound"
-    unit = ball_cheeger(spec.n, cfg.s, radius)
     peak = abs(cfg.load_scale)
-    return (unit / peak if peak > 0 else math.inf), kind
+    if not peak > 0:
+        return math.inf
+    return faber_krahn_bound(cfg.domain.n, cfg.s, build_grid(cfg.domain).measure) / peak
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +174,10 @@ def _cmd_sweep(args) -> int:
             ],
         }
         if len(table.records) >= 3:
-            h_ref, kind = _reference_cheeger(cfg)
+            h_ref = _reference_cheeger(cfg)
             verdict = classify(table, h_ref)
             char = cheeger_characterization(table, h_ref)
             report["h_ref"] = h_ref
-            report["h_ref_kind"] = kind
             report["classification"] = verdict.classification
             report["l1_ratio"] = verdict.l1_ratio
             report["semi_ratio"] = verdict.semi_ratio
@@ -344,22 +329,17 @@ def _cmd_certify(args) -> int:
     return 0
 
 
-def _cmd_probe(args) -> int:
-    if args.kind == "faber-krahn":
-        return _probe_faber_krahn(args)
-    return _probe_energy_limit(args)
-
-
 def _probe_faber_krahn(args) -> int:
     if args.trials < 0:
         raise ValueError("--trials must be nonnegative")
     s = args.s
-    consts = sharp_constants(1, s, 1.0)
+    if not 0.0 < s < 1.0:  # NaN fails too
+        raise ValueError("--s must lie in (0, 1), got %r" % s)
     reports = []
     # closed-form anchor: the unit interval is the 1-D ball
     grid = build_grid(DomainSpec(1, "interval", (0.0, 1.0), 1.0))
     kern = build_kernel(grid, kernel_exponent(1, s, 1.0))
-    rep = faber_krahn_probe(grid, load_from_array(np.ones(1)), kern, consts)
+    rep = faber_krahn_probe(grid, load_from_array(np.ones(1)), kern, s)
     reports.append({"domain": "unit-interval", "h": rep.h, "bound": rep.bound,
                     "slack": rep.slack, "passed": rep.passed})
     rng = np.random.default_rng(args.seed)
@@ -368,7 +348,7 @@ def _probe_faber_krahn(args) -> int:
         boxes = tuple((float(k), float(k + 1.0)) for k in sorted(cells))
         grid = build_grid(DomainSpec(1, "union", boxes, 1.0))
         kern = build_kernel(grid, kernel_exponent(1, s, 1.0))
-        rep = faber_krahn_probe(grid, load_from_array(np.ones(grid.ncells)), kern, consts)
+        rep = faber_krahn_probe(grid, load_from_array(np.ones(grid.ncells)), kern, s)
         reports.append({"domain": "union-%d" % trial, "h": rep.h, "bound": rep.bound,
                         "slack": rep.slack, "passed": rep.passed})
     all_passed = all(r["passed"] for r in reports)
@@ -462,15 +442,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.set_defaults(func=_cmd_certify)
 
     p_probe = sub.add_parser("probe", help="run a verification probe")
-    p_probe.add_argument("kind", choices=("faber-krahn", "energy-limit"))
-    p_probe.add_argument("--s", type=float, default=0.5)
-    p_probe.add_argument("--seed", type=int, default=0)
-    p_probe.add_argument("--trials", type=int, default=3)
-    p_probe.add_argument("--config", default=None)
-    p_probe.add_argument("--p", type=float, action="append", default=None,
-                         help="schedule entry (repeatable)")
-    p_probe.add_argument("--out", default=None)
-    p_probe.set_defaults(func=_cmd_probe)
+    kinds = p_probe.add_subparsers(dest="kind", required=True)
+    p_fk = kinds.add_parser("faber-krahn", help="Cheeger constants of random "
+                            "unions against the ball of their volume")
+    p_fk.add_argument("--s", type=float, default=0.5)
+    p_fk.add_argument("--seed", type=int, default=0)
+    p_fk.add_argument("--trials", type=int, default=3)
+    p_fk.add_argument("--out", default=None)
+    p_fk.set_defaults(func=_probe_faber_krahn)
+    p_el = kinds.add_parser("energy-limit", help="E_p of a hat field against E_1")
+    order = p_el.add_mutually_exclusive_group()  # a config carries its own s
+    order.add_argument("--s", type=float, default=0.5)
+    order.add_argument("--config", default=None)
+    p_el.add_argument("--p", type=float, action="append", default=None,
+                      help="schedule entry (repeatable)")
+    p_el.add_argument("--out", default=None)
+    p_el.set_defaults(func=_probe_energy_limit)
 
     return parser
 

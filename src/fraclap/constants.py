@@ -2,11 +2,11 @@
 
 Everything here is continuum arithmetic: the profile function phi, the
 one-dimensional r-integral C_{n,s,p}, the sharp constant S_{n,s,p}, and the
-closed-form chain for ball perimeters, ball Cheeger constants, and the
-calibrable critical radius. Quadrature is adaptive Gauss-Kronrod with
-substitutions that absorb both endpoint singularities. scipy's quad and
-hyp2f1 are imported by the functions that call them, so the ball
-constants, which are closed forms, load neither.
+closed-form chain for ball perimeters, ball Cheeger constants, the
+Faber-Krahn bound, and the calibrable critical radius. Quadrature is
+adaptive Gauss-Kronrod with substitutions that absorb both endpoint
+singularities. scipy's quad and hyp2f1 are imported by the functions that
+call them, so the ball constants, which are closed forms, load neither.
 """
 
 from __future__ import annotations
@@ -166,6 +166,14 @@ def ball_cheeger(n: int, s: float, radius: float) -> float:
     if not radius > 0:  # NaN fails too
         raise ValueError("radius must be positive")
     return radius ** (-s) * _unit_ball_perimeter(n, s) / BALL_VOLUME[n]
+
+
+def faber_krahn_bound(n: int, s: float, volume: float) -> float:
+    """Unit-load Cheeger constant of the ball with the given volume,
+    |Omega|^(-s/n) / (2 S_{n,s,1}): by the fractional Faber-Krahn
+    inequality no domain of that volume has a smaller one. Taken through
+    the radius, so an interval's length gives its own closed form."""
+    return ball_cheeger(n, s, (volume / BALL_VOLUME[n]) ** (1.0 / n))
 
 
 def calibrable_radius(n: int, s: float) -> float:

@@ -18,6 +18,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from fraclap.constants import faber_krahn_bound
 from fraclap.domain_grid import (
     DomainSpec,
     Grid,
@@ -356,18 +357,16 @@ def cheeger_characterization(table, h_ref: float) -> CheegerCharacterization:
 @dataclass(frozen=True)
 class FaberKrahnReport:
     h: float
-    bound: float  # |domain|^(-s/n) / (2 S)
+    bound: float  # h of the ball of the grid's volume: |grid|^(-s/n) / (2 S_{n,s,1})
     slack: float  # h / bound - 1
     passed: bool
 
 
-def faber_krahn_probe(
-    grid: Grid, f: LoadField, kernel: KernelSet, constants
-) -> FaberKrahnReport:
-    """Check the volume-normalized lower bound on the Cheeger constant."""
+def faber_krahn_probe(grid: Grid, f: LoadField, kernel: KernelSet, s: float) -> FaberKrahnReport:
+    """Check the exact Cheeger constant against the Faber-Krahn bound of
+    the grid's volume, a lower bound under the unit load."""
     result = brute_force_cheeger(grid, f, kernel)
-    volume = float(np.sum(kernel.m))
-    bound = volume ** (-constants.s / constants.n) / (2.0 * constants.sobolev)
+    bound = faber_krahn_bound(grid.n, s, grid.measure)
     return FaberKrahnReport(
         h=result.h,
         bound=bound,

@@ -344,13 +344,16 @@ def cho_solve(c_and_lower, b, overwrite_b=False, check_finite=True):
 
 
 def _metric_init(f, kernel):
-    """Stationary field of the p = 2 surrogate with identical weights."""
-    big = np.diag(kernel.w.sum(axis=1) + kernel.t) - kernel.w
+    """Stationary field of the p = 2 surrogate with identical weights,
+    whose system is the p = 2 metric at any u."""
     rhs = f.values * kernel.m
-    try:
-        return cho_solve(cho_factor(big), rhs)
-    except LinAlgError:
-        return rhs.copy()
+    hess = _full_metric(np.zeros(rhs.size), kernel, 2.0)
+    if hess is not None:
+        try:
+            return cho_solve(cho_factor(hess), rhs)
+        except LinAlgError:
+            pass
+    return rhs.copy()
 
 
 def _full_metric(u, kernel, p):

@@ -22,6 +22,7 @@ from fraclap.cli import (
 )
 from fraclap.constants import ball_cheeger, calibrable_radius, sharp_constants
 from fraclap.domain_grid import DomainSpec, build_grid, build_kernel
+from fraclap.energy import load_from_array
 from fraclap.experiments import CSV_COLUMNS, make_load, read_config
 from fraclap.geometry import threshold_cheeger
 
@@ -288,7 +289,6 @@ def test_sweep_writes_csv_json_and_plot(tmp_path, small_cfg, capsys):
     report = json.loads((out / "tiny.json").read_text(encoding="utf-8"))
     assert [rec["orbits"] for rec in report["records"]] == [4, 4, 4]
     assert report["classification"] == "vanishing"
-    assert report["h_ref_kind"] == "closed-form"
     assert not report["aborted"]
     assert "tiny.csv" in (out / "tiny.gp").read_text(encoding="utf-8")
 
@@ -307,7 +307,6 @@ def test_sweep_reference_of_nonpositive_constant_load(tmp_path, capsys, scale):
         reports[value] = json.loads((out / "tiny.json").read_text(encoding="utf-8"))
     report = reports[scale]
     assert report["h_ref"] == (math.inf if scale == "0" else reports["1"]["h_ref"])
-    assert report["h_ref_kind"] == "closed-form"
     assert report["classification"] == "vanishing"
 
 
@@ -332,8 +331,7 @@ def test_volume_bound_equals_the_sobolev_form(tmp_path, body):
     path = tmp_path / "ref.cfg"
     path.write_text(_HEAD + body, encoding="utf-8")
     cfg = read_config(str(path))
-    h_ref, kind = _reference_cheeger(cfg)
-    assert kind == "volume-bound"
+    h_ref = _reference_cheeger(cfg)
     n, s = cfg.domain.n, cfg.s
     sobolev = sharp_constants(n, s, 1.0).sobolev
     former = build_grid(cfg.domain).measure ** (-s / n) / (2.0 * sobolev)
@@ -342,8 +340,8 @@ def test_volume_bound_equals_the_sobolev_form(tmp_path, body):
 
 @pytest.mark.parametrize("s", ["0.3", "0.5"])
 def test_volume_bound_of_an_interval_is_its_closed_form(tmp_path, s):
-    # the ball of an interval's length is the interval itself, so both
-    # branches read ball_cheeger at the same radius, with the same bits
+    # the ball of an interval's length is the interval itself, so h_ref is
+    # its closed form bit for bit, under a constant load or any other
     refs = []
     for load in ("constant", "indicator\nload_params = 0 1"):
         path = tmp_path / "ref.cfg"
@@ -353,8 +351,33 @@ def test_volume_bound_of_an_interval_is_its_closed_form(tmp_path, s):
             encoding="utf-8",
         )
         refs.append(_reference_cheeger(read_config(str(path))))
-    assert [kind for _, kind in refs] == ["closed-form", "volume-bound"]
-    assert refs[0][0] == refs[1][0] == ball_cheeger(1, float(s), 16.0)
+    assert refs[0] == refs[1] == ball_cheeger(1, float(s), 16.0)
+
+
+_SNAPPED = DomainSpec(1, "interval", (-16.0, 16.0), 0.3)  # 107 cells, 32.1 long
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+def test_reference_reads_the_grid_volume_not_the_nominal_shape(s):
+    # the grid of (-16, 16) at h = 0.3 is 32.1 long, so h_ref is the
+    # constant of the interval of radius 16.05, not of radius 16
+    h_ref = _reference_cheeger(experiments.RunConfig(domain=_SNAPPED, s=s))
+    assert h_ref == ball_cheeger(1, s, build_grid(_SNAPPED).measure / 2)
+    assert h_ref != ball_cheeger(1, s, 16.0)
+
+
+def test_faber_krahn_probe_bound_is_the_sweep_reference(monkeypatch):
+    # one closed form serves both; the exhaustive search, capped at 20
+    # cells, does not enter the bound, so the whole grid stands in for it
+    grid = build_grid(_SNAPPED)
+    kern = build_kernel(grid, 1.5)
+    f = load_from_array(np.ones(grid.ncells))
+    def whole(grid, f, kernel):
+        return threshold_cheeger(np.ones(grid.ncells), f, kernel)
+
+    monkeypatch.setattr(experiments, "brute_force_cheeger", whole)
+    rep = experiments.faber_krahn_probe(grid, f, kern, 0.5)
+    assert rep.bound == _reference_cheeger(experiments.RunConfig(domain=_SNAPPED, s=0.5))
 
 
 def test_sweep_duplicate_labels_exit_2(tmp_path, small_cfg, capsys):
@@ -981,6 +1004,34 @@ def test_probe_faber_krahn_rejects_negative_trials(capsys):
     assert "configuration error: --trials must be nonnegative" in captured.err
 
 
+@pytest.mark.parametrize("bad", ["0", "1", "nan"])
+def test_probe_faber_krahn_rejects_s_outside_the_unit_interval(capsys, bad):
+    assert main(["probe", "faber-krahn", "--s", bad]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "configuration error: --s must lie in (0, 1)" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["energy-limit", "--trials", "5", "--seed", "3"], "unrecognized arguments"),
+        (["faber-krahn", "--config", "ONE", "--p", "1.1"], "unrecognized arguments"),
+        (["energy-limit", "--config", "ONE", "--s", "0.3"], "not allowed with"),
+    ],
+    ids=["energy-limit-trials-seed", "faber-krahn-config-p", "energy-limit-config-s"],
+)
+def test_probe_rejects_options_its_kind_ignores(onecell_cfg, capsys, argv, message):
+    # each kind parses only its own options; a config carries its own s
+    argv = [str(onecell_cfg) if a == "ONE" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(["probe"] + argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 @pytest.mark.parametrize("bad", ["1.0", "0.5", "nan"])
 def test_probe_energy_limit_rejects_p_not_above_one(capsys, bad):
     # before the fix a p = 1 entry passed the gate vacuously (exit 0)
@@ -1071,7 +1122,13 @@ def test_one_dimensional_commands_load_no_lazy_scipy_subpackage(tmp_path, small_
     )
     assert steps == [[cmd, 0, []] for cmd in ("import", "solve", "sweep", "cheeger", "cheeger")]
     report = json.loads((tmp_path / "out" / "tiny.json").read_text(encoding="utf-8"))
-    assert report["h_ref_kind"] == "closed-form"
+    assert report["h_ref"] == ball_cheeger(1, 0.5, 1.0)
+
+
+def test_probe_faber_krahn_loads_no_lazy_scipy_subpackage(tmp_path):
+    # its bound is the ball's closed form, and its grids are 1-D
+    steps = _footprint(tmp_path, ["probe", "faber-krahn", "--seed", "5", "--trials", "2"])
+    assert steps == [["import", 0, []], ["probe", 0, []]]
 
 
 def test_certify_loads_the_lp_on_first_use(tmp_path, small_cfg):

@@ -397,17 +397,15 @@ def test_threshold_comparisons_agree_on_balls():
 
 
 def test_faber_krahn_unit_interval_is_tight():
-    consts = sharp_constants(1, 0.5, 1.0)
     grid = build_grid(DomainSpec(1, "interval", (0.0, 1.0), 1.0))
     kern = build_kernel(grid, 1.5)
-    rep = faber_krahn_probe(grid, load_from_array(np.ones(1)), kern, consts)
+    rep = faber_krahn_probe(grid, load_from_array(np.ones(1)), kern, 0.5)
     assert rep.passed
     assert abs(rep.slack) < 0.01  # the interval is the extremal domain
     assert rep.bound == pytest.approx(8.0, rel=1e-9)
 
 
 def test_faber_krahn_random_unions_hold():
-    consts = sharp_constants(1, 0.5, 1.0)
     rng = np.random.default_rng(11)
     for _ in range(3):
         cells = sorted(rng.choice(24, size=10, replace=False))
@@ -415,19 +413,18 @@ def test_faber_krahn_random_unions_hold():
         grid = build_grid(DomainSpec(1, "union", boxes, 1.0))
         kern = build_kernel(grid, 1.5)
         rep = faber_krahn_probe(
-            grid, load_from_array(np.ones(grid.ncells)), kern, consts
+            grid, load_from_array(np.ones(grid.ncells)), kern, 0.5
         )
         assert rep.passed
         assert rep.slack > 0.0  # scattered unions are never extremal
 
 
 def test_faber_krahn_split_pair_strict():
-    consts = sharp_constants(1, 0.5, 1.0)
     boxes = ((0.0, 1.0), (9.0, 10.0))
     grid = build_grid(DomainSpec(1, "union", boxes, 1.0))
     kern = build_kernel(grid, 1.5)
     rep = faber_krahn_probe(
-        grid, load_from_array(np.ones(grid.ncells)), kern, consts
+        grid, load_from_array(np.ones(grid.ncells)), kern, 0.5
     )
     assert rep.passed
     assert rep.slack > 0.3

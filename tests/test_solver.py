@@ -597,6 +597,22 @@ def test_newton_direction_is_absent_or_finite_at_any_scale(mirror_case):
                 assert d is None or np.all(np.isfinite(d)), (e, p)
 
 
+def test_metric_init_keeps_the_bits_of_the_p2_system(mirror_case):
+    # at p = 2 every pair weight is w_ij * x ** 0.0 = w_ij, so the metric is
+    # diag(rowsum(w) + t) - w bit for bit at any u, and the cold start
+    # solves that system
+    kern, fields = mirror_case
+    want = np.diag(kern.w.sum(axis=1) + kern.t) - kern.w
+    for u in [np.zeros(kern.m.size)] + fields:
+        assert _same_bits(solver._full_metric(u, kern, 2.0), want)
+    f = load_from_array(np.linspace(-1.0, 2.0, kern.m.size))
+    for pin in _BLAS_PINS:
+        with pin:
+            got = solver._metric_init(f, kern)
+            ref = solver.cho_solve(solver.cho_factor(want), f.values * kern.m)
+        assert _same_bits(got, ref)
+
+
 def test_newton_direction_overflowing_rhs_returns_nonfinite_d(interval16):
     # g * scale overflows for a load of 1e240 on a field near 1e150; the
     # direction comes back not finite instead of raising, and solve_p's
