@@ -13,10 +13,11 @@ Submodules:
   cli           the fraclap console command
 
 Each submodule imports only submodules listed above it, and only at module
-level. scipy's quadrature, LP, sparse and special functions are imported
-by the functions that call them, so a command loads only what it runs.
-The solver loads scipy's LAPACK wrapper on its own, not through
-scipy.linalg, so importing fraclap loads numpy and scipy's top-level
+level. scipy's quadrature, sparse and special functions are imported by
+the functions that call them, so a command loads only what it runs. The
+solver loads scipy's LAPACK wrapper on its own, not through scipy.linalg,
+and certify loads scipy's HiGHS extension with its first LP, not through
+scipy.optimize, so importing fraclap loads numpy and scipy's top-level
 package only.
 """
 

@@ -22,17 +22,27 @@ cells see the same balance data: one free entry per pair of parts that
 holds a tie and one per part of zero cells. On a symmetric field the parts
 are the symmetry orbits, found from the data alone; a field without such
 parts keeps one free entry per tied pair and per zero cell. scipy's sparse
-matrices load with the first certificate and its LP solver with the first
-LP, so importing this module loads neither.
+matrices load with the first certificate, which sums the LP's columns with
+them. The LP goes straight to scipy's HiGHS extension (_highs_core), with
+the model and options linprog(method="highs") passes it, so its answers
+keep linprog's bits without scipy.optimize's Python layers or imports.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
+import threading
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
+import scipy
 
 from fraclap.domain_grid import KernelSet, _check_memory
 from fraclap.energy import LoadField, _as_field
@@ -55,6 +65,18 @@ _LP_BYTES_PER_FREE = 1400
 _TIE_TOL = 1e-12
 
 _TILE = 128  # side of the square tiles of the antisymmetry check
+
+_HIGHS_CORE = "scipy.optimize._highspy._core"
+_HIGHS_LOCK = threading.Lock()
+
+
+class _CSC(NamedTuple):
+    """A sparse matrix's canonical CSC arrays."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: Tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -246,8 +268,6 @@ def _lp_matrix(a):
     constraints -tau <= base + A x <= tau as A_ub (x, tau) <= (-base, base).
     Column k holds A's column, then its negation shifted down by the N
     rows of A; the last column is -1 in every row."""
-    from scipy import sparse
-
     n, ncol = a.shape
     nnz = a.nnz
     ptr = a.indptr
@@ -259,8 +279,88 @@ def _lp_matrix(a):
     data[at], data[below] = a.data, -a.data
     indices[2 * nnz:] = np.arange(2 * n)
     data[2 * nnz:] = -1.0
-    indptr = np.r_[2 * ptr, 2 * nnz + 2 * n].astype(a.indptr.dtype)
-    return sparse.csc_matrix((data, indices, indptr), shape=(2 * n, ncol + 1))
+    indptr = np.r_[2 * ptr, 2 * nnz + 2 * n].astype(ptr.dtype)
+    return _CSC(indptr, indices, data, (2 * n, ncol + 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _highs_core():
+    """scipy's HiGHS extension, scipy/optimize/_highspy/_core, without
+    importing scipy.optimize.
+
+    _core is a pybind11 module whose types register once per process: an
+    initialization under another name, or two running at once, raises
+    ImportError ("... already registered"). So it loads under its full
+    name, one thread at a time, into sys.modules, where a later import of
+    scipy.optimize finds it. A process that imported scipy.optimize first
+    (every 2-D kernel does, through quad) hands out that module; an import
+    of scipy.optimize under way in another thread is waited for, since
+    import_module takes its module lock.
+    """
+    with _HIGHS_LOCK:
+        if "scipy.optimize" in sys.modules:
+            importlib.import_module("scipy.optimize")
+        core = sys.modules.get(_HIGHS_CORE)
+        if core is None:
+            spec = importlib.machinery.PathFinder.find_spec(
+                _HIGHS_CORE,
+                [os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy")],
+            )
+            if spec is None:
+                raise ImportError(_highs_missing("extension " + _HIGHS_CORE))
+            core = importlib.util.module_from_spec(spec)
+            sys.modules[_HIGHS_CORE] = core
+            try:
+                spec.loader.exec_module(core)
+            except BaseException:
+                del sys.modules[_HIGHS_CORE]
+                raise
+        if not hasattr(core, "_Highs"):
+            raise ImportError(_highs_missing("_Highs in " + _HIGHS_CORE))
+        return core
+
+
+def _highs_missing(what):
+    return "fraclap.certify needs scipy's HiGHS: scipy %s at %s has no %s" % (
+        scipy.__version__, scipy.__file__, what)
+
+
+def _solve_lp(lp, rhs):
+    """min tau over |y| <= 1, tau >= 0 subject to lp (y, tau) <= rhs, by
+    HiGHS with the model and options linprog(method="highs") passes it:
+    presolve on, dual simplex, no output, the rows unbounded below and tau
+    above at kHighsInf. Returns (y and tau, or None unless HiGHS reports an
+    optimum; the iterations, linprog's nit)."""
+    h = _highs_core()
+    nrow, ncol = lp.shape
+    inf = h.kHighsInf
+    model = h.HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = ncol
+    model.num_row_ = model.a_matrix_.num_row_ = nrow
+    model.a_matrix_.format_ = h.MatrixFormat.kColwise
+    cost, lower, upper = np.zeros(ncol), np.full(ncol, -1.0), np.ones(ncol)
+    cost[-1], lower[-1], upper[-1] = 1.0, 0.0, inf
+    model.col_cost_, model.col_lower_, model.col_upper_ = cost, lower, upper
+    model.row_lower_ = np.full(nrow, -inf)
+    model.row_upper_ = rhs
+    model.a_matrix_.start_ = lp.indptr
+    model.a_matrix_.index_ = lp.indices
+    model.a_matrix_.value_ = lp.data
+    options = h.HighsOptions()
+    options.presolve = "on"
+    options.highs_debug_level = h.HighsDebugLevel.kHighsDebugLevelNone
+    options.output_flag = options.log_to_console = False
+    options.simplex_strategy = h.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    highs = h._Highs()
+    error = h.HighsStatus.kError
+    if (highs.passOptions(options) == error or highs.passModel(model) == error
+            or highs.run() == error):
+        return None, 0
+    info = highs.getInfo()
+    nit = info.simplex_iteration_count or info.ipm_iteration_count
+    if highs.getModelStatus() != h.HighsModelStatus.kOptimal:
+        return None, nit
+    return np.array(highs.getSolution().col_value), nit
 
 
 def build_certificate(
@@ -289,8 +389,6 @@ def build_certificate(
     sign field of every cell. The returned residual is recomputed from
     the lifted z and zbar.
     """
-    from scipy import sparse
-
     if not (math.isfinite(eps_feas) and eps_feas > 0.0):
         raise ValueError("feasibility tolerance must be finite and positive")
     vals = _as_field(u, kernel)
@@ -320,35 +418,24 @@ def build_certificate(
     y = np.zeros(ncol)
     iters = 0
     if ncol > 0 and np.max(np.abs(base)) > eps_feas * scale:
-        from scipy.optimize import linprog
-
         # min tau over |y| <= 1, tau >= 0 subject to -tau <= base + A y <= tau
-        bounds = np.tile([-1.0, 1.0], (ncol + 1, 1))
-        bounds[-1] = (0.0, np.inf)
-        res = linprog(
-            np.r_[np.zeros(ncol), 1.0],
-            A_ub=_lp_matrix(a),
-            b_ub=np.r_[-base, base],
-            bounds=bounds,
-            method="highs",
-        )
-        iters = int(res.nit)
-        if res.x is not None:
-            y = np.clip(res.x[:ncol], -1.0, 1.0)
+        sol, iters = _solve_lp(_lp_matrix(a), np.concatenate((-base, base)))
+        if sol is not None:
+            y = np.clip(sol[:ncol], -1.0, 1.0)
 
     # lift: every tied pair across two parts takes its block's entry, ties
-    # inside a part 0; A maps them to every cell's balance
+    # inside a part 0; each cell's balance adds its entries' shares in
+    # column order, as a CSR product of the free entries would
     npair, nfree = pi.size, pi.size + ci.size
     x = np.zeros(nfree)
     x[cross] = sign * y[col]
     x[npair:] = y[zcol]
     wf = kernel.w[pi, pj]
-    full = sparse.csr_matrix(
-        (np.r_[wf, -wf, kernel.t[ci]],
-         (np.r_[pi, pj, ci], np.r_[np.arange(npair), np.arange(nfree)])),
-        shape=(n, nfree),
-    )
-    r = base + full @ x
+    rows = np.concatenate((pi, pj, ci))
+    cols = np.concatenate((np.arange(npair), np.arange(nfree)))
+    order = np.lexsort((cols, rows))
+    share = np.concatenate((wf, -wf, kernel.t[ci]))[order] * x[cols[order]]
+    r = base + np.bincount(rows[order], weights=share, minlength=n)
     z[pi, pj] = x[:npair]
     z[pj, pi] = -x[:npair]
     zbar[ci] = x[npair:]

@@ -329,12 +329,18 @@ def _cmd_certify(args) -> int:
     return 0
 
 
+def _probe_order(s):
+    """--s of a probe, checked before its first build_kernel, whose
+    exponent error would otherwise name alpha instead."""
+    if not 0.0 < s < 1.0:  # NaN fails too
+        raise ValueError("--s must lie in (0, 1), got %r" % s)
+    return s
+
+
 def _probe_faber_krahn(args) -> int:
     if args.trials < 0:
         raise ValueError("--trials must be nonnegative")
-    s = args.s
-    if not 0.0 < s < 1.0:  # NaN fails too
-        raise ValueError("--s must lie in (0, 1), got %r" % s)
+    s = _probe_order(args.s)
     reports = []
     # closed-form anchor: the unit interval is the 1-D ball
     grid = build_grid(DomainSpec(1, "interval", (0.0, 1.0), 1.0))
@@ -367,7 +373,7 @@ def _probe_energy_limit(args) -> int:
         s = cfg.s
     else:
         grid = build_grid(DomainSpec(1, "interval", (-1.0, 1.0), 1.0 / 32.0))
-        s = args.s
+        s = _probe_order(args.s)
     schedule = tuple(args.p) if args.p else DEFAULT_PROBE_SCHEDULE
     rep = energy_limit_probe(grid, hat_field(grid), s, schedule)
     out = {

@@ -69,6 +69,8 @@ class RunConfig:
     def __post_init__(self):
         if self.load not in _LOAD_KINDS:
             raise ValueError("load must be one of %s" % (_LOAD_KINDS,))
+        if not math.isfinite(self.load_scale):
+            raise ValueError("load_scale must be finite")
         if self.load == "indicator" and len(self.load_params) != 2 * self.domain.n:
             raise ValueError(
                 "indicator load needs %d corner coordinates" % (2 * self.domain.n)

@@ -4,7 +4,9 @@ partition is all single cells, and as the full LP that the reduced one is
 compared with on symmetric fields.
 
 The fixed signs fill one N x N array, the base balance sums w * z in a
-second one, and the LP matrix is stacked by sparse.bmat.
+second one, the LP matrix is stacked by sparse.bmat, and scipy's linprog
+solves the LP (linprog_lp, the oracle of build_certificate's own HiGHS
+call).
 """
 
 import numpy as np
@@ -42,6 +44,23 @@ def reference_lp(vals, f, kernel):
     return z, zbar, base, pi, pj, ci, a, lp_matrix
 
 
+def linprog_lp(lp, rhs):
+    """(x, nit) of linprog(method="highs") on min tau over |y| <= 1,
+    tau >= 0 subject to lp (y, tau) <= rhs, for lp any matrix with CSC
+    arrays and a shape; x is None when linprog returns no point."""
+    ncol = lp.shape[1]
+    bounds = np.tile([-1.0, 1.0], (ncol, 1))
+    bounds[-1] = (0.0, np.inf)
+    res = linprog(
+        np.r_[np.zeros(ncol - 1), 1.0],
+        A_ub=sparse.csc_matrix((lp.data, lp.indices, lp.indptr), shape=lp.shape),
+        b_ub=rhs,
+        bounds=bounds,
+        method="highs",
+    )
+    return res.x, int(res.nit)
+
+
 def reference_certificate(u, f, kernel, eps_feas=DEFAULT_EPS_FEAS):
     """build_certificate as it was, with every free entry an LP column."""
     vals = np.asarray(u, dtype=float)
@@ -51,18 +70,9 @@ def reference_certificate(u, f, kernel, eps_feas=DEFAULT_EPS_FEAS):
     x = np.zeros(nfree)
     iters = 0
     if nfree > 0 and np.max(np.abs(base)) > eps_feas * scale:
-        bounds = np.tile([-1.0, 1.0], (nfree + 1, 1))
-        bounds[-1] = (0.0, np.inf)
-        res = linprog(
-            np.r_[np.zeros(nfree), 1.0],
-            A_ub=lp_matrix,
-            b_ub=np.r_[-base, base],
-            bounds=bounds,
-            method="highs",
-        )
-        iters = int(res.nit)
-        if res.x is not None:
-            x = np.clip(res.x[:nfree], -1.0, 1.0)
+        sol, iters = linprog_lp(lp_matrix, np.r_[-base, base])
+        if sol is not None:
+            x = np.clip(sol[:nfree], -1.0, 1.0)
     r = base + a @ x
     z[pi, pj] = x[:npair]
     z[pj, pi] = -x[:npair]

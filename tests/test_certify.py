@@ -3,11 +3,17 @@
 import dataclasses
 import math
 import os
+import subprocess
+import sys
+import types
 
 import numpy as np
 import pytest
+import scipy
 
-from certify_reference import reference_certificate, reference_lp
+import fraclap
+from certify_reference import linprog_lp, reference_certificate, reference_lp
+from fraclap import certify
 from fraclap.certify import (
     _LP_BYTES_PER_FREE,
     _TIE_TOL,
@@ -443,6 +449,191 @@ def test_tied_pairs_match_the_pair_scan():
         want_i, want_j = _scanned_ties(u)
         assert pi.dtype == want_i.dtype and pj.dtype == want_j.dtype
         assert np.array_equal(pi, want_i) and np.array_equal(pj, want_j)
+
+
+# ---------------------------------------------------------------------------
+# the HiGHS call
+# ---------------------------------------------------------------------------
+
+
+def _zero_field_case(cells, ratio):
+    """The zero field on (0, cells) under ratio times the interval's
+    Cheeger constant, the whole interval's perimeter over its volume."""
+    grid = build_grid(DomainSpec(1, "interval", (0.0, float(cells)), 1.0))
+    kern = build_kernel(grid, 1.5)
+    ones = np.ones(cells, bool)
+    h = perimeter(ones, kern) / weighted_volume(ones, load_from_array(np.ones(cells)), kern)
+    return np.zeros(cells), load_from_array(np.full(cells, ratio * h)), kern
+
+
+def _union_case(seed):
+    """A random field of -1, 0 and 1 under the signed load sign(u) on a
+    union of 12 unit cells among 30."""
+    rng = np.random.default_rng(seed)
+    cells = np.sort(rng.choice(30, size=12, replace=False))
+    boxes = tuple((float(k), float(k + 1)) for k in cells)
+    grid = build_grid(DomainSpec(1, "union", boxes, 1.0))
+    kern = build_kernel(grid, 1.5)
+    u = rng.integers(-1, 2, size=grid.ncells).astype(float)
+    return u, load_from_array(np.sign(u)), kern
+
+
+def _box_case(side, load, solved):
+    """The zero field on the side x side box, or the field solve_p finds
+    there at p = 1.1, under a constant load."""
+    grid = build_grid(DomainSpec(2, "box", (0.0, 0.0, float(side), float(side)), 1.0))
+    kern = build_kernel(grid, 2.5)
+    f = load_from_array(np.full(grid.ncells, load))
+    u = np.zeros(grid.ncells)
+    if solved:
+        u = solve_p(grid, build_kernel(grid, 2.75), f, SolveConfig(p=1.1, s=0.5)).u
+    return u, f, kern
+
+
+_LP_CASES = {
+    **{"zero%d-%g" % (cells, ratio): (_zero_field_case, cells, ratio)
+       for cells in (16, 32, 64) for ratio in (0.8, 0.999, 1.001, 1.1)},
+    "union-1": (_union_case, 1),
+    "union-2": (_union_case, 2),
+    "box32-solved": (_box_case, 32, 1.0, True),
+    "box12-zero-1": (_box_case, 12, 1.0, False),
+    "box12-zero-3": (_box_case, 12, 3.0, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LP_CASES))
+def test_highs_call_keeps_linprogs_bits(case, monkeypatch):
+    # build_certificate's one LP, solved by its own HiGHS call and by
+    # linprog(method="highs"): the same point, bit for bit, and the same
+    # iterations; the certificate linprog's point gives has the same bits,
+    # and its residual is the CSR product the lift replaces
+    build, *args = _LP_CASES[case]
+    u, f, kern = build(*args)
+    calls = []
+    solve = certify._solve_lp
+
+    def recorded(lp, rhs):
+        calls.append((lp, rhs, solve(lp, rhs)))
+        return calls[-1][2]
+
+    with monkeypatch.context() as m:
+        m.setattr(certify, "_solve_lp", recorded)
+        cert = build_certificate(u, f, kern)
+    assert len(calls) == 1
+    lp, rhs, (x, nit) = calls[0]
+    want_x, want_nit = linprog_lp(lp, rhs)
+    assert nit == want_nit > 0
+    assert x is not None and x.dtype == want_x.dtype and x.tobytes() == want_x.tobytes()
+    with monkeypatch.context() as m:
+        m.setattr(certify, "_solve_lp", linprog_lp)
+        assert _same_bits(cert, build_certificate(u, f, kern))
+    _, _, base, pi, pj, ci, a, _ = reference_lp(u, f, kern)
+    r = base + a @ np.r_[cert.z[pi, pj], cert.zbar[ci]]
+    assert r.tobytes() == cert.residual.tobytes()
+
+
+def test_highs_reports_no_point_off_an_optimum(monkeypatch):
+    # an infeasible model (tau <= -1): no point, as linprog gives none
+    lp = certify._CSC(np.array([0, 1, 2], np.int32), np.array([0, 0], np.int32),
+                      np.array([0.0, 1.0]), (1, 2))
+    x, nit = certify._solve_lp(lp, np.array([-1.0]))
+    want_x, want_nit = linprog_lp(lp, np.array([-1.0]))
+    assert x is None and want_x is None and nit == want_nit
+
+
+def test_missing_highs_raises_import_error_naming_scipy(monkeypatch):
+    where = "scipy %s at %s has no " % (scipy.__version__, scipy.__file__)
+    monkeypatch.setattr(certify, "_HIGHS_CORE", "scipy.optimize._highspy._nohighs")
+    with pytest.raises(ImportError) as err:
+        certify._highs_core.__wrapped__()
+    assert str(err.value).endswith(where + "extension scipy.optimize._highspy._nohighs")
+    monkeypatch.setitem(sys.modules, certify._HIGHS_CORE, types.ModuleType("stub"))
+    with pytest.raises(ImportError) as err:
+        certify._highs_core.__wrapped__()
+    assert str(err.value).endswith(where + "_Highs in scipy.optimize._highspy._nohighs")
+
+
+_HIGHS_ORDER = """\
+import hashlib, sys, threading
+import numpy as np
+from fraclap.certify import build_certificate
+from fraclap.domain_grid import DomainSpec, build_grid, build_kernel
+from fraclap.energy import load_from_array
+
+CORE = "scipy.optimize._highspy._core"
+grid = build_grid(DomainSpec(1, "interval", (0.0, 16.0), 1.0))
+kern = build_kernel(grid, 1.5)
+u = np.zeros(16)
+loads = [load_from_array(np.full(16, c)) for c in (0.4, 0.5, 0.6, 0.7)]
+
+
+def digest(cert):
+    assert cert.iterations > 0
+    return hashlib.sha256(b"".join(np.asarray(getattr(cert, k)).tobytes() for k in (
+        "z", "zbar", "residual", "max_residual", "feasible", "iterations"))).hexdigest()
+
+
+def linprog_runs():
+    from scipy.optimize import linprog
+    res = linprog([1.0, 1.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], method="highs")
+    assert res.status == 0 and res.fun == 1.0
+
+
+order = sys.argv[1]
+if order == "scipy.optimize first":
+    linprog_runs()
+    core = sys.modules[CORE]
+if order == "threads":
+    # more threads than cores, switching often, all starting at once
+    start = threading.Barrier(len(loads))
+    got = [None] * len(loads)
+
+    def first(k):
+        start.wait()
+        got[k] = digest(build_certificate(u, loads[k], kern))
+
+    threads = [threading.Thread(target=first, args=(k,)) for k in range(len(loads))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+digests = [digest(build_certificate(u, f, kern)) for f in loads]
+if order == "threads":
+    assert got == digests, (got, digests)
+if order == "certificate first":
+    assert "scipy.optimize" not in sys.modules and "scipy.linalg" not in sys.modules
+    core = sys.modules[CORE]
+    linprog_runs()
+if order != "threads":
+    from scipy.optimize._highspy import _highs_wrapper
+    assert _highs_wrapper._h is core is sys.modules[CORE]
+    assert [digest(build_certificate(u, f, kern)) for f in loads] == digests
+print(*digests)
+"""
+
+
+def test_highs_loads_once_in_any_order():
+    # the extension initializes once per process: a certificate before
+    # scipy.optimize registers it for scipy's own import, one after reuses
+    # scipy's, and four threads' first certificates, started at once,
+    # share one load; the bits are the same in all three
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fraclap.__file__)))
+    outputs = []
+    for order in ("certificate first", "scipy.optimize first", "threads"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _HIGHS_ORDER, order],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, (order, proc.stderr)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1] == outputs[2] and len(outputs[0].split()) == 4
 
 
 # ---------------------------------------------------------------------------

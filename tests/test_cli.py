@@ -266,6 +266,16 @@ def test_sweep_checks_every_config_before_output_or_solve(tmp_path, small_cfg,
     assert calls == []
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_sweep_non_finite_load_scale_exits_2_before_output(tmp_path, capsys, value):
+    path = tmp_path / "load.cfg"
+    path.write_text(SMALL_CFG + "load_scale = %s\n" % value, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+    assert "configuration error: load_scale must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_sweep_threads_below_one_exit_2_before_output(tmp_path, small_cfg, capsys,
                                                       threads):
@@ -1012,6 +1022,15 @@ def test_probe_faber_krahn_rejects_s_outside_the_unit_interval(capsys, bad):
     assert "configuration error: --s must lie in (0, 1)" in captured.err
 
 
+@pytest.mark.parametrize("bad", ["0", "1", "nan"])
+def test_probe_energy_limit_rejects_s_outside_the_unit_interval(capsys, bad):
+    assert main(["probe", "energy-limit", "--s", bad]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "configuration error: --s must lie in (0, 1)" in captured.err
+    assert "alpha" not in captured.err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -1132,7 +1151,8 @@ def test_probe_faber_krahn_loads_no_lazy_scipy_subpackage(tmp_path):
 
 
 def test_certify_loads_the_lp_on_first_use(tmp_path, small_cfg):
-    # the zero field leaves every exterior sign free, so the LP runs
+    # the zero field leaves every exterior sign free, so the LP runs; it
+    # goes to scipy's HiGHS extension, not through scipy.optimize
     grid = build_grid(read_config(str(small_cfg)).domain)
     (tmp_path / "zero.csv").write_text(
         _field_csv_text(grid, np.zeros(grid.ncells)), encoding="utf-8"
@@ -1144,7 +1164,6 @@ def test_certify_loads_the_lp_on_first_use(tmp_path, small_cfg):
     assert steps[0] == ["import", 0, []]
     command, code, loaded = steps[1]
     assert (command, code) == ("certify", 0)
-    assert {"scipy.optimize", "scipy.sparse"} <= set(loaded)
-    assert "scipy.integrate" not in loaded
+    assert loaded == ["scipy.sparse"]
     report = json.loads((tmp_path / "out" / "tiny_certificate.json").read_text(encoding="utf-8"))
     assert report["iterations"] > 0 and report["verified"]
