@@ -15,10 +15,11 @@ Submodules:
 Each submodule imports only submodules listed above it, and only at module
 level. scipy's quadrature, sparse and special functions are imported by
 the functions that call them, so a command loads only what it runs. The
-solver loads scipy's LAPACK wrapper on its own, not through scipy.linalg,
-and certify loads scipy's HiGHS extension with its first LP, not through
-scipy.optimize, so importing fraclap loads numpy and scipy's top-level
-package only.
+solver loads scipy's LAPACK wrapper, and certify scipy's HiGHS extension
+with its first LP, through one loader (solver._scipy_extension) that
+registers each under its full name, once per process, without importing
+scipy.linalg or scipy.optimize; importing fraclap loads numpy, scipy's
+top-level package and the LAPACK wrapper only.
 """
 
 from fraclap.certify import (

@@ -26,18 +26,14 @@ matrices load with the first certificate, which sums the LP's columns with
 them. The LP goes straight to scipy's HiGHS extension (_highs_core), with
 the model and options linprog(method="highs") passes it, so its answers
 keep linprog's bits without scipy.optimize's Python layers or imports.
+The extension loads once per process through solver._scipy_extension,
+which loads the solver's LAPACK wrapper the same way.
 """
 
 from __future__ import annotations
 
 import functools
-import importlib
-import importlib.machinery
-import importlib.util
 import math
-import os
-import sys
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Tuple
 
@@ -47,6 +43,7 @@ import scipy
 from fraclap.domain_grid import KernelSet, _check_memory
 from fraclap.energy import LoadField, _as_field
 from fraclap.quotient import _BLOCK, first_seen
+from fraclap.solver import _scipy_extension
 
 DEFAULT_EPS_FEAS = 1e-8
 
@@ -67,7 +64,6 @@ _TIE_TOL = 1e-12
 _TILE = 128  # side of the square tiles of the antisymmetry check
 
 _HIGHS_CORE = "scipy.optimize._highspy._core"
-_HIGHS_LOCK = threading.Lock()
 
 
 class _CSC(NamedTuple):
@@ -285,44 +281,14 @@ def _lp_matrix(a):
 
 @functools.lru_cache(maxsize=None)
 def _highs_core():
-    """scipy's HiGHS extension, scipy/optimize/_highspy/_core, without
-    importing scipy.optimize.
-
-    _core is a pybind11 module whose types register once per process: an
-    initialization under another name, or two running at once, raises
-    ImportError ("... already registered"). So it loads under its full
-    name, one thread at a time, into sys.modules, where a later import of
-    scipy.optimize finds it. A process that imported scipy.optimize first
-    (every 2-D kernel does, through quad) hands out that module; an import
-    of scipy.optimize under way in another thread is waited for, since
-    import_module takes its module lock.
-    """
-    with _HIGHS_LOCK:
-        if "scipy.optimize" in sys.modules:
-            importlib.import_module("scipy.optimize")
-        core = sys.modules.get(_HIGHS_CORE)
-        if core is None:
-            spec = importlib.machinery.PathFinder.find_spec(
-                _HIGHS_CORE,
-                [os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy")],
-            )
-            if spec is None:
-                raise ImportError(_highs_missing("extension " + _HIGHS_CORE))
-            core = importlib.util.module_from_spec(spec)
-            sys.modules[_HIGHS_CORE] = core
-            try:
-                spec.loader.exec_module(core)
-            except BaseException:
-                del sys.modules[_HIGHS_CORE]
-                raise
-        if not hasattr(core, "_Highs"):
-            raise ImportError(_highs_missing("_Highs in " + _HIGHS_CORE))
-        return core
-
-
-def _highs_missing(what):
-    return "fraclap.certify needs scipy's HiGHS: scipy %s at %s has no %s" % (
-        scipy.__version__, scipy.__file__, what)
+    """scipy's HiGHS extension, scipy/optimize/_highspy/_core, from
+    solver._scipy_extension: loaded once per process without importing
+    scipy.optimize, or scipy.optimize's own copy where that came first."""
+    core = _scipy_extension(_HIGHS_CORE)
+    if not hasattr(core, "_Highs"):
+        raise ImportError("fraclap.certify needs scipy's HiGHS: scipy %s at %s has "
+                          "no _Highs in %s" % (scipy.__version__, scipy.__file__, _HIGHS_CORE))
+    return core
 
 
 def _solve_lp(lp, rhs):

@@ -45,7 +45,11 @@ from fraclap.experiments import (
     write_csv,
     write_json,
 )
-from fraclap.geometry import brute_force_cheeger, threshold_cheeger
+from fraclap.geometry import (
+    BRUTE_FORCE_CELL_CAP,
+    brute_force_cheeger,
+    threshold_cheeger,
+)
 from fraclap.solver import SolverError, solve_p
 
 DEFAULT_PROBE_SCHEDULE = (1.3, 1.2, 1.1, 1.05, 1.02, 1.01)
@@ -207,6 +211,13 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_cheeger(args) -> int:
     cfg = read_config(args.config)
+    ncells = build_grid(cfg.domain).ncells
+    if args.field is None and ncells > BRUTE_FORCE_CELL_CAP:
+        raise ValueError(
+            "exhaustive search takes at most %d cells, this grid has %d: "
+            "pass --field to search the superlevel sets of a field"
+            % (BRUTE_FORCE_CELL_CAP, ncells)
+        )
     grid, kern, f = _instance(cfg, 1.0)
     if args.field is None:
         result = brute_force_cheeger(grid, f, kern)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -71,10 +72,17 @@ class RunConfig:
             raise ValueError("load must be one of %s" % (_LOAD_KINDS,))
         if not math.isfinite(self.load_scale):
             raise ValueError("load_scale must be finite")
+        if self.load != "indicator" and self.load_params:
+            raise ValueError("%s load takes no load_params" % self.load)
         if self.load == "indicator" and len(self.load_params) != 2 * self.domain.n:
             raise ValueError(
                 "indicator load needs %d corner coordinates" % (2 * self.domain.n)
             )
+        if not all(map(math.isfinite, self.load_params)):
+            raise ValueError("indicator load corners must be finite")
+        # outputs are named <label>.csv and so on inside --out
+        if self.label in ("", ".", "..") or "/" in self.label or os.sep in self.label:
+            raise ValueError("label must be a file name, got %r" % self.label)
         if not self.schedule:
             raise ValueError("empty p schedule")
         for p in self.schedule:  # its form; solve_config checks its window

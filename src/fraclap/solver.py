@@ -36,12 +36,14 @@ on each orbit, and the functional restricted to such fields
 and expands the result.
 
 The metric's Cholesky factor and solve are LAPACK potrf and potrs from
-scipy's own f2py wrapper, _flapack, loaded straight from scipy's linalg
-directory (_load_scipy_linalg_extension): the very routines
-scipy.linalg.lapack hands out, without the cost of importing
-scipy.linalg. scipy's OpenBLAS runs each solve on one thread
-(_one_blas_thread): its threaded potrf rounds differently, so with more
-threads the iterates, and every output, would depend on the thread count.
+scipy's own f2py wrapper, scipy.linalg._flapack, loaded straight from
+scipy's linalg directory without the cost of importing scipy.linalg: the
+very routines scipy.linalg.lapack hands out, from the one copy of the
+module it uses too. _scipy_extension loads such compiled modules for
+fraclap, certify's HiGHS included, each once per process. scipy's
+OpenBLAS runs each solve on one thread (_one_blas_thread): its threaded
+potrf rounds differently, so with more threads the iterates, and every
+output, would depend on the thread count.
 """
 
 from __future__ import annotations
@@ -49,10 +51,12 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import importlib
 import importlib.machinery
 import importlib.util
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -80,33 +84,49 @@ _EPS_E = 1e-12  # relative energy decrement below which a step may be stagnant
 _PAIRWISE_BLOCK = 8  # numpy sums at least this many entries pairwise
 
 
-def _scipy_linalg_spec(name):
-    """The import spec of scipy's extension module scipy/linalg/<name>,
-    found without importing scipy.linalg."""
-    spec = importlib.machinery.PathFinder.find_spec(
-        name, [os.path.join(os.path.dirname(scipy.__file__), "linalg")]
-    )
-    if spec is None:
-        raise ImportError(
-            "fraclap.solver needs scipy's LAPACK wrapper: scipy %s at %s has "
-            "no linalg/%s extension" % (scipy.__version__, scipy.__file__, name)
-        )
-    return spec
+_EXTENSION_LOCK = threading.Lock()
 
 
-def _load_scipy_linalg_extension(name):
-    """scipy's extension module scipy/linalg/<name>, loaded on its own:
-    only the extension's init runs, which needs numpy and nothing of
-    scipy.linalg. The module stays out of sys.modules."""
-    spec = _scipy_linalg_spec(name)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+def _scipy_extension(name):
+    """scipy's compiled module of full dotted name `name`, such as
+    "scipy.linalg._flapack", initialized once per process and without
+    importing its public subpackage (scipy.linalg).
+
+    A second initialization doubles the module's memory, and for a
+    pybind11 module raises ImportError ("... already registered"). So the
+    module loads under its full name, one thread at a time, into
+    sys.modules, where a later import of the subpackage finds it. A
+    process that imported the subpackage first hands out that copy; an
+    import of it under way in another thread is waited for, since
+    import_module takes its module lock.
+    """
+    with _EXTENSION_LOCK:
+        package = ".".join(name.split(".")[:2])
+        if package in sys.modules:
+            importlib.import_module(package)
+        mod = sys.modules.get(name)
+        if mod is None:
+            spec = importlib.machinery.PathFinder.find_spec(
+                name,
+                [os.path.join(os.path.dirname(scipy.__file__), *name.split(".")[1:-1])],
+            )
+            if spec is None:
+                raise ImportError("fraclap needs scipy's compiled modules: scipy %s at "
+                                  "%s has no extension %s"
+                                  % (scipy.__version__, scipy.__file__, name))
+            mod = importlib.util.module_from_spec(spec)
+            sys.modules[name] = mod
+            try:
+                spec.loader.exec_module(mod)
+            except BaseException:
+                del sys.modules[name]
+                raise
+        return mod
 
 
 # float64 potrf and potrs: the routines get_lapack_funcs(("potrf", "potrs"),
 # (np.empty(0),)) returns, with the same C function pointers
-_flapack = _load_scipy_linalg_extension("_flapack")
+_flapack = _scipy_extension("scipy.linalg._flapack")
 _POTRF, _POTRS = _flapack.dpotrf, _flapack.dpotrs
 
 
@@ -262,10 +282,10 @@ def _snap_pass(u, f_cur, f, kernel, p):
 def _openblas_thread_calls():
     """(get, set) of scipy's OpenBLAS thread count as ctypes functions, or
     None where its library does not export them. scipy links its own
-    OpenBLAS, apart from numpy's; _flapack's LAPACK runs on it, and scipy's
-    BLAS extension _fblas, opened here as a shared library, links it."""
+    OpenBLAS, apart from numpy's; _flapack links it and runs its LAPACK on
+    it, so _flapack's own file, opened as a shared library, resolves them."""
     try:
-        lib = ctypes.CDLL(_scipy_linalg_spec("_fblas").origin)
+        lib = ctypes.CDLL(_flapack.__file__)
         get = lib.scipy_openblas_get_num_threads
         put = lib.scipy_openblas_set_num_threads
     except (OSError, AttributeError):

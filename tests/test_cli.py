@@ -11,7 +11,7 @@ import pytest
 
 import fraclap
 from certify_reference import reference_certificate
-from fraclap import experiments
+from fraclap import cli, experiments
 from fraclap.certify import _TIE_TOL, build_certificate, verify_certificate
 from fraclap.cli import (
     _field_csv_text,
@@ -276,6 +276,40 @@ def test_sweep_non_finite_load_scale_exits_2_before_output(tmp_path, capsys, val
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["sweep", "solve"])
+@pytest.mark.parametrize("label", ["../escaped", "x/y", "..", ".", ""])
+def test_label_that_is_no_file_name_exits_2_before_output(tmp_path, capsys, command,
+                                                         label):
+    # outputs are named after the label inside --out: a label with a
+    # separator, or . or .., would write beside --out or fail after the solve
+    path = tmp_path / "bad.cfg"
+    path.write_text(SMALL_CFG.replace("label = tiny", "label = " + label),
+                    encoding="utf-8")
+    out = tmp_path / "runs" / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert "label must be a file name" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.rglob("*")] == ["bad.cfg"]
+
+
+@pytest.mark.parametrize(
+    "load, message",
+    [
+        ("indicator\nload_params = nan 1", "indicator load corners must be finite"),
+        ("bump\nload_params = 0 0", "bump load takes no load_params"),
+        ("constant\nload_params = 1", "constant load takes no load_params"),
+    ],
+    ids=["indicator-nan", "bump", "constant"],
+)
+def test_sweep_unusable_load_params_exit_2_before_output(tmp_path, capsys, load,
+                                                         message):
+    path = tmp_path / "load.cfg"
+    path.write_text(SMALL_CFG + "load = %s\n" % load, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+    assert "configuration error: " + message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_sweep_threads_below_one_exit_2_before_output(tmp_path, small_cfg, capsys,
                                                       threads):
@@ -428,6 +462,25 @@ def test_cheeger_brute_too_large_exits_2(tmp_path, capsys):
     path.write_text(SMALL_CFG.replace("h = 0.25", "h = 0.0625"), encoding="utf-8")
     code = main(["cheeger", "--config", str(path), "--out", str(tmp_path)])
     assert code == 2
+
+
+def test_cheeger_without_field_exits_2_before_the_kernel(tmp_path, capsys, monkeypatch):
+    # 64 cells pass the exhaustive search's cap: the command stops before
+    # it builds the kernel, names --field, and loads no quadrature
+    box = str(_box_without_schedule(tmp_path, 8))
+    out = tmp_path / "out"
+    with monkeypatch.context() as m:
+        m.setattr(cli, "build_kernel", _no_kernel)
+        assert main(["cheeger", "--config", box, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "this grid has 64" in err and "pass --field" in err
+    assert not out.exists()
+    steps = _footprint(tmp_path, ["cheeger", "--config", box, "--out", "out"])
+    assert steps == [["import", 0, []], ["cheeger", 2, []]]
+
+
+def _no_kernel(*args, **kwargs):
+    raise AssertionError("kernel built")
 
 
 def _field_values(path):

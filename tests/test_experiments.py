@@ -5,6 +5,8 @@ a documented margin (search for "gate:" below); the measured values are in
 the assertion messages and the README.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,21 @@ def test_runconfig_rejects_bad_load():
 def test_runconfig_rejects_indicator_without_region():
     with pytest.raises(ValueError, match="indicator load needs"):
         small_config(load="indicator")
+
+
+@pytest.mark.parametrize("load", ["constant", "bump"])
+def test_runconfig_rejects_load_params_its_load_ignores(load):
+    with pytest.raises(ValueError, match="%s load takes no load_params" % load):
+        small_config(load=load, load_params=(0.0, 0.0))
+
+
+@pytest.mark.parametrize("corner", [math.nan, math.inf, -math.inf])
+def test_runconfig_rejects_non_finite_indicator_corners(corner):
+    # a NaN corner fails every comparison, which left the load zero
+    with pytest.raises(ValueError, match="indicator load corners must be finite"):
+        small_config(load="indicator", load_params=(corner, 1.0))
+    with pytest.raises(ValueError, match="indicator load corners must be finite"):
+        small_config(load="indicator", load_params=(-1.0, corner))
 
 
 def test_runconfig_rejects_inadmissible_schedule(monkeypatch):

@@ -13,6 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.linalg.lapack import get_lapack_funcs
 
@@ -677,8 +678,11 @@ def test_lapack_routines_are_scipys():
 
 
 def test_missing_lapack_extension_raises_import_error():
-    with pytest.raises(ImportError, match="no linalg/_nolapack extension"):
-        solver._scipy_linalg_spec("_nolapack")
+    where = "scipy %s at %s has no " % (scipy.__version__, scipy.__file__)
+    with pytest.raises(ImportError) as err:
+        solver._scipy_extension("scipy.linalg._nolapack")
+    assert str(err.value).endswith(where + "extension scipy.linalg._nolapack")
+    assert "scipy.linalg._nolapack" not in sys.modules
 
 
 _LOAD_ORDER = """\
@@ -692,6 +696,7 @@ else:
     from fraclap import solver
     assert "scipy.linalg" not in sys.modules
     import scipy.linalg
+assert sys.modules["scipy.linalg._flapack"] is solver._flapack is scipy.linalg.lapack._flapack
 rng = np.random.default_rng(2801)
 for n in (16, 136):
     b = rng.normal(size=(n, n))
@@ -711,9 +716,10 @@ for n in (16, 136):
 
 
 def test_cholesky_keeps_scipy_bits_in_either_load_order():
-    # _flapack initializes a second time, under its own name, in a process
-    # that also imports scipy.linalg: either way round, solver.cho_factor
-    # and cho_solve give scipy's bits on seeded SPD matrices
+    # _flapack initializes once per process, under its full name: the
+    # solver and scipy.linalg share one module object either way round,
+    # and solver.cho_factor and cho_solve give scipy's bits on seeded SPD
+    # matrices
     src = os.path.dirname(os.path.dirname(os.path.abspath(solver.__file__)))
     outputs = []
     for order in ("scipy.linalg first", "fraclap.solver first"):
