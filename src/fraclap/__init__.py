@@ -13,8 +13,8 @@ Submodules:
   cli           the fraclap console command
 
 Each submodule imports only submodules listed above it, and only at module
-level. scipy's quadrature, sparse and special functions are imported by
-the functions that call them, so a command loads only what it runs. The
+level. scipy's quadrature and special functions are imported by the
+functions that call them, so a command loads only what it runs. The
 solver loads scipy's LAPACK wrapper, and certify scipy's HiGHS extension
 with its first LP, through one loader (solver._scipy_extension) that
 registers each under its full name, once per process, without importing

@@ -21,11 +21,11 @@ The LP runs on a partition of the tied cells (_tie_parts) into parts whose
 cells see the same balance data: one free entry per pair of parts that
 holds a tie and one per part of zero cells. On a symmetric field the parts
 are the symmetry orbits, found from the data alone; a field without such
-parts keeps one free entry per tied pair and per zero cell. scipy's sparse
-matrices load with the first certificate, which sums the LP's columns with
-them. The LP goes straight to scipy's HiGHS extension (_highs_core), with
-the model and options linprog(method="highs") passes it, so its answers
-keep linprog's bits without scipy.optimize's Python layers or imports.
+parts keeps one free entry per tied pair and per zero cell. numpy
+assembles the LP (_lp_matrix), and it goes straight to scipy's HiGHS
+extension (_highs_core), with the model and options
+linprog(method="highs") passes it, so its answers keep linprog's bits
+without scipy.sparse, scipy.optimize's Python layers or their imports.
 The extension loads once per process through solver._scipy_extension,
 which loads the solver's LAPACK wrapper the same way.
 """
@@ -67,7 +67,8 @@ _HIGHS_CORE = "scipy.optimize._highspy._core"
 
 
 class _CSC(NamedTuple):
-    """A sparse matrix's canonical CSC arrays."""
+    """Canonical CSC arrays, as HiGHS takes a column-wise matrix: column
+    k's rows, ascending, and values at indptr[k]:indptr[k + 1]."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -115,6 +116,12 @@ def _scale(fm, kernel):
     """Residual normalization max(max |f m|, max t), or 1 when both vanish."""
     scale = max(float(np.max(np.abs(fm))), float(np.max(kernel.t)))
     return scale if scale != 0.0 else 1.0
+
+
+def _check_eps(eps_feas):
+    """Reject a feasibility tolerance that is not finite and positive."""
+    if not (math.isfinite(eps_feas) and eps_feas > 0.0):
+        raise ValueError("feasibility tolerance must be finite and positive")
 
 
 def _check_lp_fits(vals):
@@ -223,24 +230,26 @@ def _tie_parts(group, base, tz, w, pi, pj, tol):
     return first_seen(label)[0]
 
 
-def _lp_columns(part, pi, pj, ci, kernel):
-    """The reduced LP's columns on the tie partition part: returns
-    (a, cross, col, sign, zcol), with a the CSC matrix of the columns'
-    shares of every cell's balance, cross the indices of the tied pairs
-    across two parts, col and sign the column and orientation of each of
-    them (-1 if it ties the block's parts the other way round), and zcol
-    the column of each zero cell.
+def _lp_matrix(part, pi, pj, ci, kernel):
+    """The reduced LP on the tie partition part: returns (lp, cross, col,
+    sign, zcol), with lp the canonical CSC arrays of [[A, -1], [-A, -1]],
+    cross the indices of the tied pairs across two parts, col and sign the
+    column and orientation of each of them (-1 if it ties the block's
+    parts the other way round), and zcol the column of each zero cell.
 
-    A block is a pair of parts a, b holding a tie; its column is z_ij for
-    i in a and j in b, with (a, b) the parts of the block's first tied
-    pair in row-major order, and the columns follow those first pairs.
-    Column (a, b) enters row i of a with S_i(b) and row j of b with
-    -S_j(a); the zero parts follow, in part order, entering row i with
-    t_i. With every part a single cell this is one column per tied pair
-    (w_ij in row i, -w_ij in row j) and per zero cell, in that order.
+    A holds the columns' shares of every cell's balance. A block is a pair
+    of parts a, b holding a tie; its column is z_ij for i in a and j in b,
+    with (a, b) the parts of the block's first tied pair in row-major
+    order, and the columns follow those first pairs. Column (a, b) enters
+    row i of a with S_i(b) and row j of b with -S_j(a); the zero parts
+    follow, in part order, entering row i with t_i. With every part a
+    single cell this is one column per tied pair (w_ij in row i, -w_ij in
+    row j) and per zero cell, in that order. The LP's triplets are A's,
+    their negations N rows down and tau's -1 in every row; each entry
+    sums its shares left to right in triplet order (a stable sort of the
+    positions, column-major, then one bincount), so -A is A's exact
+    negation.
     """
-    from scipy import sparse
-
     n = part.size
     pa, pb = part[pi], part[pj]
     cross = np.flatnonzero(pa != pb)
@@ -249,34 +258,22 @@ def _lp_columns(part, pi, pj, ci, kernel):
     sign = np.where(pa == pa[first][col], 1.0, -1.0)
     zparts, zinv = np.unique(part[ci], return_inverse=True)
     zcol = first.size + zinv
+    ncol = first.size + zparts.size
     sw = sign * kernel.w[pi[cross], pj[cross]]
-    a = sparse.csc_matrix(
-        (np.r_[sw, -sw, kernel.t[ci]],
-         (np.r_[pi[cross], pj[cross], ci], np.r_[col, col, zcol])),
-        shape=(n, first.size + zparts.size),
-    )
-    a.sum_duplicates()
-    return a, cross, col, sign, zcol
-
-
-def _lp_matrix(a):
-    """[[A, -1], [-A, -1]] in canonical CSC, from A in canonical CSC: the
-    constraints -tau <= base + A x <= tau as A_ub (x, tau) <= (-base, base).
-    Column k holds A's column, then its negation shifted down by the N
-    rows of A; the last column is -1 in every row."""
-    n, ncol = a.shape
-    nnz = a.nnz
-    ptr = a.indptr
-    at = np.repeat(ptr[:-1], np.diff(ptr)) + np.arange(nnz)
-    below = at + np.repeat(np.diff(ptr), np.diff(ptr))
-    indices = np.empty(2 * nnz + 2 * n, dtype=a.indices.dtype)
-    data = np.empty(2 * nnz + 2 * n)
-    indices[at], indices[below] = a.indices, a.indices + n
-    data[at], data[below] = a.data, -a.data
-    indices[2 * nnz:] = np.arange(2 * n)
-    data[2 * nnz:] = -1.0
-    indptr = np.r_[2 * ptr, 2 * nnz + 2 * n].astype(ptr.dtype)
-    return _CSC(indptr, indices, data, (2 * n, ncol + 1))
+    share = np.r_[sw, -sw, kernel.t[ci]]
+    nrow = 2 * n
+    # each triplet's position in the LP matrix, column * nrow + row
+    at = np.r_[col, col, zcol] * nrow + np.r_[pi[cross], pj[cross], ci]
+    at = np.r_[at, at + n, ncol * nrow + np.arange(nrow)]
+    order = np.argsort(at, kind="stable")
+    at = at[order]
+    new = np.diff(at, prepend=-1) != 0
+    data = np.bincount(np.cumsum(new) - 1,
+                       weights=np.r_[share, -share, np.full(nrow, -1.0)][order])
+    at = at[new]
+    indptr = np.searchsorted(at, np.arange(ncol + 2) * nrow).astype(np.int32)
+    lp = _CSC(indptr, (at % nrow).astype(np.int32), data, (nrow, ncol + 1))
+    return lp, cross, col, sign, zcol
 
 
 @functools.lru_cache(maxsize=None)
@@ -355,8 +352,7 @@ def build_certificate(
     sign field of every cell. The returned residual is recomputed from
     the lifted z and zbar.
     """
-    if not (math.isfinite(eps_feas) and eps_feas > 0.0):
-        raise ValueError("feasibility tolerance must be finite and positive")
+    _check_eps(eps_feas)
     vals = _as_field(u, kernel)
     groups = _check_lp_fits(vals)
     pi, pj = _tied_pairs(*groups)
@@ -379,13 +375,13 @@ def build_certificate(
 
     tz = np.where(vals == 0.0, kernel.t, 0.0)
     part = _tie_parts(groups[0], base, tz, kernel.w, pi, pj, _TIE_TOL * scale)
-    a, cross, col, sign, zcol = _lp_columns(part, pi, pj, ci, kernel)
-    ncol = a.shape[1]
+    lp, cross, col, sign, zcol = _lp_matrix(part, pi, pj, ci, kernel)
+    ncol = lp.shape[1] - 1
     y = np.zeros(ncol)
     iters = 0
     if ncol > 0 and np.max(np.abs(base)) > eps_feas * scale:
         # min tau over |y| <= 1, tau >= 0 subject to -tau <= base + A y <= tau
-        sol, iters = _solve_lp(_lp_matrix(a), np.concatenate((-base, base)))
+        sol, iters = _solve_lp(lp, np.concatenate((-base, base)))
         if sol is not None:
             y = np.clip(sol[:ncol], -1.0, 1.0)
 

@@ -9,6 +9,7 @@ failure (non-convergence, failed quadrature, or a failed probe gate).
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -16,7 +17,7 @@ import sys
 
 import numpy as np
 
-from fraclap.certify import build_certificate, verify_certificate
+from fraclap.certify import _check_eps, build_certificate, verify_certificate
 from fraclap.constants import (
     QuadratureError,
     ball_perimeter,
@@ -75,6 +76,15 @@ def _write(path, text) -> None:
         fh.write(text)
 
 
+def _check_out(path) -> None:
+    """Raise what os.makedirs(path, exist_ok=True) would where path exists
+    and is no directory, before any kernel is built. The directory itself
+    is made with the outputs, so input rejected on the way (by the kernel's
+    or the LP's memory guard, say) leaves nothing behind."""
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), path)
+
+
 def _reference_cheeger(cfg: RunConfig) -> float:
     """h_ref: the Faber-Krahn bound at the grid's volume over |load_scale|.
 
@@ -110,9 +120,10 @@ def _cmd_constants(args) -> int:
     return 0
 
 
-def _instance(cfg: RunConfig, p: float):
-    """Grid, kernel at the exponent of p, and load of one run config."""
-    grid = build_grid(cfg.domain)
+def _instance(cfg: RunConfig, p: float, grid=None):
+    """Grid, kernel at the exponent of p, and load of one run config; the
+    grid is built unless the caller passes the one it built."""
+    grid = build_grid(cfg.domain) if grid is None else grid
     kern = build_kernel(grid, kernel_exponent(grid.n, cfg.s, p))
     return grid, kern, make_load(grid, cfg)
 
@@ -121,6 +132,7 @@ def _cmd_solve(args) -> int:
     cfg = read_config(args.config)
     p = max(cfg.schedule) if args.p is None else args.p
     scfg = cfg.solve_config(p)
+    _check_out(args.out)
     grid, kern, f = _instance(cfg, p)
     sol = solve_p(grid, kern, f, scfg)
     os.makedirs(args.out, exist_ok=True)
@@ -211,18 +223,19 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_cheeger(args) -> int:
     cfg = read_config(args.config)
-    ncells = build_grid(cfg.domain).ncells
-    if args.field is None and ncells > BRUTE_FORCE_CELL_CAP:
+    grid = build_grid(cfg.domain)
+    if args.field is None and grid.ncells > BRUTE_FORCE_CELL_CAP:
         raise ValueError(
             "exhaustive search takes at most %d cells, this grid has %d: "
             "pass --field to search the superlevel sets of a field"
-            % (BRUTE_FORCE_CELL_CAP, ncells)
+            % (BRUTE_FORCE_CELL_CAP, grid.ncells)
         )
-    grid, kern, f = _instance(cfg, 1.0)
-    if args.field is None:
+    u = None if args.field is None else _read_field_csv(args.field, grid)
+    _check_out(args.out)
+    _, kern, f = _instance(cfg, 1.0, grid)
+    if u is None:
         result = brute_force_cheeger(grid, f, kern)
     else:
-        u = _read_field_csv(args.field, grid)
         result = threshold_cheeger(u, f, kern)
     os.makedirs(args.out, exist_ok=True)
     report = {
@@ -292,8 +305,11 @@ def _read_field_csv(path, grid) -> np.ndarray:
 
 def _cmd_certify(args) -> int:
     cfg = read_config(args.config)
-    grid, kern, f = _instance(cfg, 1.0)
+    grid = build_grid(cfg.domain)
     u = _read_field_csv(args.field, grid)
+    _check_eps(args.eps)
+    _check_out(args.out)
+    _, kern, f = _instance(cfg, 1.0, grid)
     cert = build_certificate(u, f, kern, eps_feas=args.eps)
     rep = verify_certificate(u, cert, f, kern, eps_feas=args.eps)
     os.makedirs(args.out, exist_ok=True)

@@ -18,7 +18,6 @@ from fraclap.certify import (
     _LP_BYTES_PER_FREE,
     _TIE_TOL,
     _check_lp_fits,
-    _lp_columns,
     _lp_matrix,
     _pair_signs,
     _scale,
@@ -313,9 +312,9 @@ def test_verify_work_buffer_keeps_report_bits(n, upper):
 @pytest.mark.parametrize("n, upper", [(1, (48.0,)), (2, (9.0, 7.0))], ids=["1d", "2d"])
 def test_single_cell_parts_keep_the_former_lp_bits(n, upper):
     # random fields of four values: no two tied cells share their balance
-    # data, so every part is one cell and the certificate, the LP matrix
-    # and A are the former ones bit for bit; most unit loads make HiGHS
-    # iterate past its presolve
+    # data, so every part is one cell and the certificate and the LP
+    # matrix, whose top block is A, are the former ones bit for bit; most
+    # unit loads make HiGHS iterate past its presolve
     grid = build_grid(DomainSpec(n, "box", (0.0,) * n + upper, 1.0))
     kern = build_kernel(grid, n + 0.5)
     iterated = 0
@@ -327,18 +326,16 @@ def test_single_cell_parts_keep_the_former_lp_bits(n, upper):
             groups = _check_lp_fits(u)
             pi, pj = _tied_pairs(*groups)
             ci = np.flatnonzero(u == 0.0)
-            z, zbar, base, _, _, _, a_ref, lp_ref = reference_lp(u, f, kern)
+            _, _, base, _, _, _, _, lp_ref = reference_lp(u, f, kern)
             tz = np.where(u == 0.0, kern.t, 0.0)
             tol = _TIE_TOL * _scale(f.values * kern.m, kern)
             part = _tie_parts(groups[0], base, tz, kern.w, pi, pj, tol)
             assert np.array_equal(part, np.arange(u.size))
-            a = _lp_columns(part, pi, pj, ci, kern)[0]
-            lp = _lp_matrix(a)
-            for got, want in ((a, a_ref.tocsc()), (lp, lp_ref)):
-                assert got.shape == want.shape
-                for name in ("data", "indices", "indptr"):
-                    x, y = getattr(got, name), getattr(want, name)
-                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+            lp = _lp_matrix(part, pi, pj, ci, kern)[0]
+            assert lp.shape == lp_ref.shape
+            for name in ("data", "indices", "indptr"):
+                x, y = getattr(lp, name), getattr(lp_ref, name)
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
             cert = build_certificate(u, f, kern)
             assert _same_bits(cert, reference_certificate(u, f, kern))
             iterated += cert.iterations > 0
@@ -348,7 +345,8 @@ def test_single_cell_parts_keep_the_former_lp_bits(n, upper):
 def test_zero_field_parts_are_mirror_pairs():
     # the zero field on an interval under a constant load: base is equal
     # and the tails pair up by the mirror, so 16 cells give 8 parts, 28
-    # blocks and 8 zero parts, 36 columns where the former LP had 136
+    # blocks and 8 zero parts, 36 columns where the former LP had 136,
+    # and tau's beside them
     grid = build_grid(DomainSpec(1, "interval", (0.0, 16.0), 1.0))
     kern = build_kernel(grid, 1.5)
     u = np.zeros(16)
@@ -359,7 +357,7 @@ def test_zero_field_parts_are_mirror_pairs():
     tol = _TIE_TOL * _scale(f.values * kern.m, kern)
     part = _tie_parts(groups[0], base, kern.t, kern.w, pi, pj, tol)
     assert np.array_equal(part, np.minimum(np.arange(16), 15 - np.arange(16)))
-    assert _lp_columns(part, pi, pj, np.arange(16), kern)[0].shape == (16, 36)
+    assert _lp_matrix(part, pi, pj, np.arange(16), kern)[0].shape == (32, 37)
 
 
 def test_tie_parts_need_equal_pair_sums():
@@ -530,6 +528,43 @@ def test_highs_call_keeps_linprogs_bits(case, monkeypatch):
     _, _, base, pi, pj, ci, a, _ = reference_lp(u, f, kern)
     r = base + a @ np.r_[cert.z[pi, pj], cert.zbar[ci]]
     assert r.tobytes() == cert.residual.tobytes()
+
+
+def test_lp_entries_sum_their_shares_in_triplet_order(monkeypatch):
+    # the 12 x 12 zero field's columns hold more than 16 shares, where a
+    # sort that is not stable would reorder a position's shares: every
+    # entry of A is the left-to-right sum of its shares in triplet order
+    # (tied pairs' first cells, their second cells, zero cells), and
+    # every entry of -A is its exact negation
+    u, f, kern = _box_case(12, 1.0, False)
+    calls = []
+    lp_matrix = certify._lp_matrix
+
+    def recorded(*args):
+        calls.append((args, lp_matrix(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(certify, "_lp_matrix", recorded)
+    build_certificate(u, f, kern)
+    (_, pi, pj, ci, _), (lp, cross, col, sign, zcol) = calls[0]
+    sw = sign * kern.w[pi[cross], pj[cross]]
+    rows = np.r_[pi[cross], pj[cross], ci].tolist()
+    cols = np.r_[col, col, zcol].tolist()
+    sums = {}
+    for key, share in zip(zip(rows, cols), np.r_[sw, -sw, kern.t[ci]].tolist()):
+        sums[key] = sums[key] + share if key in sums else share
+    assert np.bincount(cols).max() > 16
+    n = u.size
+    entries = {}
+    for c in range(lp.shape[1] - 1):
+        for k in range(lp.indptr[c], lp.indptr[c + 1]):
+            entries[int(lp.indices[k]), c] = lp.data[k]
+    assert len(entries) == 2 * len(sums)
+    keys = sorted(sums)
+    want = np.array([sums[key] for key in keys])
+    top = np.array([entries[key] for key in keys])
+    below = np.array([entries[r + n, c] for r, c in keys])
+    assert top.tobytes() == want.tobytes() and below.tobytes() == (-want).tobytes()
 
 
 def test_highs_reports_no_point_off_an_optimum(monkeypatch):

@@ -479,6 +479,59 @@ def test_cheeger_without_field_exits_2_before_the_kernel(tmp_path, capsys, monke
     assert steps == [["import", 0, []], ["cheeger", 2, []]]
 
 
+# one input each that needs no kernel to reject, with its message; {tmp}
+# holds a zero field of the 8 x 8 box, a field of a 1-D grid and an empty
+# regular file
+_NO_KERNEL_INPUTS = {
+    "certify-missing-field": ("certify --field {tmp}/missing.csv", "No such file or directory"),
+    "certify-other-grid": ("certify --field {tmp}/line.csv", "field CSV lacks a x1 column"),
+    "certify-zero-eps": ("certify --field {tmp}/zero.csv --eps 0",
+                         "feasibility tolerance must be finite and positive"),
+    "certify-out-is-a-file": ("certify --field {tmp}/zero.csv --out {tmp}/taken", "File exists"),
+    "cheeger-missing-field": ("cheeger --field {tmp}/missing.csv", "No such file or directory"),
+    "cheeger-other-grid": ("cheeger --field {tmp}/line.csv", "field CSV lacks a x1 column"),
+    "cheeger-out-is-a-file": ("cheeger --field {tmp}/zero.csv --out {tmp}/taken", "File exists"),
+    "solve-out-is-a-file": ("solve --p 1.1 --out {tmp}/taken", "File exists"),
+}
+
+
+def _no_kernel_argv(tmp_path, case):
+    """The argv of a _NO_KERNEL_INPUTS case on the 8 x 8 box, with --out
+    {tmp}/out unless it names its own, and the files it reads."""
+    box = str(_box_without_schedule(tmp_path, 8))
+    grid = build_grid(read_config(box).domain)
+    (tmp_path / "line.csv").write_text("index,x0,value\n0,0.5,1.0\n", encoding="utf-8")
+    (tmp_path / "zero.csv").write_text(_field_csv_text(grid, np.zeros(grid.ncells)),
+                                       encoding="utf-8")
+    (tmp_path / "taken").write_text("", encoding="utf-8")
+    command = _NO_KERNEL_INPUTS[case][0]
+    if "--out" not in command:
+        command += " --out {tmp}/out"
+    command, *rest = [word.format(tmp=tmp_path) for word in command.split()]
+    return [command, "--config", box] + rest
+
+
+@pytest.mark.parametrize("case", sorted(_NO_KERNEL_INPUTS))
+def test_inputs_that_need_no_kernel_exit_2_before_it(tmp_path, capsys, monkeypatch, case):
+    # the field CSV, --eps and --out are checked before the kernel is
+    # built or a solve runs, and nothing is written
+    argv = _no_kernel_argv(tmp_path, case)
+    calls = []
+    monkeypatch.setattr(cli, "build_kernel", lambda *a: calls.append("build_kernel"))
+    monkeypatch.setattr(cli, "solve_p", lambda *a: calls.append("solve_p"))
+    assert main(argv) == 2
+    assert _NO_KERNEL_INPUTS[case][1] in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+    assert (tmp_path / "taken").read_bytes() == b""
+
+
+def test_missing_field_loads_no_quadrature(tmp_path):
+    steps = _footprint(tmp_path, *(_no_kernel_argv(tmp_path, command + "-missing-field")
+                                   for command in ("certify", "cheeger")))
+    assert steps == [["import", 0, []], ["certify", 2, []], ["cheeger", 2, []]]
+
+
 def _no_kernel(*args, **kwargs):
     raise AssertionError("kernel built")
 
@@ -1140,9 +1193,9 @@ def test_unknown_subcommand_exits_2():
 
 
 # ---------------------------------------------------------------------------
-# import footprint: scipy's quadrature, LP, sparse and special functions load
-# in the functions that call them, so a command that never calls them never
-# pays for them
+# import footprint: scipy's quadrature, HiGHS and special functions load in
+# the functions that call them, so a command that never calls them never
+# pays for them, and no command loads scipy.sparse
 # ---------------------------------------------------------------------------
 
 _LAZY = (
@@ -1204,8 +1257,9 @@ def test_probe_faber_krahn_loads_no_lazy_scipy_subpackage(tmp_path):
 
 
 def test_certify_loads_the_lp_on_first_use(tmp_path, small_cfg):
-    # the zero field leaves every exterior sign free, so the LP runs; it
-    # goes to scipy's HiGHS extension, not through scipy.optimize
+    # the zero field leaves every exterior sign free, so the LP runs; numpy
+    # assembles it, and it goes to scipy's HiGHS extension, not through
+    # scipy.optimize, so none of the lazy subpackages loads
     grid = build_grid(read_config(str(small_cfg)).domain)
     (tmp_path / "zero.csv").write_text(
         _field_csv_text(grid, np.zeros(grid.ncells)), encoding="utf-8"
@@ -1217,6 +1271,6 @@ def test_certify_loads_the_lp_on_first_use(tmp_path, small_cfg):
     assert steps[0] == ["import", 0, []]
     command, code, loaded = steps[1]
     assert (command, code) == ("certify", 0)
-    assert loaded == ["scipy.sparse"]
+    assert loaded == []
     report = json.loads((tmp_path / "out" / "tiny_certificate.json").read_text(encoding="utf-8"))
     assert report["iterations"] > 0 and report["verified"]
