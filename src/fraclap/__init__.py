@@ -4,7 +4,7 @@ Submodules:
   domain_grid   grids on bounded domains and singular-kernel weights
   constants     sharp Sobolev-type constants and ball geometry closed forms
   energy        discrete energies, gradients, embedding checks
-  quotient      cell partitions: symmetry orbits, sums over parts
+  quotient      cell partitions: value runs, symmetry orbits, part sums
   solver        variational solver for the p > 1 problem
   geometry      nonlocal perimeters, coarea decomposition, Cheeger
                 constants

@@ -42,7 +42,7 @@ import scipy
 
 from fraclap.domain_grid import KernelSet, _check_memory
 from fraclap.energy import LoadField, _as_field
-from fraclap.quotient import _BLOCK, first_seen
+from fraclap.quotient import _BLOCK, Partition, first_seen
 from fraclap.solver import _scipy_extension
 
 DEFAULT_EPS_FEAS = 1e-8
@@ -126,37 +126,34 @@ def _check_eps(eps_feas):
 
 def _check_lp_fits(vals):
     """Reject a field whose certificate LP would exceed physical memory,
-    else return (group, sizes): the index of each cell's value among the
-    sorted distinct values, and how many cells share each value.
-
-    The free entries are the tied pairs, g(g - 1)/2 for each group of g
-    equal values, plus the zero cells; they are counted from the sorted
-    field, and _tied_pairs lists the pairs from the same groups, so no
-    N x N tie array is built. The tie partition usually leaves far fewer
-    LP columns, but a level it cannot reduce needs every one of them.
+    else return its levels, Partition(vals). The free entries are the tied
+    pairs, g(g - 1)/2 for each level of g cells, plus the zero cells; they
+    are counted from the levels, and _tied_pairs lists the pairs from
+    them, so no N x N tie array is built. The tie partition usually leaves
+    far fewer LP columns, but a level it cannot reduce needs every one.
     """
-    _, group, sizes = np.unique(vals, return_inverse=True, return_counts=True)
-    nfree = int(np.sum(sizes * (sizes - 1) // 2) + np.count_nonzero(vals == 0.0))
+    levels = Partition(vals)
+    nfree = int(np.sum(levels.size * (levels.size - 1) // 2) + np.count_nonzero(vals == 0.0))
     _check_memory(
         nfree * _LP_BYTES_PER_FREE,
         "the certificate LP has %d free entries and needs" % nfree,
         "(%d bytes each)" % _LP_BYTES_PER_FREE,
     )
-    return group, sizes
+    return levels
 
 
-def _tied_pairs(group, sizes):
+def _tied_pairs(levels):
     """Index arrays (pi, pj) of the pairs i < j of equal values, in
-    row-major order, from _check_lp_fits' grouping.
+    row-major order, from the levels of _check_lp_fits.
 
     A pair is tied exactly when sign(u_i - u_j) is 0: for finite floats
     the difference is 0 only between equal values (-0.0 equals 0.0, and
-    np.unique groups them). Each cell pairs with the later cells of its
-    group, in the cells' stable order by group, which is ascending index
-    within a group; lexsort then puts the pairs in row-major order.
+    one level holds both). Each cell pairs with the later cells of its
+    level, in the levels' order, which is ascending index within a level;
+    lexsort then puts the pairs in row-major order.
     """
-    order = np.argsort(group, kind="stable")
-    later = np.cumsum(sizes)[group[order]] - np.arange(order.size) - 1
+    order, size = levels.order, levels.size
+    later = np.repeat(levels.starts + size, size) - np.arange(order.size) - 1
     first = np.repeat(np.arange(order.size), later)
     step = np.arange(first.size) - np.repeat(np.cumsum(later) - later, later) + 1
     pi, pj = order[first], order[first + step]
@@ -164,29 +161,11 @@ def _tied_pairs(group, sizes):
     return pi[row_major], pj[row_major]
 
 
-def _runs(label, x, tol):
-    """Split each part of label where x, sorted within the part, steps by
-    more than tol; returns the new labels, numbered in sorted order, with
-    the order that sorts them and the start of each part in it."""
-    order = np.lexsort((x, label))
-    lab, xs = label[order], x[order]
-    new = np.r_[True, (lab[1:] != lab[:-1]) | (xs[1:] - xs[:-1] > tol)]
-    out = np.empty_like(label)
-    out[order] = np.cumsum(new) - 1
-    return out, order, np.flatnonzero(new)
-
-
-def _spread(x, order, starts):
-    """max - min of x over each part (order, starts from _runs)."""
-    xs = x[order]
-    return np.maximum.reduceat(xs, starts) - np.minimum.reduceat(xs, starts)
-
-
-def _tie_parts(group, base, tz, w, pi, pj, tol):
+def _tie_parts(levels, base, tz, w, pi, pj, tol):
     """The tie partition: a part index for every cell, the parts numbered
     by their first cell.
 
-    Candidate parts are the runs of one level of u (group) in which base,
+    Candidate parts are the runs of one level of u (levels) in which base,
     and then tz (the tails t at the zero level, 0 elsewhere), step by at
     most tol when sorted. Part a's defect is
 
@@ -201,31 +180,26 @@ def _tie_parts(group, base, tz, w, pi, pj, tol):
     exceeds tol is split into single cells, which reproduces the LP with
     one free entry per tied pair there.
     """
-    n = group.size
     if pi.size == 0:  # no level holds two cells
-        return np.arange(n)
-    label, _, _ = _runs(group, base, tol)
-    label, order, starts = _runs(label, tz, tol)
-    delta = _spread(base, order, starts) + _spread(tz, order, starts)
-    size = np.diff(np.r_[starts, n])
+        return np.arange(levels.label.size)
+    parts = Partition(tz, tol, Partition(base, tol, levels))
+    delta = parts.spread(base) + parts.spread(tz)
+    label = parts.label
     la, lb = label[pi], label[pj]
     cross = la != lb
     rows = np.r_[pi[cross], pj[cross]]
     other = np.r_[lb[cross], la[cross]]
     wc = w[pi[cross], pj[cross]]
-    keep = size[label[rows]] > 1
+    keep = parts.size[label[rows]] > 1
     if np.any(keep):
-        nparts = starts.size
-        key, inv = np.unique(rows[keep] * nparts + other[keep], return_inverse=True)
-        s = np.bincount(inv, weights=np.r_[wc, wc][keep])
-        block, binv = np.unique(label[key // nparts] * nparts + key % nparts,
-                                return_inverse=True)
-        hi = np.full(block.size, -np.inf)
-        lo = np.full(block.size, np.inf)
-        np.maximum.at(hi, binv, s)
-        np.minimum.at(lo, binv, s)
-        np.add.at(delta, block // nparts, hi - lo)
-    bad = np.isin(group, group[order[starts[delta > tol]]])
+        nparts = parts.starts.size
+        # S_i(b) for each key (i, b), then its spread over each block (a, b)
+        pairs = Partition(rows[keep] * nparts + other[keep])
+        s = np.bincount(pairs.label, weights=np.r_[wc, wc][keep])
+        block = (label[rows[keep]] * nparts + other[keep])[pairs.order[pairs.starts]]
+        blocks = Partition(block)
+        np.add.at(delta, block[blocks.order[blocks.starts]] // nparts, blocks.spread(s))
+    bad = np.isin(levels.label, levels.label[parts.order[parts.starts[delta > tol]]])
     label[bad] = label.max() + 1 + np.arange(np.count_nonzero(bad))
     return first_seen(label)[0]
 
@@ -246,8 +220,8 @@ def _lp_matrix(part, pi, pj, ci, kernel):
     single cell this is one column per tied pair (w_ij in row i, -w_ij in
     row j) and per zero cell, in that order. The LP's triplets are A's,
     their negations N rows down and tau's -1 in every row; each entry
-    sums its shares left to right in triplet order (a stable sort of the
-    positions, column-major, then one bincount), so -A is A's exact
+    sums its shares left to right in triplet order (one bincount over the
+    Partition of their positions, column-major), so -A is A's exact
     negation.
     """
     n = part.size
@@ -256,21 +230,18 @@ def _lp_matrix(part, pi, pj, ci, kernel):
     pa, pb = pa[cross], pb[cross]
     col, first = first_seen(np.minimum(pa, pb) * n + np.maximum(pa, pb))
     sign = np.where(pa == pa[first][col], 1.0, -1.0)
-    zparts, zinv = np.unique(part[ci], return_inverse=True)
-    zcol = first.size + zinv
-    ncol = first.size + zparts.size
+    zparts = Partition(part[ci])
+    zcol = first.size + zparts.label
+    ncol = first.size + zparts.starts.size
     sw = sign * kernel.w[pi[cross], pj[cross]]
     share = np.r_[sw, -sw, kernel.t[ci]]
     nrow = 2 * n
     # each triplet's position in the LP matrix, column * nrow + row
     at = np.r_[col, col, zcol] * nrow + np.r_[pi[cross], pj[cross], ci]
     at = np.r_[at, at + n, ncol * nrow + np.arange(nrow)]
-    order = np.argsort(at, kind="stable")
-    at = at[order]
-    new = np.diff(at, prepend=-1) != 0
-    data = np.bincount(np.cumsum(new) - 1,
-                       weights=np.r_[share, -share, np.full(nrow, -1.0)][order])
-    at = at[new]
+    entries = Partition(at)
+    data = np.bincount(entries.label, weights=np.r_[share, -share, np.full(nrow, -1.0)])
+    at = at[entries.order[entries.starts]]
     indptr = np.searchsorted(at, np.arange(ncol + 2) * nrow).astype(np.int32)
     lp = _CSC(indptr, (at % nrow).astype(np.int32), data, (nrow, ncol + 1))
     return lp, cross, col, sign, zcol
@@ -354,8 +325,8 @@ def build_certificate(
     """
     _check_eps(eps_feas)
     vals = _as_field(u, kernel)
-    groups = _check_lp_fits(vals)
-    pi, pj = _tied_pairs(*groups)
+    levels = _check_lp_fits(vals)
+    pi, pj = _tied_pairs(levels)
     ci = np.flatnonzero(vals == 0.0)
     fm = f.values * kernel.m
     scale = _scale(fm, kernel)
@@ -374,7 +345,7 @@ def build_certificate(
     base = rowsum + kernel.t * zbar - fm
 
     tz = np.where(vals == 0.0, kernel.t, 0.0)
-    part = _tie_parts(groups[0], base, tz, kernel.w, pi, pj, _TIE_TOL * scale)
+    part = _tie_parts(levels, base, tz, kernel.w, pi, pj, _TIE_TOL * scale)
     lp, cross, col, sign, zcol = _lp_matrix(part, pi, pj, ci, kernel)
     ncol = lp.shape[1] - 1
     y = np.zeros(ncol)

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from fraclap.certify import _check_eps, build_certificate, verify_certificate
+from fraclap.certify import _check_eps, _check_lp_fits, build_certificate, verify_certificate
 from fraclap.constants import (
     QuadratureError,
     ball_perimeter,
@@ -48,6 +48,8 @@ from fraclap.experiments import (
 )
 from fraclap.geometry import (
     BRUTE_FORCE_CELL_CAP,
+    _require_nonnegative_field,
+    _require_positive_load,
     brute_force_cheeger,
     threshold_cheeger,
 )
@@ -232,7 +234,11 @@ def _cmd_cheeger(args) -> int:
         )
     u = None if args.field is None else _read_field_csv(args.field, grid)
     _check_out(args.out)
-    _, kern, f = _instance(cfg, 1.0, grid)
+    f = make_load(grid, cfg)  # the searches' checks first: they need no kernel
+    _require_positive_load(f)
+    if u is not None:
+        _require_nonnegative_field(u)
+    kern = build_kernel(grid, kernel_exponent(grid.n, cfg.s, 1.0))
     if u is None:
         result = brute_force_cheeger(grid, f, kern)
     else:
@@ -309,6 +315,7 @@ def _cmd_certify(args) -> int:
     u = _read_field_csv(args.field, grid)
     _check_eps(args.eps)
     _check_out(args.out)
+    _check_lp_fits(u)
     _, kern, f = _instance(cfg, 1.0, grid)
     cert = build_certificate(u, f, kern, eps_feas=args.eps)
     rep = verify_certificate(u, cert, f, kern, eps_feas=args.eps)

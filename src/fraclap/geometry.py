@@ -166,13 +166,13 @@ def coarea_decompose(u, f: LoadField, kernel: KernelSet) -> List[LevelSet]:
     levels at once (_layer_volumes).
     """
     vals = _as_field(u, kernel)
-    if np.any(vals < 0):
-        raise ValueError("coarea decomposition requires a nonnegative field")
-    levels, label = np.unique(vals, return_inverse=True)
+    _require_nonnegative_field(vals)
+    part = Partition(vals)
+    levels = vals[part.order[part.starts]]
     first = int(levels[0] == 0.0)  # the zero level has no layer
     if first == levels.size:
         return []
-    per = _level_perimeters(Partition(label), kernel)
+    per = _level_perimeters(part, kernel)
     return [
         LevelSet(level=t, perimeter=p, weighted_volume=v)
         for t, p, v in zip(levels[first:].tolist(), per[first:].tolist(),
@@ -215,6 +215,11 @@ def coarea_identity_gap(u, f: LoadField, kernel: KernelSet) -> float:
 def _relative_defect(a: float, b: float) -> float:
     scale = max(abs(a), abs(b))
     return abs(a - b) / scale if scale > 0 else 0.0
+
+
+def _require_nonnegative_field(vals: np.ndarray) -> None:
+    if np.any(vals < 0):
+        raise ValueError("coarea decomposition requires a nonnegative field")
 
 
 def _require_positive_load(f: LoadField) -> None:

@@ -1,12 +1,13 @@
 """Cell partitions: the symmetry orbits of a problem, and sums over the
 parts of any partition.
 
-A partition labels each cell with a part index 0 .. nq - 1. The pair
-weights summed over pairs of parts, W_ab = sum_{i in a, j in b} w_ij, and
-the per-part sums of a cell array are the sums that restrict the pair
-functionals to fields that are constant on each part. The solver's orbit
-quotient (Partition.restrict) and the coarea levels of the threshold
-Cheeger search both read them from one body here.
+A partition groups the cells into runs of near-equal keys, labelled
+0 .. nq - 1: the solver's snaps, the coarea levels and the certificate's
+tie parts are runs of a field's values, the orbits runs of their labels.
+The part-pair sums of w, W_ab = sum_{i in a, j in b} w_ij, and the
+per-part sums of a cell array restrict the pair functionals to fields
+that are constant on each part; the solver's orbit quotient
+(Partition.restrict) and the coarea perimeters read them from one body.
 
 orbits finds the partition the solver runs on: the orbits of the lattice
 reflections (in 2-D also the axis swap) that map the cells onto themselves
@@ -66,23 +67,39 @@ def first_seen(keys):
 
 
 class Partition:
-    """The cells grouped by a label array with values 0 .. nq - 1.
+    """The cells grouped into runs of near-equal keys: sorted by key (a
+    stable sort, first by within's part when given), a new part starts
+    wherever the key steps by more than tol or within's part changes, and
+    the parts are numbered in that order. Part a holds the cells
+    order[starts[a]:starts[a] + size[a]]; label[i] is cell i's part. At
+    tol = 0 a part is one value (-0.0 with 0.0, as in np.unique), its cells
+    in ascending index, and an integer label 0 .. nq - 1 is its own
+    numbering."""
 
-    Part a holds the cells order[starts[a]:starts[a + 1]], in cell order
-    (a stable sort of the labels).
-    """
-
-    def __init__(self, label):
-        self.label = label = np.asarray(label)
-        ncells = label.size
-        self.order = order = np.argsort(label, kind="stable")
-        run = label[order]
-        self.starts = starts = np.flatnonzero(np.r_[True, run[1:] != run[:-1]])
-        self.size = np.diff(np.r_[starts, ncells]).astype(float)
+    def __init__(self, key, tol=0.0, within=None):
+        key = np.asarray(key)
+        if within is None:
+            self.order = order = np.argsort(key, kind="stable")
+            ks = key[order]
+            new = ks[1:] - ks[:-1] > tol
+        else:
+            self.order = order = np.lexsort((key, within.label))
+            ks, outer = key[order], within.label[order]
+            new = (ks[1:] - ks[:-1] > tol) | (outer[1:] != outer[:-1])
+        new = np.concatenate(([True], new))[:key.size]
+        self.starts = starts = np.flatnonzero(new)
+        self.size = np.append(starts[1:], key.size) - starts
+        self.label = np.empty(key.size, dtype=np.intp)
+        self.label[order] = new.cumsum() - 1
 
     def sums(self, x):
         """Per-part sums of a cell array."""
         return np.add.reduceat(x[self.order], self.starts)
+
+    def spread(self, x):
+        """max - min of a cell array over each part."""
+        xs = x[self.order]
+        return np.maximum.reduceat(xs, self.starts) - np.minimum.reduceat(xs, self.starts)
 
     def expand(self, v):
         """The cell field that is v_a on every cell of part a."""

@@ -74,7 +74,7 @@ from fraclap.energy import (
     seminorm_power,
     total_energy,
 )
-from fraclap.quotient import _same_bits, orbits, pairwise_depth
+from fraclap.quotient import Partition, _same_bits, orbits, pairwise_depth
 
 _ARMIJO_C1 = 1e-4
 _MAX_HALVINGS = 60
@@ -200,16 +200,14 @@ def kkt_residual(u, f: LoadField, kernel: KernelSet, p: float) -> float:
 
 
 def snap_ties(u: np.ndarray, tau: float) -> np.ndarray:
-    """Collapse chains of entries with consecutive sorted gaps <= tau to
-    their group mean. Stable sort keeps the result deterministic."""
+    """Collapse each run of Partition(u, tau), a chain of entries with
+    consecutive sorted gaps <= tau, to its mean. Stable sort keeps the
+    result deterministic."""
     if u.size == 0 or tau <= 0:
         return u.copy()
-    order = np.argsort(u, kind="stable")
-    su = u[order]
-    first = np.concatenate(([True], np.diff(su) > tau))
-    starts = np.flatnonzero(first)
-    sizes = np.diff(np.append(starts, su.size))
-    group = np.cumsum(first) - 1
+    runs = Partition(u, tau)
+    su = u[runs.order]
+    starts, sizes = runs.starts, runs.size
     means = np.empty(starts.size)
     # np.mean adds fewer than _PAIRWISE_BLOCK entries left to right from
     # 0.0, then divides by the count; doing that column by column over all
@@ -224,9 +222,9 @@ def snap_ties(u: np.ndarray, tau: float) -> np.ndarray:
     # longer groups are rare; numpy's pairwise order applies to them
     for g in np.flatnonzero(sizes >= _PAIRWISE_BLOCK):
         means[g] = np.mean(su[starts[g]:starts[g] + sizes[g]])
-    tied = sizes[group] > 1
+    tied = sizes[runs.label] > 1
     out = u.copy()
-    out[order[tied]] = means[group[tied]]
+    out[tied] = means[runs.label[tied]]
     return out
 
 

@@ -27,7 +27,7 @@ def reference_lp(vals, f, kernel):
     """(z, zbar, base, pi, pj, ci, a, lp_matrix): the fixed signs, the base
     balance, the free entries (tied pairs, then zero cells), A mapping them
     to every cell's balance and the LP matrix [[A, -1], [-A, -1]]."""
-    pi, pj = _tied_pairs(*_check_lp_fits(vals))
+    pi, pj = _tied_pairs(_check_lp_fits(vals))
     ci = np.flatnonzero(vals == 0.0)
     z, zbar = _pair_signs(vals, vals), np.sign(vals)
     fm = f.values * kernel.m

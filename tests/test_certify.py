@@ -323,13 +323,13 @@ def test_single_cell_parts_keep_the_former_lp_bits(n, upper):
             rng = np.random.default_rng(seed)
             u = rng.integers(0, 4, grid.ncells) * 0.5
             f = load_from_array(load * rng.uniform(0.5, 1.5, size=grid.ncells))
-            groups = _check_lp_fits(u)
-            pi, pj = _tied_pairs(*groups)
+            levels = _check_lp_fits(u)
+            pi, pj = _tied_pairs(levels)
             ci = np.flatnonzero(u == 0.0)
             _, _, base, _, _, _, _, lp_ref = reference_lp(u, f, kern)
             tz = np.where(u == 0.0, kern.t, 0.0)
             tol = _TIE_TOL * _scale(f.values * kern.m, kern)
-            part = _tie_parts(groups[0], base, tz, kern.w, pi, pj, tol)
+            part = _tie_parts(levels, base, tz, kern.w, pi, pj, tol)
             assert np.array_equal(part, np.arange(u.size))
             lp = _lp_matrix(part, pi, pj, ci, kern)[0]
             assert lp.shape == lp_ref.shape
@@ -351,11 +351,11 @@ def test_zero_field_parts_are_mirror_pairs():
     kern = build_kernel(grid, 1.5)
     u = np.zeros(16)
     f = load_from_array(np.full(16, 0.8))
-    groups = _check_lp_fits(u)
-    pi, pj = _tied_pairs(*groups)
+    levels = _check_lp_fits(u)
+    pi, pj = _tied_pairs(levels)
     base = -f.values * kern.m
     tol = _TIE_TOL * _scale(f.values * kern.m, kern)
-    part = _tie_parts(groups[0], base, kern.t, kern.w, pi, pj, tol)
+    part = _tie_parts(levels, base, kern.t, kern.w, pi, pj, tol)
     assert np.array_equal(part, np.minimum(np.arange(16), 15 - np.arange(16)))
     assert _lp_matrix(part, pi, pj, np.arange(16), kern)[0].shape == (32, 37)
 
@@ -368,17 +368,17 @@ def test_tie_parts_need_equal_pair_sums():
     # level falls back to single cells
     kern = build_kernel(build_grid(DomainSpec(1, "interval", (0.0, 6.0), 1.0)), 1.5)
     u = np.array([1.0, 2.0, 1.0, 1.0, 3.0, 1.0])
-    groups = _check_lp_fits(u)
-    pi, pj = _tied_pairs(*groups)
+    levels = _check_lp_fits(u)
+    pi, pj = _tied_pairs(levels)
     tz = np.zeros(6)
     mirror = np.array([0.5, 0.7, 0.6, 0.6, 0.9, 0.5])
-    part = _tie_parts(groups[0], mirror, tz, kern.w, pi, pj, 1e-12)
+    part = _tie_parts(levels, mirror, tz, kern.w, pi, pj, 1e-12)
     assert np.array_equal(part, [0, 1, 2, 2, 3, 0])
     skew = np.array([0.5, 0.7, 0.5, 0.6, 0.9, 0.6])
-    part = _tie_parts(groups[0], skew, tz, kern.w, pi, pj, 1e-12)
+    part = _tie_parts(levels, skew, tz, kern.w, pi, pj, 1e-12)
     assert np.array_equal(part, np.arange(6))
     # a level that is one part needs no pair sums: its ties lift to 0
-    part = _tie_parts(groups[0], np.where(u == 1.0, 0.5, u), tz, kern.w, pi, pj, 1e-12)
+    part = _tie_parts(levels, np.where(u == 1.0, 0.5, u), tz, kern.w, pi, pj, 1e-12)
     assert np.array_equal(part, [0, 1, 0, 0, 2, 0])
 
 
@@ -408,7 +408,7 @@ def test_lp_guard_counts_the_free_entries(interval16, monkeypatch):
     grid, kern = interval16
     u = np.array([0.5, 0.5, 0.5, 0.2, 0.2, 0.0, 0.0, 0.0, 0.0]
                  + [1.0 + k for k in range(7)])
-    pi, pj = _tied_pairs(*_check_lp_fits(u))
+    pi, pj = _tied_pairs(_check_lp_fits(u))
     assert pi.size + np.count_nonzero(u == 0.0) == 14
     assert np.all(pi < pj) and np.all(u[pi] == u[pj])
     # physical memory one byte short of the LP's estimate, then exactly it
@@ -443,7 +443,7 @@ def test_tied_pairs_match_the_pair_scan():
     ]
     assert np.unique(sol.u).size < sol.u.size
     for u in fields:
-        pi, pj = _tied_pairs(*_check_lp_fits(u))
+        pi, pj = _tied_pairs(_check_lp_fits(u))
         want_i, want_j = _scanned_ties(u)
         assert pi.dtype == want_i.dtype and pj.dtype == want_j.dtype
         assert np.array_equal(pi, want_i) and np.array_equal(pj, want_j)

@@ -480,8 +480,9 @@ def test_cheeger_without_field_exits_2_before_the_kernel(tmp_path, capsys, monke
 
 
 # one input each that needs no kernel to reject, with its message; {tmp}
-# holds a zero field of the 8 x 8 box, a field of a 1-D grid and an empty
-# regular file
+# holds a zero field of the 8 x 8 box, one with a negative cell, a field
+# of a 1-D grid, an empty regular file, and the 8 x 8 box (and the 4 x 4
+# one) under the negative load -1 and the zero load
 _NO_KERNEL_INPUTS = {
     "certify-missing-field": ("certify --field {tmp}/missing.csv", "No such file or directory"),
     "certify-other-grid": ("certify --field {tmp}/line.csv", "field CSV lacks a x1 column"),
@@ -491,30 +492,47 @@ _NO_KERNEL_INPUTS = {
     "cheeger-missing-field": ("cheeger --field {tmp}/missing.csv", "No such file or directory"),
     "cheeger-other-grid": ("cheeger --field {tmp}/line.csv", "field CSV lacks a x1 column"),
     "cheeger-out-is-a-file": ("cheeger --field {tmp}/zero.csv --out {tmp}/taken", "File exists"),
+    "cheeger-negative-field": ("cheeger --field {tmp}/negative.csv",
+                               "coarea decomposition requires a nonnegative field"),
+    "cheeger-negative-load": ("cheeger --field {tmp}/zero.csv --config {tmp}/box8-1.cfg",
+                              "load must be nonnegative with positive total mass"),
+    "cheeger-zero-load": ("cheeger --field {tmp}/zero.csv --config {tmp}/box8+0.cfg",
+                          "load must be nonnegative with positive total mass"),
+    "cheeger-negative-load-brute-force": ("cheeger --config {tmp}/box4-1.cfg",
+                                          "load must be nonnegative with positive total mass"),
     "solve-out-is-a-file": ("solve --p 1.1 --out {tmp}/taken", "File exists"),
 }
 
 
 def _no_kernel_argv(tmp_path, case):
-    """The argv of a _NO_KERNEL_INPUTS case on the 8 x 8 box, with --out
-    {tmp}/out unless it names its own, and the files it reads."""
-    box = str(_box_without_schedule(tmp_path, 8))
-    grid = build_grid(read_config(box).domain)
+    """The argv of a _NO_KERNEL_INPUTS case, on the 8 x 8 box unless it
+    names its own --config and with --out {tmp}/out unless it names its
+    own, and the files it reads."""
+    box = _box_without_schedule(tmp_path, 8)
+    grid = build_grid(read_config(str(box)).domain)
     (tmp_path / "line.csv").write_text("index,x0,value\n0,0.5,1.0\n", encoding="utf-8")
     (tmp_path / "zero.csv").write_text(_field_csv_text(grid, np.zeros(grid.ncells)),
                                        encoding="utf-8")
+    values = np.linspace(1.0, 0.0, grid.ncells)
+    values[-1] = -0.5
+    (tmp_path / "negative.csv").write_text(_field_csv_text(grid, values), encoding="utf-8")
+    for side, scale in [(8, "-1"), (8, "+0"), (4, "-1")]:
+        (tmp_path / ("box%d%s.cfg" % (side, scale))).write_text(
+            _box_without_schedule(tmp_path, side).read_text(encoding="utf-8")
+            + "load_scale = %s\n" % scale, encoding="utf-8")
     (tmp_path / "taken").write_text("", encoding="utf-8")
     command = _NO_KERNEL_INPUTS[case][0]
+    if "--config" not in command:
+        command += " --config %s" % box
     if "--out" not in command:
         command += " --out {tmp}/out"
-    command, *rest = [word.format(tmp=tmp_path) for word in command.split()]
-    return [command, "--config", box] + rest
+    return [word.format(tmp=tmp_path) for word in command.split()]
 
 
 @pytest.mark.parametrize("case", sorted(_NO_KERNEL_INPUTS))
 def test_inputs_that_need_no_kernel_exit_2_before_it(tmp_path, capsys, monkeypatch, case):
-    # the field CSV, --eps and --out are checked before the kernel is
-    # built or a solve runs, and nothing is written
+    # the field CSV, --eps, --out and cheeger's load and field are checked
+    # before the kernel is built or a solve runs, and nothing is written
     argv = _no_kernel_argv(tmp_path, case)
     calls = []
     monkeypatch.setattr(cli, "build_kernel", lambda *a: calls.append("build_kernel"))
@@ -1009,6 +1027,27 @@ def test_certify_lp_beyond_physical_memory_exits_2(tmp_path, capsys, monkeypatch
             assert not out.exists()
         else:
             assert (out / "box_certificate.json").exists()
+
+
+def test_certify_lp_beyond_physical_memory_exits_2_before_the_kernel(tmp_path, capsys,
+                                                                     monkeypatch):
+    # the LP's memory guard reads the field alone: a 16 x 16 zero field
+    # whose LP exceeds 8 MB of physical memory stops before the kernel
+    cfg_path = _box_without_schedule(tmp_path, 16)
+    grid = build_grid(read_config(str(cfg_path)).domain)
+    field = tmp_path / "zero.csv"
+    field.write_text(_field_csv_text(grid, np.zeros(grid.ncells)), encoding="utf-8")
+    monkeypatch.setattr(
+        os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2048}.__getitem__
+    )
+    calls = []
+    monkeypatch.setattr(cli, "build_kernel", lambda *a: calls.append("build_kernel"))
+    out = tmp_path / "out"
+    assert main(["certify", "--config", str(cfg_path), "--field", str(field),
+                 "--out", str(out)]) == 2
+    assert "LP has 32896 free entries" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
