@@ -13,13 +13,14 @@ Submodules:
   cli           the fraclap console command
 
 Each submodule imports only submodules listed above it, and only at module
-level. scipy's quadrature and special functions are imported by the
-functions that call them, so a command loads only what it runs. The
-solver loads scipy's LAPACK wrapper, and certify scipy's HiGHS extension
-with its first LP, through one loader (solver._scipy_extension) that
-registers each under its full name, once per process, without importing
-scipy.linalg or scipy.optimize; importing fraclap loads numpy, scipy's
-top-level package and the LAPACK wrapper only.
+level. scipy's special functions are imported by the functions that call
+them, so a command loads only what it runs. The solver loads scipy's
+LAPACK wrapper, domain_grid scipy's QUADPACK with its first integral and
+certify scipy's HiGHS extension with its first LP, through one loader
+(domain_grid._scipy_extension) that registers each under its full name,
+once per process, without importing scipy.linalg, scipy.integrate or
+scipy.optimize; importing fraclap loads numpy, scipy's top-level package
+and the LAPACK wrapper only.
 """
 
 from fraclap.certify import (

@@ -26,8 +26,9 @@ assembles the LP (_lp_matrix), and it goes straight to scipy's HiGHS
 extension (_highs_core), with the model and options
 linprog(method="highs") passes it, so its answers keep linprog's bits
 without scipy.sparse, scipy.optimize's Python layers or their imports.
-The extension loads once per process through solver._scipy_extension,
-which loads the solver's LAPACK wrapper the same way.
+The extension loads once per process through
+domain_grid._scipy_extension, which loads the solver's LAPACK wrapper and
+the kernel's QUADPACK the same way.
 """
 
 from __future__ import annotations
@@ -40,10 +41,9 @@ from typing import NamedTuple, Tuple
 import numpy as np
 import scipy
 
-from fraclap.domain_grid import KernelSet, _check_memory
+from fraclap.domain_grid import KernelSet, _check_memory, _scipy_extension
 from fraclap.energy import LoadField, _as_field
 from fraclap.quotient import _BLOCK, Partition, first_seen
-from fraclap.solver import _scipy_extension
 
 DEFAULT_EPS_FEAS = 1e-8
 
@@ -250,7 +250,7 @@ def _lp_matrix(part, pi, pj, ci, kernel):
 @functools.lru_cache(maxsize=None)
 def _highs_core():
     """scipy's HiGHS extension, scipy/optimize/_highspy/_core, from
-    solver._scipy_extension: loaded once per process without importing
+    domain_grid._scipy_extension: loaded once per process without importing
     scipy.optimize, or scipy.optimize's own copy where that came first."""
     core = _scipy_extension(_HIGHS_CORE)
     if not hasattr(core, "_Highs"):

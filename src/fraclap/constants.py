@@ -5,8 +5,10 @@ one-dimensional r-integral C_{n,s,p}, the sharp constant S_{n,s,p}, and the
 closed-form chain for ball perimeters, ball Cheeger constants, the
 Faber-Krahn bound, and the calibrable critical radius. Quadrature is
 adaptive Gauss-Kronrod with substitutions that absorb both endpoint
-singularities. scipy's quad and hyp2f1 are imported by the functions that
-call them, so the ball constants, which are closed forms, load neither.
+singularities: QUADPACK's qagse through domain_grid._quadrature, which
+keeps quad's bits without importing scipy.integrate. scipy's hyp2f1 is
+imported by the functions that call it, so the ball constants, which are
+closed forms, load neither QUADPACK nor scipy.special.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from fraclap.domain_grid import BALL_VOLUME, OMEGA_N
+from fraclap.domain_grid import BALL_VOLUME, OMEGA_N, _quadrature
 
 
 class QuadratureError(RuntimeError):
@@ -94,8 +96,6 @@ def c_constant(n: int, s: float, p: float) -> float:
     accurate down to q near machine zero.
     """
     _validate(n, s, p)
-    from scipy.integrate import quad
-
     ps = p * s
     beta = (n - ps) / p
     phi0 = OMEGA_N[n]  # phi(0): the unit sphere's boundary measure
@@ -117,8 +117,8 @@ def c_constant(n: int, s: float, p: float) -> float:
 
     u_hi = 0.5 ** ps
     v_hi = 0.5 ** (1.0 - ps)
-    val_l, err_l = quad(left, 0.0, u_hi, epsabs=1e-12, epsrel=1e-11, limit=300)
-    val_r, err_r = quad(right, 0.0, v_hi, epsabs=1e-12, epsrel=1e-11, limit=300)
+    val_l, err_l = _quadrature(left, 0.0, u_hi, 1e-12, 1e-11, 300)
+    val_r, err_r = _quadrature(right, 0.0, v_hi, 1e-12, 1e-11, 300)
     value = 2.0 * (val_l + val_r)
     err = 2.0 * (err_l + err_r)
     if not math.isfinite(value) or err > max(1e-9, 1e-6 * abs(value)):

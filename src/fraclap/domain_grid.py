@@ -8,17 +8,32 @@ cells and assembles the two weight families every other module consumes:
 
 Fields are piecewise constant per cell, so the kernel diagonal never enters
 and every energy in the package reduces to finite sums against (w, t).
+
+The exact 2-D near integrals, and constants' C_{n,s,p}, run QUADPACK's
+qagse (_quadrature), the routine scipy.integrate.quad calls on a finite
+interval, with quad's bits and without importing scipy.integrate. Its
+compiled module loads with the first integral, never at import, through
+_scipy_extension, the one loader of scipy's compiled modules (the
+solver's LAPACK wrapper and certify's HiGHS too): once per process, and
+registered under its full name.
 """
 
 from __future__ import annotations
 
+import importlib
+import importlib.machinery
+import importlib.util
 import math
 import os
+import sys
+import threading
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product
 
 import numpy as np
+import scipy  # its _distributor_init may set up the libraries its extensions link
 
 #: subcells per axis of the near-pair rule behind the pair weights w
 NEAR_SUBCELLS = 4
@@ -45,6 +60,87 @@ OMEGA_N = {1: 2.0, 2: 2.0 * math.pi}
 
 #: volume of the unit ball, indexed by dimension
 BALL_VOLUME = {1: 2.0, 2: math.pi}
+
+
+_EXTENSION_LOCK = threading.Lock()
+
+
+def _scipy_extension(name):
+    """scipy's compiled module of full dotted name `name`, such as
+    "scipy.linalg._flapack", initialized once per process and without
+    importing its public subpackage (scipy.linalg).
+
+    A second initialization doubles the module's memory, and for a
+    pybind11 module raises ImportError ("... already registered"). So the
+    module loads under its full name, one thread at a time, into
+    sys.modules, where a later import of the subpackage finds it. A
+    process that imported the subpackage first hands out that copy; an
+    import of it under way in another thread is waited for, since
+    import_module takes its module lock.
+    """
+    with _EXTENSION_LOCK:
+        package = ".".join(name.split(".")[:2])
+        if package in sys.modules:
+            importlib.import_module(package)
+        mod = sys.modules.get(name)
+        if mod is None:
+            spec = importlib.machinery.PathFinder.find_spec(
+                name,
+                [os.path.join(os.path.dirname(scipy.__file__), *name.split(".")[1:-1])],
+            )
+            if spec is None:
+                raise ImportError("fraclap needs scipy's compiled modules: scipy %s at "
+                                  "%s has no extension %s"
+                                  % (scipy.__version__, scipy.__file__, name))
+            mod = importlib.util.module_from_spec(spec)
+            sys.modules[name] = mod
+            try:
+                spec.loader.exec_module(mod)
+            except BaseException:
+                del sys.modules[name]
+                raise
+        return mod
+
+
+_QUADPACK = "scipy.integrate._quadpack"
+
+#: what a nonzero ier of QUADPACK's qagse means (Piessens et al., QUADPACK,
+#: Springer 1983); 6, invalid input, raises instead
+_QAGSE_IER = {
+    1: "the maximum number of subdivisions was reached",
+    2: "roundoff error prevents the requested tolerance",
+    3: "the integrand behaves extremely badly at some points",
+    4: "roundoff error in the extrapolation table prevents convergence",
+    5: "the integral is probably divergent, or slowly convergent",
+}
+
+
+@lru_cache(maxsize=None)
+def _quadpack():
+    """scipy's QUADPACK extension, scipy/integrate/_quadpack, from
+    _scipy_extension: loaded once per process without importing
+    scipy.integrate, or scipy.integrate's own copy where that came first."""
+    mod = _scipy_extension(_QUADPACK)
+    if not hasattr(mod, "_qagse"):
+        raise ImportError("fraclap needs scipy's QUADPACK: scipy %s at %s has "
+                          "no _qagse in %s" % (scipy.__version__, scipy.__file__, _QUADPACK))
+    return mod
+
+
+def _quadrature(func, a, b, epsabs, epsrel, limit):
+    """(value, error estimate) of the integral of func over finite a < b:
+    quad(func, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit) bit for
+    bit, through the qagse call quad makes there. As in quad, an ier of 6
+    (invalid input) raises ValueError, and any other nonzero ier warns and
+    returns the value."""
+    value, abserr, ier = _quadpack()._qagse(func, a, b, (), 0, epsabs, epsrel, limit)
+    if ier == 6:
+        raise ValueError("QUADPACK qagse rejected its input: limit must be at least 1, "
+                         "and epsrel above 50 machine epsilons where epsabs <= 0")
+    if ier != 0:
+        warnings.warn("QUADPACK qagse returned ier = %d: %s"
+                      % (ier, _QAGSE_IER.get(ier, "unknown error")), stacklevel=2)
+    return value, abserr
 
 
 def kernel_exponent(n: int, s: float, p: float) -> float:
@@ -290,8 +386,6 @@ def _k2d_exact(a: int, b: int, alpha: float) -> float:
     angular integral is smooth between lattice-corner directions and is done
     panel by panel with adaptive quadrature. Valid for alpha in (2, 3).
     """
-    from scipy.integrate import quad
-
     a, b = abs(int(a)), abs(int(b))
     if a < b:
         a, b = b, a
@@ -358,7 +452,7 @@ def _k2d_exact(a: int, b: int, alpha: float) -> float:
     for t0, t1 in zip(panels[:-1], panels[1:]):
         if t1 - t0 < 1e-15:
             continue
-        part, _ = quad(radial, t0, t1, epsabs=1e-13, epsrel=1e-11, limit=200)
+        part, _ = _quadrature(radial, t0, t1, 1e-13, 1e-11, 200)
         value += part
     return value
 

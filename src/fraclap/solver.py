@@ -39,11 +39,11 @@ The metric's Cholesky factor and solve are LAPACK potrf and potrs from
 scipy's own f2py wrapper, scipy.linalg._flapack, loaded straight from
 scipy's linalg directory without the cost of importing scipy.linalg: the
 very routines scipy.linalg.lapack hands out, from the one copy of the
-module it uses too. _scipy_extension loads such compiled modules for
-fraclap, certify's HiGHS included, each once per process. scipy's
-OpenBLAS runs each solve on one thread (_one_blas_thread): its threaded
-potrf rounds differently, so with more threads the iterates, and every
-output, would depend on the thread count.
+module it uses too. domain_grid._scipy_extension loads such compiled
+modules for fraclap, certify's HiGHS and domain_grid's QUADPACK included,
+each once per process. scipy's OpenBLAS runs each solve on one thread
+(_one_blas_thread): its threaded potrf rounds differently, so with more
+threads the iterates, and every output, would depend on the thread count.
 """
 
 from __future__ import annotations
@@ -51,21 +51,15 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import importlib
-import importlib.machinery
-import importlib.util
 import math
-import os
-import sys
 import threading
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
-import scipy  # its _distributor_init may set up the libraries _flapack links
 from numpy.linalg import LinAlgError
 
-from fraclap.domain_grid import KernelSet, kernel_exponent
+from fraclap.domain_grid import KernelSet, _scipy_extension, kernel_exponent
 from fraclap.energy import (
     EnergyBreakdown,
     LoadField,
@@ -82,46 +76,6 @@ _STAGNANT_LIMIT = 25
 _SNAP_LADDER = (1e-12, 1e-9)
 _EPS_E = 1e-12  # relative energy decrement below which a step may be stagnant
 _PAIRWISE_BLOCK = 8  # numpy sums at least this many entries pairwise
-
-
-_EXTENSION_LOCK = threading.Lock()
-
-
-def _scipy_extension(name):
-    """scipy's compiled module of full dotted name `name`, such as
-    "scipy.linalg._flapack", initialized once per process and without
-    importing its public subpackage (scipy.linalg).
-
-    A second initialization doubles the module's memory, and for a
-    pybind11 module raises ImportError ("... already registered"). So the
-    module loads under its full name, one thread at a time, into
-    sys.modules, where a later import of the subpackage finds it. A
-    process that imported the subpackage first hands out that copy; an
-    import of it under way in another thread is waited for, since
-    import_module takes its module lock.
-    """
-    with _EXTENSION_LOCK:
-        package = ".".join(name.split(".")[:2])
-        if package in sys.modules:
-            importlib.import_module(package)
-        mod = sys.modules.get(name)
-        if mod is None:
-            spec = importlib.machinery.PathFinder.find_spec(
-                name,
-                [os.path.join(os.path.dirname(scipy.__file__), *name.split(".")[1:-1])],
-            )
-            if spec is None:
-                raise ImportError("fraclap needs scipy's compiled modules: scipy %s at "
-                                  "%s has no extension %s"
-                                  % (scipy.__version__, scipy.__file__, name))
-            mod = importlib.util.module_from_spec(spec)
-            sys.modules[name] = mod
-            try:
-                spec.loader.exec_module(mod)
-            except BaseException:
-                del sys.modules[name]
-                raise
-        return mod
 
 
 # float64 potrf and potrs: the routines get_lapack_funcs(("potrf", "potrs"),

@@ -13,7 +13,7 @@ import scipy
 
 import fraclap
 from certify_reference import linprog_lp, reference_certificate, reference_lp
-from fraclap import certify, solver
+from fraclap import certify, domain_grid
 from fraclap.certify import (
     _LP_BYTES_PER_FREE,
     _TIE_TOL,
@@ -580,7 +580,7 @@ def test_missing_highs_raises_import_error_naming_scipy(monkeypatch):
     where = "scipy %s at %s has no " % (scipy.__version__, scipy.__file__)
     monkeypatch.setattr(certify, "_HIGHS_CORE", "scipy.optimize._highspy._nohighs")
     with pytest.raises(ImportError) as err:
-        solver._scipy_extension(certify._HIGHS_CORE)
+        domain_grid._scipy_extension(certify._HIGHS_CORE)
     assert str(err.value).endswith(where + "extension scipy.optimize._highspy._nohighs")
     monkeypatch.setitem(sys.modules, certify._HIGHS_CORE, types.ModuleType("stub"))
     with pytest.raises(ImportError) as err:

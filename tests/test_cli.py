@@ -1232,9 +1232,10 @@ def test_unknown_subcommand_exits_2():
 
 
 # ---------------------------------------------------------------------------
-# import footprint: scipy's quadrature, HiGHS and special functions load in
-# the functions that call them, so a command that never calls them never
-# pays for them, and no command loads scipy.sparse
+# import footprint: scipy's QUADPACK and HiGHS extensions load on first use
+# without their subpackages, and its special functions in the functions
+# that call them, so a command that never calls them never pays for them,
+# and no command loads scipy.sparse
 # ---------------------------------------------------------------------------
 
 _LAZY = (
@@ -1313,3 +1314,22 @@ def test_certify_loads_the_lp_on_first_use(tmp_path, small_cfg):
     assert loaded == []
     report = json.loads((tmp_path / "out" / "tiny_certificate.json").read_text(encoding="utf-8"))
     assert report["iterations"] > 0 and report["verified"]
+
+
+def test_two_dimensional_commands_load_no_lazy_scipy_subpackage(tmp_path):
+    # the 2-D near integrals and C_{n,s,p} run QUADPACK's qagse without
+    # scipy.integrate, and the certificate's LP goes to HiGHS without
+    # scipy.optimize; only the 2-D profile's hyp2f1 loads scipy.special
+    (tmp_path / "box8.cfg").write_text(BOX8_CFG, encoding="utf-8")
+    steps = _footprint(
+        tmp_path,
+        ["solve", "--config", "box8.cfg", "--out", "out"],
+        ["certify", "--config", "box8.cfg", "--field", "out/box8_field.csv", "--out", "out"],
+        ["cheeger", "--config", "box8.cfg", "--field", "out/box8_field.csv", "--out", "out"],
+        ["sweep", "--config", "box8.cfg", "--out", "out"],
+        ["constants", "--n", "1"],
+        ["constants", "--n", "2"],
+    )
+    commands = ("import", "solve", "certify", "cheeger", "sweep", "constants")
+    assert steps[:-1] == [[cmd, 0, []] for cmd in commands]
+    assert steps[-1] == ["constants", 0, ["scipy.special"]]

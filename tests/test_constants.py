@@ -9,11 +9,13 @@ Oracle routes, all independent of the implementation under test:
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from fraclap import constants
 from fraclap.constants import (
     QuadratureError,
     SharpConstants,
@@ -259,6 +261,31 @@ def test_quadrature_determinism():
     a = c_constant(2, 0.5, 1.1)
     b = c_constant(2, 0.5, 1.1)
     assert a == b  # bit identical
+
+
+@pytest.mark.parametrize("n, s, p", [
+    (1, 0.5, 1.0), (1, 0.25, 2.0), (2, 0.5, 1.0), (2, 0.3, 1.5), (2, 0.5, 1.1),
+])
+def test_c_constant_keeps_quad_bits(monkeypatch, n, s, p):
+    # both halves' values and error estimates, and so C, have the bits of
+    # scipy.integrate.quad, and QUADPACK reports ier = 0 (no warning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = c_constant(n, s, p)
+        calls = []
+        quadrature = constants._quadrature
+
+        def both(func, a, b, epsabs, epsrel, limit):
+            want = quad(func, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit)
+            calls.append((quadrature(func, a, b, epsabs, epsrel, limit), want))
+            return want
+
+        monkeypatch.setattr(constants, "_quadrature", both)
+        want = c_constant(n, s, p)
+    assert len(calls) == 2
+    mine, quads = np.array(calls).transpose(1, 0, 2)
+    assert mine.tobytes() == quads.tobytes()
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_quadrature_error_type():

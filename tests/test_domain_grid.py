@@ -7,12 +7,17 @@ t^(2-alpha) / ((1-alpha)(2-alpha)).
 
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+import scipy
+from scipy.integrate import IntegrationWarning, quad
 
+from fraclap import domain_grid
 from fraclap.domain_grid import (
     BALL_VOLUME,
     NEAR_SUBCELLS,
@@ -428,6 +433,157 @@ def test_k2d_second_exponent():
 
 def test_k2d_symmetry():
     assert _k2d_exact(2, 1, 2.5) == pytest.approx(_k2d_exact(1, 2, 2.5), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# QUADPACK without scipy.integrate
+# ---------------------------------------------------------------------------
+
+
+def _with_quad(calls):
+    """A stand-in for domain_grid._quadrature that records (its result,
+    quad's on the same arguments) and hands on quad's."""
+    quadrature = domain_grid._quadrature
+
+    def both(func, a, b, epsabs, epsrel, limit):
+        want = quad(func, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit)
+        calls.append((quadrature(func, a, b, epsabs, epsrel, limit), want))
+        return want
+
+    return both
+
+
+@pytest.mark.parametrize("alpha", [2.05, 2.3, 2.55, 2.95])
+def test_k2d_quadrature_keeps_quad_bits(monkeypatch, alpha):
+    # each panel's value and error estimate, and so every near integral,
+    # has the bits scipy.integrate.quad gives
+    offsets = list(_near_offsets(2).values())
+    got = np.array([_k2d_exact.__wrapped__(a, b, alpha) for a, b in offsets])
+    calls = []
+    monkeypatch.setattr(domain_grid, "_quadrature", _with_quad(calls))
+    want = np.array([_k2d_exact.__wrapped__(a, b, alpha) for a, b in offsets])
+    assert len(calls) >= 2 * len(offsets)
+    mine, quads = np.array(calls).transpose(1, 0, 2)
+    assert mine.tobytes() == quads.tobytes()
+    assert got.tobytes() == want.tobytes()
+
+
+def _spike(x):
+    """An integrand with an inverse square-root singularity at 0.3."""
+    return 1.0 / math.sqrt(abs(x - 0.3)) if x != 0.3 else 0.0
+
+
+def test_quadrature_warns_and_returns_quads_value_on_a_nonzero_ier():
+    # three subintervals cannot resolve the spike: ier = 1, as quad reports
+    with pytest.warns(UserWarning, match="ier = 1: the maximum number of subdivisions"):
+        got = domain_grid._quadrature(_spike, 0.0, 1.0, 1.49e-8, 1.49e-8, 3)
+    with pytest.warns(IntegrationWarning):
+        want = quad(_spike, 0.0, 1.0, epsabs=1.49e-8, epsrel=1.49e-8, limit=3)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("epsabs, epsrel, limit", [(1e-13, 1e-11, 0), (0.0, 1e-20, 50)])
+def test_quadrature_raises_value_error_on_invalid_input(epsabs, epsrel, limit):
+    # QUADPACK's ier = 6: no subinterval, or no attainable tolerance
+    with pytest.raises(ValueError, match="QUADPACK qagse rejected its input"):
+        domain_grid._quadrature(math.sin, 0.0, 1.0, epsabs, epsrel, limit)
+    with pytest.raises(ValueError):
+        quad(math.sin, 0.0, 1.0, epsabs=epsabs, epsrel=epsrel, limit=limit)
+
+
+def test_missing_quadpack_raises_import_error_naming_scipy(monkeypatch):
+    where = "scipy %s at %s has no " % (scipy.__version__, scipy.__file__)
+    monkeypatch.setattr(domain_grid, "_QUADPACK", "scipy.integrate._noquadpack")
+    with pytest.raises(ImportError) as err:
+        domain_grid._quadpack.__wrapped__()
+    assert str(err.value).endswith(where + "extension scipy.integrate._noquadpack")
+    assert "scipy.integrate._noquadpack" not in sys.modules
+    monkeypatch.setitem(sys.modules, domain_grid._QUADPACK, types.ModuleType("stub"))
+    with pytest.raises(ImportError) as err:
+        domain_grid._quadpack.__wrapped__()
+    assert str(err.value).endswith(where + "_qagse in scipy.integrate._noquadpack")
+
+
+_QUADPACK_ORDER = """\
+import hashlib, importlib.util, sys, threading
+import numpy as np
+from fraclap import domain_grid
+from fraclap.domain_grid import DomainSpec, build_grid, build_kernel
+
+NAME = "scipy.integrate._quadpack"
+grid = build_grid(DomainSpec(2, "box", (0.0, 0.0, 4.0, 4.0), 1.0))
+alphas = (2.05, 2.3, 2.55, 2.95)
+# the loads fraclap's loader makes; the import system uses its own
+# module_from_spec, so scipy's imports do not count here
+loads = []
+module_from_spec = importlib.util.module_from_spec
+
+
+def counted(spec):
+    loads.append(spec.name)
+    return module_from_spec(spec)
+
+
+def digest(alpha):
+    kern = build_kernel(grid, alpha)
+    return hashlib.sha256(kern.w.tobytes() + kern.t.tobytes()).hexdigest()
+
+
+importlib.util.module_from_spec = counted
+order = sys.argv[1]
+if order == "scipy.integrate first":
+    import scipy.integrate
+    assert abs(scipy.integrate.quad(np.cos, 0.0, 1.0)[0] - np.sin(1.0)) < 1e-15
+if order == "threads":
+    # more threads than cores, switching often, all starting at once
+    start = threading.Barrier(len(alphas))
+    got = [None] * len(alphas)
+
+    def first(k):
+        start.wait()
+        got[k] = digest(alphas[k])
+
+    threads = [threading.Thread(target=first, args=(k,)) for k in range(len(alphas))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+digests = [digest(alpha) for alpha in alphas]
+if order == "threads":
+    assert got == digests, (got, digests)
+if order == "scipy.integrate first":
+    assert loads == [], loads
+else:
+    assert loads == [NAME], loads
+    assert "scipy.integrate" not in sys.modules
+    import scipy.integrate
+assert sys.modules[NAME] is domain_grid._quadpack() is scipy.integrate._quadpack_py._quadpack
+print(*digests)
+"""
+
+
+def test_quadpack_loads_once_in_any_order():
+    # the kernel's QUADPACK registers under its full name, where a later
+    # import of scipy.integrate finds it; a kernel after scipy.integrate
+    # uses scipy's copy; four threads' first 2-D kernels, started at once,
+    # load it once; w and t have the same bits in all three
+    src = os.path.dirname(os.path.dirname(os.path.abspath(domain_grid.__file__)))
+    outputs = []
+    for order in ("kernel first", "scipy.integrate first", "threads"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _QUADPACK_ORDER, order],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, (order, proc.stderr)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1] == outputs[2] and len(outputs[0].split()) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from fraclap.domain_grid import (
     build_kernel,
     kernel_exponent,
 )
-from fraclap import solver
+from fraclap import domain_grid, solver
 from fraclap.energy import LoadField, gradient, load_from_array, total_energy
 from fraclap.quotient import Partition, _symmetry_maps, orbits, pairwise_depth
 from fraclap.solver import (
@@ -680,7 +680,7 @@ def test_lapack_routines_are_scipys():
 def test_missing_lapack_extension_raises_import_error():
     where = "scipy %s at %s has no " % (scipy.__version__, scipy.__file__)
     with pytest.raises(ImportError) as err:
-        solver._scipy_extension("scipy.linalg._nolapack")
+        domain_grid._scipy_extension("scipy.linalg._nolapack")
     assert str(err.value).endswith(where + "extension scipy.linalg._nolapack")
     assert "scipy.linalg._nolapack" not in sys.modules
 
